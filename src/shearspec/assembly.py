@@ -9,10 +9,14 @@ Kronecker products, so the half-guide form
 becomes  A = Kx(x)M1(x)M2 - beta (Dx(x)M1(x)D2' + Dx'(x)M1(x)D2)
            + beta^2 Mx(x)M1(x)K2 + Mx(x)K1(x)M2 + Mx(x)M1(x)K2
 
-against the mass Mx(x)M1(x)M2.  Consistent mass everywhere: discrete
-eigenvalues are variational upper bounds, which the ladder logic and the
-counting rely on.  The x interval is capped at L with a Dirichlet end
-(upper bounds again, decreasing in L); x = 0 is natural Neumann.
+against the mass Mx(x)M1(x)M2.  The stiffness terms are summed once
+into one CSR matrix (``KronOp``), written directly on their shared
+pattern; the factors stay on the form for the separable preconditioner
+and for dumps, and the mass stays a factored ``MassKron``.  Consistent
+mass everywhere: discrete eigenvalues are variational upper bounds,
+which the ladder logic and the counting rely on.  The x interval is
+capped at L with a Dirichlet end (upper bounds again, decreasing in L);
+x = 0 is natural Neumann.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .eigcore import FactorSpectral, KronOp, LinOp, MassKron, TensorPrecond
+from .eigcore import FactorSpectral, KronOp, MassKron, TensorPrecond
 from .geometry import MaskSection, Rect, Section, beta_value, section_diameter
 
 __all__ = [
@@ -204,7 +208,7 @@ class ShearForm:
 
     mode: str
     beta: float
-    A: LinOp
+    A: KronOp
     M: MassKron
     shape: tuple[int, ...]
     factors: dict

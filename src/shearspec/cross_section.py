@@ -40,8 +40,8 @@ __all__ = [
 
 def rect_mode_value(m: int, n: int, beta: float, rect: Rect) -> float:
     """Eigenvalue pi^2 (m^2/(b-a)^2 + (1+beta^2) n^2/(d-c)^2)."""
-    return math.pi**2 * (m**2 / rect.width1**2
-                         + (1.0 + beta**2) * n**2 / rect.width2**2)
+    return math.pi**2 * (m * m / rect.width1**2
+                         + (1.0 + beta * beta) * n * n / rect.width2**2)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Block eigensolver core: operators, preconditioners, LOBPCG, counting.
 
 Everything downstream reduces to the generalized pencil (A, M) with A
-symmetric and M symmetric positive definite, both given as matrix-free
-operators (usually sums of Kronecker products of 1-D factor matrices).
-The solver is a locally optimal block preconditioned CG iteration with a
-[X, W, P] Rayleigh-Ritz space; preconditioning inverts the separable
+symmetric and M symmetric positive definite.  A is a sum of Kronecker
+products of 1-D (or section) factor matrices, assembled once into one
+CSR matrix so that an apply is a single sparse product; M is a single
+Kronecker product, applied factor by factor.  The solver is a locally
+optimal block preconditioned CG iteration with a [X, W, P]
+Rayleigh-Ritz space that applies A and M once each per iteration and
+carries the products of X and P; preconditioning inverts the separable
 part of A exactly through per-factor eigenbases, which for uniform grids
 are plain sine/cosine transforms.
 """
@@ -12,6 +15,7 @@ are plain sine/cosine transforms.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +53,9 @@ class LinOp:
 
     def matmat(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def toarray(self) -> np.ndarray:
+        return self.matmat(np.eye(self.n))
 
 
 class IdentityOp(LinOp):
@@ -101,84 +108,175 @@ def as_operator(obj) -> LinOp:
     raise TypeError(f"cannot wrap {type(obj).__name__} as an operator")
 
 
+def _kron_terms(terms, shape):
+    """Validated ``(shape, terms)`` with one square CSR factor per slot."""
+    shape = tuple(int(s) for s in shape)
+    out = []
+    for coeff, mats in terms:
+        mats = tuple(sp.csr_matrix(m) for m in mats)
+        if len(mats) != len(shape):
+            raise ValueError("one factor per tensor slot required")
+        for m, s in zip(mats, shape):
+            if m.shape != (s, s):
+                raise ValueError(f"factor shape {m.shape} != slot size {s}")
+        out.append((float(coeff), mats))
+    return shape, out
+
+
+def _along(fn, T: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``fn`` (a map of 2-D column blocks) along one tensor axis."""
+    T = np.moveaxis(T, axis, 0)
+    lead = T.shape[0]
+    out = fn(T.reshape(lead, -1)).reshape(T.shape)
+    return np.moveaxis(out, 0, axis)
+
+
+def _union(mats):
+    """Shared sorted CSR pattern of ``mats`` and each one's values on it.
+
+    Returns ``(indptr, indices, vals)`` with ``vals[t]`` the entries of
+    ``mats[t]`` on the union pattern (zero where it has none).
+    """
+    n = mats[0].shape[0]
+    coos = [m.tocoo() for m in mats]
+    keys = np.concatenate([c.row.astype(np.int64) * n + c.col for c in coos])
+    uniq, inv = np.unique(keys, return_inverse=True)
+    vals = np.zeros((len(mats), uniq.size))
+    start = 0
+    for t, c in enumerate(coos):
+        np.add.at(vals[t], inv[start:start + c.nnz], c.data)
+        start += c.nnz
+    indptr = np.searchsorted(uniq // n, np.arange(n + 1))
+    return indptr, uniq % n, vals
+
+
+def _assemble(terms, shape, n) -> sp.csr_matrix:
+    """CSR matrix of sum_t c_t F0_t (x) R_t, R_t the Kronecker product of
+    the remaining factors of term t.
+
+    The pattern is the Kronecker product of the per-slot union patterns.
+    Block row i of slot 0 is filled at once: its x-entries e combine the
+    terms into p = nnz(row i) blocks V_e = sum_t c_t F0_t[e] R_t on the
+    union pattern of the R_t, which one precomputed gather per p
+    interleaves into CSR row order.  No full-size temporary beyond the
+    output arrays is made.
+    """
+    xptr, xcol, xval = _union([mats[0] for _, mats in terms])
+    xval = xval * np.array([c for c, _ in terms])[:, None]
+    rest = []
+    for _, mats in terms:
+        r = sp.csr_matrix(np.ones((1, 1)))
+        for f in mats[1:]:
+            r = sp.kron(r, f, format="csr")
+        rest.append(r)
+    uptr, ucol, uval = _union(rest)
+    m = n // shape[0]
+    nnz_u = ucol.size
+    ulen = np.diff(uptr)
+    plen = np.diff(xptr)
+    nnz = int(plen.sum()) * nnz_u
+    itype = np.int32 if max(nnz, n) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.multiply.outer(plen, ulen).ravel(), out=indptr[1:])
+    indices = np.empty(nnz, dtype=itype)
+    data = np.empty(nnz)
+    urow = np.repeat(np.arange(m), ulen)
+    ucol = ucol.astype(itype)
+    gathers = {}
+    for i in range(shape[0]):
+        e0, e1 = xptr[i], xptr[i + 1]
+        p = e1 - e0
+        if p == 0:
+            continue
+        g = gathers.get(p)
+        if g is None:
+            # flat (e, u) position ordered by (CSR row of u, e, u)
+            key = (urow * p)[None, :] + np.arange(p)[:, None]
+            g = gathers[p] = np.argsort(key.ravel(), kind="stable")
+        o0 = indptr[i * m]
+        o1 = o0 + p * nnz_u
+        data[o0:o1] = (xval[:, e0:e1].T @ uval).ravel()[g]
+        cols = xcol[e0:e1, None].astype(itype) * m + ucol
+        indices[o0:o1] = cols.ravel()[g]
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    A.has_canonical_format = True
+    return A
+
+
 class KronOp(LinOp):
-    """Sum of Kronecker-product terms over a tensor grid.
+    """Sum of Kronecker-product terms over a tensor grid, assembled once.
 
     ``terms`` is a list of ``(coeff, mats)`` where ``mats`` holds one
     square factor per tensor slot (row index runs over slot 0 slowest).
-    A block vector of shape (prod(shape), b) is reshaped to
-    ``(*shape, b)`` and each factor acts along its own axis.
+    The terms are kept for the separable preconditioner and for dumps;
+    ``matrix`` is their sum as one CSR matrix, so an apply is a single
+    sparse product.
     """
 
     def __init__(self, terms, shape):
-        self.shape = tuple(int(s) for s in shape)
+        self.shape, self.terms = _kron_terms(terms, shape)
         self.n = int(np.prod(self.shape))
-        self.terms = []
-        for coeff, mats in terms:
-            mats = tuple(sp.csr_matrix(m) for m in mats)
-            if len(mats) != len(self.shape):
-                raise ValueError("one factor per tensor slot required")
-            for m, s in zip(mats, self.shape):
-                if m.shape != (s, s):
-                    raise ValueError(f"factor shape {m.shape} != slot size {s}")
-            self.terms.append((float(coeff), mats))
 
-    @staticmethod
-    def _apply_axis(T: np.ndarray, mat, axis: int) -> np.ndarray:
-        T = np.moveaxis(T, axis, 0)
-        lead = T.shape[0]
-        out = (mat @ T.reshape(lead, -1)).reshape(T.shape)
-        return np.moveaxis(out, 0, axis)
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The terms summed into one CSR matrix, built on first use: forms
+        whose eigenpairs come from their factors never pay for it."""
+        return _assemble(self.terms, self.shape, self.n)
 
     def matmat(self, X):
-        X = np.asarray(X, dtype=float)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[:, None]
-        b = X.shape[1]
-        out = np.zeros_like(X)
-        for coeff, mats in self.terms:
-            T = X.reshape(*self.shape, b)
-            for axis, m in enumerate(mats):
-                T = self._apply_axis(T, m, axis)
-            out += coeff * T.reshape(self.n, b)
-        return out[:, 0] if squeeze else out
+        return self.matrix @ np.asarray(X, dtype=float)
 
     def diagonal(self):
-        d = np.zeros(self.shape)
-        for coeff, mats in self.terms:
-            part = np.ones((1,) * len(self.shape))
-            for axis, m in enumerate(mats):
-                part = part * _expand(m.diagonal(), len(self.shape), axis)
-            d = d + coeff * part
-        return d.reshape(self.n)
+        return self.matrix.diagonal()
+
+    def toarray(self):
+        return self.matrix.toarray()
 
 
-class MassKron(KronOp):
+class MassKron(LinOp):
     """Single Kronecker product of mass factors, with an exact solve.
 
-    Each factor is factorized once (sparse LU); the solve applies the
-    inverses slot by slot, giving ||r||_{M^-1} residual norms cheaply.
+    Applied slot by slot, which for one product is as fast as an
+    assembled matrix and costs no memory.  Each factor is factorized
+    once (sparse LU); the solve applies the inverses slot by slot,
+    giving ||r||_{M^-1} residual norms cheaply.
     """
 
     def __init__(self, mats, shape):
-        super().__init__([(1.0, mats)], shape)
-        self._lu = [splu(sp.csc_matrix(m)) for _, ms in self.terms for m in ms]
+        self.shape, self.terms = _kron_terms([(1.0, mats)], shape)
+        self.n = int(np.prod(self.shape))
+        self.mats = self.terms[0][1]
+        self._lu = [splu(sp.csc_matrix(m)) for m in self.mats]
 
-    def solve(self, X):
+    def _slotwise(self, fns, X):
         X = np.asarray(X, dtype=float)
         squeeze = X.ndim == 1
         if squeeze:
             X = X[:, None]
         b = X.shape[1]
         T = X.reshape(*self.shape, b)
-        for axis, lu in enumerate(self._lu):
-            T = np.moveaxis(T, axis, 0)
-            lead = T.shape[0]
-            T = lu.solve(T.reshape(lead, -1)).reshape(T.shape)
-            T = np.moveaxis(T, 0, axis)
+        for axis, fn in enumerate(fns):
+            T = _along(fn, T, axis)
         out = T.reshape(self.n, b)
         return out[:, 0] if squeeze else out
+
+    def matmat(self, X):
+        return self._slotwise([m.__matmul__ for m in self.mats], X)
+
+    def solve(self, X):
+        return self._slotwise([lu.solve for lu in self._lu], X)
+
+    def diagonal(self):
+        d = np.ones(())
+        for m in self.mats:
+            d = np.multiply.outer(d, m.diagonal())
+        return d.reshape(self.n)
+
+    def toarray(self):
+        out = np.ones((1, 1))
+        for m in self.mats:
+            out = np.kron(out, m.toarray())
+        return out
 
 
 @dataclass(frozen=True)
@@ -235,9 +333,7 @@ class FactorSpectral:
 
     @staticmethod
     def _dense(mat, T, axis):
-        T = np.moveaxis(T, axis, 0)
-        out = (mat @ T.reshape(T.shape[0], -1)).reshape(T.shape)
-        return np.moveaxis(out, 0, axis)
+        return _along(mat.__matmul__, T, axis)
 
 
 def _expand(v: np.ndarray, ndim: int, axis: int) -> np.ndarray:
@@ -307,16 +403,9 @@ class SpluPrecond:
         return self._lu.solve(R)
 
 
-def materialize(op: LinOp, chunk: int = 256) -> np.ndarray:
+def materialize(op: LinOp) -> np.ndarray:
     """Dense matrix of an operator; for tests and small direct solves."""
-    n = op.n
-    out = np.empty((n, n))
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        E = np.zeros((n, j1 - j0))
-        E[np.arange(j0, j1), np.arange(j1 - j0)] = 1.0
-        out[:, j0:j1] = op.matmat(E)
-    return out
+    return op.toarray()
 
 
 @dataclass(frozen=True)
@@ -340,8 +429,11 @@ class EigResult:
     vectors: np.ndarray        # (n, k), M-orthonormal
     converged: np.ndarray      # per-pair flags for the requested k
     iterations: int
+    # A block applies, each paired with one M apply: the start block,
+    # one per iteration, one per convergence confirmation
     matmats: int
-    residuals: np.ndarray      # ||A x - theta M x||_2 per requested pair
+    residuals: np.ndarray      # ||A x - theta M x||_2 per requested pair,
+                               # from freshly applied products
     block_theta: np.ndarray    # full block of Ritz values (upper bounds)
 
     @property
@@ -353,31 +445,80 @@ class SolverError(RuntimeError):
     pass
 
 
-def _m_orthonormalize(S: np.ndarray, M: LinOp):
-    """Return S with S^T M S = I, dropping near-dependent columns."""
-    MS = M.matmat(S)
-    G = S.T @ MS
-    G = 0.5 * (G + G.T)
-    if np.any(np.diag(G) <= 0.0):
+def _whiten(G: np.ndarray) -> np.ndarray:
+    """Coefficients T with T^T G T = I for the Gram matrix G of a block.
+
+    Columns are scaled to unit diagonal first; directions whose scaled
+    Gram eigenvalue falls below 1e-12 of the largest are dropped as
+    dependent, so T may have fewer columns than G.
+    """
+    d = np.diag(G)
+    if np.any(d < 0.0):
         raise SolverError("mass operator is not positive definite on the block")
-    try:
-        L = np.linalg.cholesky(G)
-        return sla.solve_triangular(L, S.T, lower=True).T
-    except np.linalg.LinAlgError:
-        w, Q = np.linalg.eigh(G)
-        if w.max() <= 0.0 or w.min() < -1e-10 * w.max():
-            # genuinely negative directions, not just dependent columns
-            raise SolverError(
-                "mass operator is not positive definite on the block")
-        keep = w > w.max() * 1e-12
-        if not keep.any():
-            raise SolverError("search block collapsed to the zero subspace")
-        return S @ (Q[:, keep] / np.sqrt(w[keep]))
+    s = np.zeros_like(d)
+    s[d > 0.0] = 1.0 / np.sqrt(d[d > 0.0])
+    Gs = s[:, None] * G * s[None, :]
+    w, Q = np.linalg.eigh(0.5 * (Gs + Gs.T))
+    if w.max() <= 0.0:
+        raise SolverError("search block collapsed to the zero subspace")
+    if w.min() < -1e-10 * w.max():
+        # genuinely negative directions, not just dependent columns
+        raise SolverError("mass operator is not positive definite on the block")
+    keep = w > w.max() * 1e-12
+    return s[:, None] * (Q[:, keep] / np.sqrt(w[keep]))
+
+
+def _rayleigh_ritz(GA: np.ndarray, GM: np.ndarray, bs: int):
+    """Ritz values and coefficients C (C^T GM C = I) of the small pencil."""
+    T = _whiten(GM)
+    if T.shape[1] < bs:
+        raise SolverError("search block lost rank below the block size")
+    H = T.T @ GA @ T
+    theta, Z = np.linalg.eigh(0.5 * (H + H.T))
+    return theta, T @ Z
+
+
+def _gram(S: list, T: list) -> np.ndarray:
+    """[S_1 S_2 ...]^T [T_1 T_2 ...] without stacking the column blocks."""
+    return np.block([[s.T @ t for t in T] for s in S])
+
+
+def _combine(S: list, C: np.ndarray) -> np.ndarray:
+    """[S_1 S_2 ...] @ C without stacking the column blocks."""
+    out = S[0] @ C[:S[0].shape[1]]
+    r = S[0].shape[1]
+    for s in S[1:]:
+        out += s @ C[r:r + s.shape[1]]
+        r += s.shape[1]
+    return out
+
+
+def _settled(theta: np.ndarray, rn: np.ndarray, k: int, tol: float) -> bool:
+    """Whether the lowest k pairs meet ||Ax - theta Mx|| <= tol |theta|.
+
+    Pairs beyond k that are nearly degenerate with theta[k-1] must
+    settle too, or the requested values can still drift.
+    """
+    need = k
+    while need < theta.size - 1 and theta[need] - theta[k - 1] <= \
+            1e-6 * max(1.0, abs(theta[k - 1])):
+        need += 1
+    scale = np.maximum(np.abs(theta[:need]), 1e-300)
+    return bool(np.all(rn[:need] <= tol * scale))
 
 
 def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
                         precond=None) -> EigResult:
     """Lowest-k generalized eigenpairs of (A, M) by preconditioned block CG.
+
+    Each iteration applies A and M once, to the preconditioned residual
+    block W only.  The products AX, MX, AP and MP are carried through
+    every change of basis (Hetmaniuk & Lehoucq 2006; Duersch et al.
+    2018), and the Rayleigh-Ritz problem on [X W P] is built from the
+    Gram matrices against the carried products, so a rounding drift in
+    them is seen by the next projection instead of accumulating in an
+    assumed orthonormality.  Convergence is only ever certified on
+    freshly applied AX and MX.
 
     Deterministic for a fixed seed.  Ritz values are always upper bounds
     for the corresponding exact eigenvalues (min-max over the current
@@ -402,61 +543,65 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         except (AttributeError, ValueError):
             precond = lambda R, sigma: R
 
+    def ritz(X):
+        """Fresh products of X and its Rayleigh-Ritz rotation."""
+        AX, MX = A.matmat(X), M.matmat(X)
+        theta, C = _rayleigh_ritz(X.T @ AX, X.T @ MX, bs)
+        C = C[:, :bs]
+        return theta[:bs], X @ C, AX @ C, MX @ C
+
     rng = np.random.default_rng(opts.seed)
-    X = _m_orthonormalize(rng.standard_normal((n, bs)), M)
-    P = None
-    nmat = 0
-    theta = np.zeros(bs)
-    rn = np.full(bs, np.inf)
-    for it in range(opts.maxit):
-        AX = A.matmat(X)
-        nmat += 1
-        H = X.T @ AX
-        H = 0.5 * (H + H.T)
-        theta, Y = np.linalg.eigh(H)
-        X = X @ Y
-        AX = AX @ Y
-        MX = M.matmat(X)
+    theta, X, AX, MX = ritz(rng.standard_normal((n, bs)))
+    nmat = 1
+    P = AP = MP = None
+    it = 0
+    while True:
         R = AX - MX * theta
         rn = np.linalg.norm(R, axis=0)
-        scale = np.maximum(np.abs(theta), 1e-300)
-        # converge the whole cluster: pairs beyond k that are nearly
-        # degenerate with theta[k-1] must settle too, or the requested
-        # values can still drift
-        need = k
-        while need < bs - 1 and theta[need] - theta[k - 1] <= \
-                1e-6 * max(1.0, abs(theta[k - 1])):
-            need += 1
-        if np.all(rn[:need] <= opts.tol * scale[:need]):
-            return EigResult(theta[:k].copy(), X[:, :k].copy(),
-                             np.ones(k, dtype=bool), it, nmat,
-                             rn[:k].copy(), theta.copy())
+        if it == opts.maxit or _settled(theta, rn, k, opts.tol):
+            # the carried products drift by rounding; only fresh ones
+            # may certify convergence
+            theta, X, AX, MX = ritz(X)
+            nmat += 1
+            R = AX - MX * theta
+            rn = np.linalg.norm(R, axis=0)
+            if it == opts.maxit or _settled(theta, rn, k, opts.tol):
+                conv = rn[:k] <= opts.tol * np.maximum(np.abs(theta[:k]),
+                                                       1e-300)
+                return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
+                                 it, nmat, rn[:k].copy(), theta.copy())
         W = precond(R, float(theta[0]))
-        S = np.hstack([X, W] if P is None else [X, W, P])
-        S = _m_orthonormalize(S, M)
-        AS = A.matmat(S)
+        # M-orthogonal to X and P before the apply: the Gram matrix of
+        # [X W P] stays near the identity, so the basis change below
+        # amplifies no rounding in the carried products
+        W -= X @ (MX.T @ W)
+        if P is not None:
+            W -= P @ (MP.T @ W)
+        AW, MW = A.matmat(W), M.matmat(W)
         nmat += 1
-        Hs = S.T @ AS
-        Hs = 0.5 * (Hs + Hs.T)
-        ths, Ys = np.linalg.eigh(Hs)
-        Xn = S @ Ys[:, :bs]
-        Cp = Ys[:, :bs].copy()
-        Cp[:X.shape[1], :] = 0.0   # new directions only
-        P = S @ Cp
+        S, AS, MS = [X, W], [AX, AW], [MX, MW]
+        if P is not None:
+            S, AS, MS = S + [P], AS + [AP], MS + [MP]
+        GM = _gram(S, MS)
+        ths, C = _rayleigh_ritz(_gram(S, AS), GM, bs)
+        theta = ths[:bs]
+        Cx = C[:, :bs]
+        Cp = Cx.copy()
+        Cp[:bs] = 0.0   # new directions only, M-orthogonal to the new X
+        Cp -= Cx @ (Cx.T @ GM @ Cp)
         try:
-            P = _m_orthonormalize(P, M)
+            Cp = Cp @ _whiten(Cp.T @ GM @ Cp)
         except SolverError:
-            P = None
-        if P is not None and P.shape[1] == 0:
-            P = None
-        X = _m_orthonormalize(Xn, M)
-        if X.shape[1] < bs:
-            # dropped a column: pad with fresh random directions
-            pad = rng.standard_normal((n, bs - X.shape[1]))
-            X = _m_orthonormalize(np.hstack([X, pad]), M)
-    conv = rn[:k] <= opts.tol * np.maximum(np.abs(theta[:k]), 1e-300)
-    return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
-                     opts.maxit, nmat, rn[:k].copy(), theta.copy())
+            Cp = Cp[:, :0]
+        # one product per carried array gives both the new X and P
+        Cxp = np.hstack([Cx, Cp])
+        XP, AXP, MXP = _combine(S, Cxp), _combine(AS, Cxp), _combine(MS, Cxp)
+        X, AX, MX = XP[:, :bs], AXP[:, :bs], MXP[:, :bs]
+        if Cp.shape[1]:
+            P, AP, MP = XP[:, bs:], AXP[:, bs:], MXP[:, bs:]
+        else:
+            P = AP = MP = None
+        it += 1
 
 
 def _dense_result(A: LinOp, M, k: int) -> EigResult:

@@ -1,8 +1,12 @@
+import functools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from shearspec.assembly import (
     Fem1D,
@@ -14,8 +18,9 @@ from shearspec.assembly import (
     signed_skew,
     triangle_matrices,
 )
-from shearspec.eigcore import materialize
-from shearspec.cross_section import l_shaped_mask
+from shearspec.eigcore import KronOp, materialize
+from shearspec.cli import load_mask
+from shearspec.cross_section import l_shaped_mask, refine_mask
 from shearspec.geometry import MaskSection, Rect
 
 PI2 = math.pi**2
@@ -349,6 +354,47 @@ def test_prism_validation():
         assemble_prism(0.0, UNIT, (8, 4))
     with pytest.raises(ValueError):
         assemble_prism(1.0, l_shaped_mask(4), (8, 4))
+
+
+# ------------------------------------------------------ CSR assembly
+
+def kron_sum(terms):
+    """Reference: the term-by-term sum of sparse Kronecker products."""
+    return sum(c * functools.reduce(lambda a, b: sp.kron(a, b, "csr"), mats)
+               for c, mats in terms)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble_reduced2d(1.3, UNIT, 3.0, (10, 7)),
+    lambda: assemble_waveguide(0.7, UNIT, 3.0, (5, 4, 6), "half_DN"),
+    lambda: assemble_waveguide(1.1, UNIT, 2.0, (4, 5, 4), "full_sign"),
+    lambda: assemble_waveguide(1.0, l_shaped_mask(8), 3.0, 6),
+    lambda: assemble_prism(1.5, UNIT, (8, 5)),
+], ids=["reduced2d", "half_DN", "full_sign", "mask", "prism"])
+def test_assembled_csr_matches_kronecker_sum(build):
+    form = build()
+    ref = kron_sum(form.A.terms).toarray()
+    got = form.A.matrix
+    assert got.shape == (form.n, form.n)
+    assert got.has_sorted_indices
+    assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_csr_assembly_peak_memory_stays_near_output_size():
+    # the L-mask benchmark's top rung: no full-size temporary may be
+    # built on the way to the final matrix
+    path = Path(__file__).parents[1] / "demos" / "configs" / "l_mask.txt"
+    mask = refine_mask(load_mask(str(path)), 2)
+    form = assemble_waveguide(1.0, mask, 4.0, 40)
+    tracemalloc.start()
+    try:
+        A = KronOp(form.A.terms, form.shape).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    final = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert final > 1e6
+    assert peak <= 2 * final
 
 
 # ------------------------------------------------------- form utilities

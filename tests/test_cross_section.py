@@ -24,6 +24,14 @@ def test_unit_square_ground_modes():
     assert rectangle_modes(0.0, UNIT, 1)[0].E == pytest.approx(2 * PI2)
 
 
+def test_rect_mode_value_squares_by_multiplication():
+    # beta**2 differs from beta * beta by one ulp here; the threshold
+    # formula everywhere else squares by multiplication
+    b = 9.798548485571086
+    want = math.pi**2 * (1.0 / UNIT.width1**2 + (1.0 + b * b) / UNIT.width2**2)
+    assert rect_mode_value(1, 1, b, UNIT) == want
+
+
 def test_unit_square_second_mode_beta_one():
     modes = rectangle_modes(1.0, UNIT, 2)
     # (2,1) at 6 pi^2 beats (1,2) at 9 pi^2 once the shear weights y2

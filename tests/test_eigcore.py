@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from shearspec.assembly import assemble_reduced2d, assemble_waveguide
+from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import (
     CountResult,
     DenseOp,
@@ -12,6 +14,7 @@ from shearspec.eigcore import (
     FactorSpectral,
     JacobiPrecond,
     KronOp,
+    LinOp,
     MassKron,
     SpluPrecond,
     TensorPrecond,
@@ -20,6 +23,7 @@ from shearspec.eigcore import (
     materialize,
     smallest_eigenpairs,
 )
+from shearspec.geometry import Rect
 
 
 def fd_chain(n, length=1.0):
@@ -284,6 +288,70 @@ def test_nonconvergence_reports_flags():
     res = smallest_eigenpairs(A, M, EigOptions(k=2, tol=1e-14, maxit=2))
     assert not res.ok
     assert res.iterations == 2
+
+
+class CountingOp(LinOp):
+    """Wraps an operator and counts its block applies."""
+
+    def __init__(self, op):
+        self.op = as_operator(op)
+        self.n = self.op.n
+        self.calls = 0
+
+    def matmat(self, X):
+        self.calls += 1
+        return self.op.matmat(X)
+
+    def diagonal(self):
+        return self.op.diagonal()
+
+
+def shear_pencils():
+    """Small transformed-waveguide pencils of every block-CG mode."""
+    unit = Rect(0.0, 1.0, 0.0, 1.0)
+    return {
+        "reduced2d": assemble_reduced2d(1.0, unit, 3.0, (24, 12)),
+        "half_DN": assemble_waveguide(1.0, unit, 3.0, (8, 6, 6)),
+        "mask": assemble_waveguide(1.0, l_shaped_mask(8), 3.0, 8),
+        "full_sign": assemble_waveguide(1.0, unit, 2.0, (4, 6, 6),
+                                        "full_sign"),
+    }
+
+
+def test_lean_solver_applies_a_and_m_once_per_iteration():
+    form = shear_pencils()["reduced2d"]
+    A, M = CountingOp(form.A), CountingOp(form.M)
+    res = smallest_eigenpairs(A, M, EigOptions(k=4, tol=1e-9),
+                              form.preconditioner())
+    assert res.ok and res.iterations > 5
+    # the start block, one W block per iteration, one confirmation
+    assert A.calls == M.calls == res.iterations + 2
+    assert res.matmats == A.calls
+
+
+def test_returned_residuals_are_true_residuals():
+    form = shear_pencils()["half_DN"]
+    tol = 1e-9
+    res = smallest_eigenpairs(form.A, form.M, EigOptions(k=4, tol=tol),
+                              form.preconditioner())
+    assert res.ok
+    V = res.vectors
+    true = np.linalg.norm(form.A.matmat(V) - form.M.matmat(V) * res.theta,
+                          axis=0)
+    assert np.all(true <= tol * np.abs(res.theta))
+    assert res.residuals == pytest.approx(true, rel=1e-5)
+
+
+@pytest.mark.parametrize("mode", ["reduced2d", "half_DN", "mask",
+                                  "full_sign"])
+def test_shear_pencils_match_dense_eigh(mode):
+    form = shear_pencils()[mode]
+    res = smallest_eigenpairs(form.A, form.M, EigOptions(k=4, tol=1e-9),
+                              form.preconditioner())
+    dense = sla.eigh(materialize(form.A), materialize(form.M),
+                     eigvals_only=True)[:4]
+    assert res.ok
+    assert res.theta == pytest.approx(dense, rel=1e-10)
 
 
 # ---------------------------------------------------------------- counting
