@@ -38,17 +38,14 @@ from .thresholds import (
     beta_star,
     bound_factor,
     ess_threshold,
-    threshold_report,
     uniqueness_condition,
 )
 from .waveguide import (
-    CountCertificate,
     DiscretizationSpec,
     SpectrumReport,
     SweepResult,
     benchmark_disc,
     compute_spectrum,
-    count_discrete,
     separation_check,
     sweep_beta,
     symmetry_check,
@@ -63,7 +60,6 @@ __all__ = [
     "WaveguideSpec",
     "DiscretizationSpec",
     "SpectrumReport",
-    "CountCertificate",
     "SweepResult",
     "metric",
     "map_point",
@@ -72,7 +68,6 @@ __all__ = [
     "beta_star",
     "bound_factor",
     "uniqueness_condition",
-    "threshold_report",
     "rectangle_modes",
     "numeric_modes",
     "section_constants",
@@ -82,7 +77,6 @@ __all__ = [
     "bform_count",
     "prism_eigen_check",
     "compute_spectrum",
-    "count_discrete",
     "symmetry_check",
     "separation_check",
     "sweep_beta",

@@ -21,12 +21,14 @@ x = 0 is natural Neumann.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .eigcore import FactorSpectral, KronOp, MassKron, TensorPrecond
 from .geometry import MaskSection, Rect, Section, beta_value, section_diameter
@@ -37,6 +39,7 @@ __all__ = [
     "fem1d",
     "signed_skew",
     "section_fem",
+    "section_eigenpairs",
     "assemble_waveguide",
     "assemble_reduced2d",
     "assemble_prism",
@@ -44,6 +47,10 @@ __all__ = [
 ]
 
 _BC = ("dirichlet", "neumann")
+
+# section pencils up to this order are solved densely, larger ones by
+# sparse shift-invert
+SECTION_DENSE_N = 3000
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,32 @@ def section_fem(section: MaskSection):
     return asm(K1l), asm(K2l), asm(D2l), asm(Ml)
 
 
+def section_eigenpairs(K: sp.spmatrix, M: sp.spmatrix,
+                       k: int | None = None):
+    """Lowest ``k`` generalized eigenpairs (lam ascending, V M-orthonormal)
+    of a section pencil (K, M); every section and prism-triangle
+    eigensolve goes through here.
+
+    Pencils of order up to SECTION_DENSE_N are solved by dense ``eigh``;
+    ``k=None`` then returns the full eigenbasis.  Larger pencils use
+    sparse shift-invert ``eigsh`` at sigma = 0 from a fixed start vector,
+    and ``k=None`` returns only the lowest pair, since the full basis is
+    not formed at that size.
+    """
+    n = K.shape[0]
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n} section pairs, got {k}")
+    if n <= SECTION_DENSE_N:
+        subset = None if k is None else [0, k - 1]
+        return sla.eigh(K.toarray(), M.toarray(), subset_by_index=subset)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lam, V = spla.eigsh(K.tocsc(), k=k or 1, M=M.tocsc(), sigma=0.0,
+                        which="LM", v0=v0)
+    order = np.argsort(lam)
+    lam, V = lam[order], V[:, order]
+    return lam, V / np.sqrt(np.einsum("ij,ij->j", V, M @ V))
+
+
 @dataclass
 class ShearForm:
     """An assembled pencil (A, M) with its provenance.
@@ -220,6 +253,15 @@ class ShearForm:
     def n(self) -> int:
         return self.A.n
 
+    @functools.cached_property
+    def section_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of the section (or triangle) pencil, solved
+        once per form: the full basis when it is dense-sized, the lowest
+        pair otherwise (see ``section_eigenpairs``)."""
+        K, Msec = next(fac for _, fac in self.factors["separable"]
+                       if not isinstance(fac, Fem1D))
+        return section_eigenpairs(K, Msec)
+
     def preconditioner(self) -> TensorPrecond | None:
         """Exact inverse of the separable part; None when a section
         factor is too large to diagonalize densely."""
@@ -227,13 +269,11 @@ class ShearForm:
         for coeff, fac in self.factors["separable"]:
             if isinstance(fac, Fem1D):
                 pairs.append((coeff, fac.spectral()))
-            else:
-                K, Msec = fac
-                if K.shape[0] > 3000:
-                    return None
-                lam, V = sla.eigh(K.toarray(), Msec.toarray())
-                pairs.append((coeff, FactorSpectral(lam=lam, kind="dense",
-                                                    V=V)))
+                continue
+            lam, V = self.section_pairs
+            if len(lam) < V.shape[0]:
+                return None
+            pairs.append((coeff, FactorSpectral(lam=lam, kind="dense", V=V)))
         return TensorPrecond(pairs)
 
     def dump_factors(self, path) -> None:

@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
-from .assembly import assemble_prism
-from .eigcore import EigOptions, SpluPrecond, smallest_eigenpairs
+from .assembly import assemble_prism, section_eigenpairs
 from .geometry import Rect, beta_value, prism_region
 from .thresholds import BRANCH_POINT, bound_factor, ess_threshold, prism_mu_unit
 
@@ -388,18 +386,6 @@ class PrismReport:
     slant_residual: float
 
 
-def _triangle_pairs(form, k):
-    """Lowest generalized eigenpairs of the triangle factor."""
-    Atri, Mtri, kept = form.factors["triangle"]
-    n = Atri.shape[0]
-    if n <= 3200:
-        lam, V = sla.eigh(Atri.toarray(), Mtri.toarray())
-        return lam[:k], V[:, :k], kept
-    res = smallest_eigenpairs(Atri, Mtri, EigOptions(k=k, tol=1e-10),
-                              precond=SpluPrecond(Atri))
-    return res.theta, res.vectors, kept
-
-
 def _slant_residual(vec, kept, n, h):
     """One-sided normal difference of the triangle mode on the slant.
 
@@ -424,10 +410,11 @@ def prism_eigen_check(beta, rect: Rect, grid=64) -> PrismReport:
     b = beta_value(beta)
     form = assemble_prism(b, rect, grid)
     n, n1 = (grid, grid) if isinstance(grid, int) else grid
-    lam_t, V, kept = _triangle_pairs(form, 6)
+    Atri, Mtri, kept = form.factors["triangle"]
+    lam_t, V = section_eigenpairs(Atri, Mtri, 6)
     f1 = form.factors["y1"]
     lam_1 = np.sort(f1.spectral().lam)
-    sums = np.sort((np.asarray(lam_t)[:, None] + lam_1[None, :6]).ravel())
+    sums = np.sort((lam_t[:, None] + lam_1[None, :6]).ravel())
     mu1, mu2 = float(sums[0]), float(sums[1])
     cmu1, cmu2 = prism_mu_unit(rect)
     at_unit = abs(b - 1.0) <= 1e-12
@@ -436,7 +423,7 @@ def prism_eigen_check(beta, rect: Rect, grid=64) -> PrismReport:
     lower = bound_factor(b) * cmu2
     rhs = ess_threshold(b, rect)
     h = (rect.width2 / math.sqrt(2.0)) / n
-    resid = _slant_residual(np.asarray(V)[:, 0], kept, n, h)
+    resid = _slant_residual(V[:, 0], kept, n, h)
     return PrismReport(beta=b, grid=(n, n1), mu1=mu1, mu2=mu2,
                        closed_mu1=cmu1, closed_mu2=cmu2,
                        rel_mu1=rel1, rel_mu2=rel2,

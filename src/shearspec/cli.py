@@ -26,7 +26,7 @@ from . import __version__
 from .certificates import existence_certificate
 from .cross_section import numeric_modes, rectangle_modes
 from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
-from .thresholds import BRANCH_POINT, beta_star, bound_factor, ess_threshold
+from .thresholds import BRANCH_POINT, beta_star, bound_factor
 from .waveguide import (CSV_COLUMNS, DiscretizationSpec, SweepResult,
                         compute_spectrum, separation_check, sweep_beta)
 from .eigcore import EigOptions
@@ -221,7 +221,7 @@ def cmd_thresholds(args) -> int:
         "beta": beta,
         "E1": modes[0].E,
         "E2": modes[1].E,
-        "ess_threshold": ess_threshold(beta, section),
+        "ess_threshold": modes[0].E,
     }
     if isinstance(section, Rect):
         R = section.aspect

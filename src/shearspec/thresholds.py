@@ -15,17 +15,15 @@ import math
 from dataclasses import dataclass
 
 from .cross_section import numeric_modes, rectangle_modes
-from .geometry import MaskSection, Rect, Section, beta_value
+from .geometry import Rect, Section, beta_value
 
 __all__ = [
     "BRANCH_POINT",
-    "ThresholdReport",
     "UniquenessReport",
     "ess_threshold",
     "beta_star",
     "bound_factor",
     "uniqueness_condition",
-    "threshold_report",
     "prism_mu_unit",
 ]
 
@@ -35,9 +33,10 @@ BRANCH_POINT = 2.0 / math.sqrt(3.0)  # aspect ratio where beta_star switches
 def ess_threshold(beta, section: Section, grid: int | None = None) -> float:
     """Bottom of the essential spectrum, E1(beta).
 
-    Analytic for rectangles; masks are solved on their cell grid (the
-    value then carries the grid's discretization error), refined by the
-    integer ``grid`` factor if given.
+    Analytic for rectangles.  Masks get the ground value of the Q1
+    section pencil on their cell grid, refined by the integer ``grid``
+    factor if given; it is the rung threshold ``compute_spectrum`` uses
+    on the same grid, and carries that grid's discretization error.
     """
     b = beta_value(beta, allow_zero=True)
     if isinstance(section, Rect):
@@ -131,29 +130,3 @@ def uniqueness_condition(beta, rect: Rect) -> UniquenessReport:
         chain_holds=fac * mu2 >= e1,
         near_branch_jump=abs(R - BRANCH_POINT) <= 1e-9,
     )
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    ess_bottom: float
-    bound_factor: float | None
-    beta_star: float | None = None
-    aspect: float | None = None
-
-    def __post_init__(self):
-        if self.ess_bottom <= 0.0:
-            raise ValueError(f"threshold must be positive, got {self.ess_bottom}")
-        if self.beta_star is not None and self.beta_star <= 0.0:
-            raise ValueError(f"beta_star must be positive, got {self.beta_star}")
-
-
-def threshold_report(beta, section: Section,
-                     grid: int | None = None) -> ThresholdReport:
-    b = beta_value(beta, allow_zero=True)
-    e1 = ess_threshold(b, section, grid)
-    fac = bound_factor(b) if b > 0 else None
-    if isinstance(section, MaskSection):
-        return ThresholdReport(ess_bottom=e1, bound_factor=fac)
-    return ThresholdReport(ess_bottom=e1, bound_factor=fac,
-                           beta_star=beta_star(section.aspect),
-                           aspect=section.aspect)

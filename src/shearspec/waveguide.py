@@ -46,12 +46,10 @@ __all__ = [
     "RungGrid",
     "RungResult",
     "SpectrumReport",
-    "CountCertificate",
     "SymmetryReport",
     "SeparationReport",
     "SweepResult",
     "compute_spectrum",
-    "count_discrete",
     "symmetry_check",
     "separation_check",
     "sweep_beta",
@@ -240,17 +238,6 @@ class SpectrumReport:
         return out
 
 
-@dataclass
-class CountCertificate:
-    """A count plus the evidence it rests on."""
-
-    count: int
-    stable: bool
-    counts_by_rung: dict[tuple[int, int], int]
-    flags: list[str]
-    report: SpectrumReport
-
-
 def _section_dict(section: Section) -> dict:
     if isinstance(section, Rect):
         return {"kind": "rect", "a": section.a, "b": section.b,
@@ -305,20 +292,12 @@ def _rung_threshold(beta: float, form: ShearForm, mode: str) -> float:
     Rectangles get the closed form.  Masks get the ground value of the
     assembled section pencil: the channel band of the discrete operator
     starts there, not at the continuum value, and mixing the two would
-    corrupt near-threshold counts at coarse rungs.
+    corrupt near-threshold counts at coarse rungs.  The value comes from
+    the section decomposition the preconditioner reuses.
     """
     if isinstance(form.section, Rect):
         return ess_threshold(beta, form.section)
-    Ks = form.factors["matrices"]["sec_K"]
-    Ms = form.factors["matrices"]["sec_M"]
-    if Ks.shape[0] <= 3000:
-        w = sla.eigh(Ks.toarray(), Ms.toarray(), subset_by_index=[0, 0],
-                     eigvals_only=True)
-        return float(w[0])
-    import scipy.sparse.linalg as spla
-    w = spla.eigsh(Ks.tocsc(), k=1, M=Ms.tocsc(), sigma=0.0, which="LM",
-                   return_eigenvectors=False)
-    return float(w[0])
+    return float(form.section_pairs[0][0])
 
 
 def _channel_sums(planar: np.ndarray, rect: Rect, e1: float,
@@ -548,19 +527,6 @@ def _flag_monotone(results, disc: DiscretizationSpec, reduced: bool,
         tol = 1e-7 * abs(scale) + 10.0 * (ra + rb)
         for j in np.nonzero(vb > va + tol)[0]:
             flags.append(f"monotone_L:j{j}")
-
-
-def count_discrete(spec: WaveguideSpec, disc: DiscretizationSpec,
-                   opts: EigOptions | None = None) -> CountCertificate:
-    """Below-threshold count with its stability certificate.
-
-    ``stable`` demands the identical raw count on the last two mesh
-    rungs and the last two box lengths, and agreement with the count
-    from the extrapolated values.
-    """
-    rep = compute_spectrum(spec, disc, opts)
-    return CountCertificate(rep.count, rep.stable,
-                            dict(rep.counts_by_rung), list(rep.flags), rep)
 
 
 @dataclass

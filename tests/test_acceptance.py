@@ -20,7 +20,7 @@ from shearspec.certificates import (
 )
 from shearspec.cross_section import numeric_modes
 from shearspec.eigcore import EigOptions, smallest_eigenpairs
-from shearspec.geometry import Rect, WaveguideSpec, metric
+from shearspec.geometry import MaskSection, Rect, WaveguideSpec, metric
 from shearspec.thresholds import bound_factor, ess_threshold
 from shearspec.waveguide import (
     DiscretizationSpec,
@@ -119,7 +119,11 @@ def test_c01_metric_identity():
 
 def test_c02_cross_section_agreement():
     closed = 3.0 * PI2
-    errs = {n: abs(numeric_modes(1.0, SQUARE, n, 1)[0].E - closed)
+
+    def square(n):  # the unit square as a mask of n x n cells
+        return MaskSection(np.ones((n, n), dtype=bool), 1.0 / n)
+
+    errs = {n: abs(numeric_modes(1.0, square(n), None, 1)[0].E - closed)
             for n in (32, 64, 128)}
     rel = errs[128] / closed
     r1 = errs[32] / errs[64]

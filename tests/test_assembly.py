@@ -8,12 +8,14 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from shearspec import assembly
 from shearspec.assembly import (
     Fem1D,
     assemble_prism,
     assemble_reduced2d,
     assemble_waveguide,
     fem1d,
+    section_eigenpairs,
     section_fem,
     signed_skew,
     triangle_matrices,
@@ -293,6 +295,51 @@ def test_mask_waveguide_symmetry_and_separability():
     K1, K2, _, M = section_fem(mask)
     ls = sla.eigh((K1 + K2).toarray(), M.toarray(), eigvals_only=True)[0]
     assert lam == pytest.approx(lx + ls, abs=1e-10)
+
+
+def test_section_eigenpairs_sparse_path_matches_dense(monkeypatch):
+    K1, K2, _, M = section_fem(l_shaped_mask(24))
+    K = (K1 + 2.0 * K2).tocsr()
+    lam_d, V_d = section_eigenpairs(K, M, 3)
+    monkeypatch.setattr(assembly, "SECTION_DENSE_N", 100)
+    lam_s, V_s = section_eigenpairs(K, M, 3)
+    assert lam_s == pytest.approx(lam_d, rel=1e-10)
+    assert V_s.T @ (M @ V_s) == pytest.approx(np.eye(3), abs=1e-10)
+    assert np.abs(V_s.T @ (M @ V_d)) == pytest.approx(np.eye(3), abs=1e-8)
+    # above the dense size the full basis is never formed
+    lam_1, V_1 = section_eigenpairs(K, M)
+    assert V_1.shape == (K.shape[0], 1)
+    assert lam_1[0] == pytest.approx(lam_d[0], rel=1e-10)
+    with pytest.raises(ValueError):
+        section_eigenpairs(K, M, 0)
+
+
+def test_mask_form_decomposes_its_section_once(monkeypatch):
+    form = assemble_waveguide(1.0, l_shaped_mask(8), 3.0, 6)
+    calls = []
+    eigh = sla.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", counting)
+    assert form.preconditioner() is not None
+    assert form.preconditioner() is not None
+    lam, V = form.section_pairs
+    assert calls == [V.shape[0]]
+    assert V.shape == (V.shape[0], V.shape[0])
+    Ks = form.factors["matrices"]["sec_K"]
+    Ms = form.factors["matrices"]["sec_M"]
+    want = eigh(Ks.toarray(), Ms.toarray(), eigvals_only=True)
+    assert lam == pytest.approx(want, rel=1e-12)
+
+
+def test_preconditioner_skips_sections_above_dense_size(monkeypatch):
+    monkeypatch.setattr(assembly, "SECTION_DENSE_N", 20)
+    form = assemble_waveguide(1.0, l_shaped_mask(8), 3.0, 6)
+    assert form.preconditioner() is None
+    assert len(form.section_pairs[0]) == 1
 
 
 # ----------------------------------------------------------------- prism

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from shearspec.assembly import assemble_prism, fem1d
 from shearspec.certificates import (
     BForm,
     CertificateResult,
@@ -296,6 +297,18 @@ def test_prism_check_unit_square():
     assert rep.mu2 > rep.closed_mu2
     assert rep.lower_margin > 0.0
     assert rep.threshold_margin > 0.0
+
+
+def test_prism_check_matches_full_dense_solve():
+    # only the lowest triangle pairs are solved; the full dense pencil
+    # must give the same two lowest prism levels
+    rep = prism_eigen_check(1.0, UNIT, 64)
+    Atri, Mtri, _ = assemble_prism(1.0, UNIT, 64).factors["triangle"]
+    lam_t = sla.eigh(Atri.toarray(), Mtri.toarray(), eigvals_only=True)
+    lam_1 = fem1d(64, UNIT.width1).spectral().lam
+    sums = np.sort((lam_t[:, None] + lam_1[None, :]).ravel())
+    assert rep.mu1 == pytest.approx(sums[0], rel=1e-10)
+    assert rep.mu2 == pytest.approx(sums[1], rel=1e-10)
 
 
 def test_prism_check_wide_rect():

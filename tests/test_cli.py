@@ -79,6 +79,17 @@ class TestThresholds:
         assert d["E1"] > 0
         assert "beta_star" not in d
 
+    def test_mask_grid_factor_threshold_is_e1(self, capsys, tmp_path):
+        # one section solve: the threshold field is the refined E1
+        mask = tmp_path / "m.txt"
+        mask.write_text(MASK_TEXT)
+        code, out, _ = run(capsys, "thresholds", "--beta", "1",
+                           "--mask", str(mask), "--grid-factor", "2")
+        assert code == 0
+        d = json.loads(out)
+        assert d["ess_threshold"] == d["E1"]
+        assert d["E1"] < d["E2"]
+
 
 class TestCertify:
     def test_unit_square_certificate(self, capsys):

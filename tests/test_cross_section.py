@@ -11,10 +11,19 @@ from shearspec.cross_section import (
     refine_mask,
     section_constants,
 )
-from shearspec.geometry import Rect
+from shearspec.assembly import section_fem
+from shearspec.geometry import MaskSection, Rect
 
 PI2 = math.pi**2
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
+
+
+def full_mask(rect: Rect, n1: int, n2: int | None = None) -> MaskSection:
+    """The whole rectangle as a mask of n1 x n2 square cells."""
+    n2 = n1 if n2 is None else n2
+    assert rect.width1 / n1 == pytest.approx(rect.width2 / n2, rel=1e-14)
+    return MaskSection(inside=np.ones((n1, n2), dtype=bool),
+                       cell=rect.width1 / n1, origin=(rect.a, rect.c))
 
 
 # ------------------------------------------------------------ closed forms
@@ -89,18 +98,18 @@ def test_e1_simple_on_rectangles():
 # ------------------------------------------------------------ numeric path
 
 def test_numeric_matches_trivial_laplacian():
-    got = numeric_modes(0.0, UNIT, 128, 1)[0].E
+    got = numeric_modes(0.0, full_mask(UNIT, 128), None, 1)[0].E
     assert got == pytest.approx(2 * PI2, rel=5e-3)
 
 
 def test_numeric_matches_closed_form_at_128():
-    got = numeric_modes(1.0, UNIT, 128, 1)[0].E
+    got = numeric_modes(1.0, full_mask(UNIT, 128), None, 1)[0].E
     assert got == pytest.approx(3 * PI2, rel=1e-3)
 
 
 def test_numeric_second_order_convergence():
     exact = 3 * PI2
-    errs = [abs(numeric_modes(1.0, UNIT, n, 1)[0].E - exact)
+    errs = [abs(numeric_modes(1.0, full_mask(UNIT, n), None, 1)[0].E - exact)
             for n in (32, 64, 128)]
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     assert all(3.5 <= r <= 4.5 for r in ratios)
@@ -108,15 +117,20 @@ def test_numeric_second_order_convergence():
 
 def test_numeric_anisotropic_rectangle_grid_pair():
     rect = Rect(0.0, 1.0, 0.0, 2.0)
-    got = numeric_modes(2.0, rect, (48, 96), 2)
+    got = numeric_modes(2.0, full_mask(rect, 48, 96), None, 2)
     exact = [m.E for m in rectangle_modes(2.0, rect, 2)]
     assert np.allclose([m.E for m in got], exact, rtol=3e-3)
 
 
 def test_numeric_mode_nodal_normalization():
-    mode = numeric_modes(1.0, UNIT, 32, 1)[0]
-    h1, h2 = mode.spacing
-    assert np.sum(mode.values**2) * h1 * h2 == pytest.approx(1.0, abs=1e-10)
+    mode = numeric_modes(1.0, full_mask(UNIT, 32), None, 1)[0]
+    M = section_fem(mode.section)[3]
+    assert mode.values @ (M @ mode.values) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_numeric_modes_reject_rectangles():
+    with pytest.raises(ValueError, match="rectangle_modes"):
+        numeric_modes(1.0, UNIT, 32, 1)
 
 
 def test_lshape_mask_self_convergence():
@@ -160,17 +174,17 @@ def test_moment_is_minus_half_on_masks():
 
 
 def test_moment_on_numeric_rectangle():
-    chi = numeric_modes(1.0, UNIT, 96, 1)[0]
+    chi = numeric_modes(1.0, full_mask(UNIT, 96), None, 1)[0]
     const = section_constants(chi)
     assert const.moment == pytest.approx(-0.5, abs=1e-3)
     assert const.kappa == pytest.approx(PI2, rel=1e-2)
 
 
 def test_unnormalized_mode_rejected():
-    mode = numeric_modes(1.0, UNIT, 32, 1)[0]
+    mode = numeric_modes(1.0, full_mask(UNIT, 32), None, 1)[0]
     bad = type(mode)(kind=mode.kind, E=mode.E, beta=mode.beta,
-                     index=mode.index, rect=mode.rect,
-                     values=2.0 * mode.values, spacing=mode.spacing)
+                     index=mode.index, section=mode.section,
+                     values=2.0 * mode.values)
     with pytest.raises(ValueError):
         section_constants(bad)
 
@@ -181,7 +195,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         rectangle_modes(1.0, UNIT, 0)
     with pytest.raises(ValueError):
-        numeric_modes(1.0, UNIT, 6, 1)  # fewer than 8x8 interior nodes
+        numeric_modes(1.0, l_shaped_mask(12), None, 0)
+    with pytest.raises(ValueError):
+        numeric_modes(1.0, l_shaped_mask(2), None, 1)  # no interior vertex
     with pytest.raises(ValueError):
         l_shaped_mask(7)
     with pytest.raises(ValueError):

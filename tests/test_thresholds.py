@@ -7,12 +7,10 @@ from shearspec.cross_section import l_shaped_mask, numeric_modes
 from shearspec.geometry import Rect
 from shearspec.thresholds import (
     BRANCH_POINT,
-    ThresholdReport,
     beta_star,
     bound_factor,
     ess_threshold,
     prism_mu_unit,
-    threshold_report,
     uniqueness_condition,
 )
 
@@ -185,29 +183,3 @@ def test_chain_equals_condition_above_one_on_radical_branch():
             if abs(beta - bs) < 1e-3:
                 continue
             assert rep.chain_holds == rep.holds
-
-
-# -------------------------------------------------------------------- report
-
-def test_threshold_report_rectangle():
-    rep = threshold_report(1.0, WIDE)
-    assert rep.ess_bottom == pytest.approx(PI2 + 1.0)
-    assert rep.beta_star == pytest.approx(BSTAR_RPI_SQRT2, rel=1e-12)
-    assert rep.aspect == pytest.approx(math.pi * math.sqrt(2.0))
-    assert rep.bound_factor == pytest.approx(1.0)
-
-
-def test_threshold_report_mask_and_straight():
-    rep = threshold_report(1.0, l_shaped_mask(64))
-    assert rep.beta_star is None and rep.aspect is None
-    assert rep.ess_bottom > 3 * PI2
-    straight = threshold_report(0.0, UNIT)
-    assert straight.bound_factor is None
-    assert straight.ess_bottom == pytest.approx(2 * PI2)
-
-
-def test_threshold_report_validation():
-    with pytest.raises(ValueError):
-        ThresholdReport(ess_bottom=-1.0, bound_factor=None)
-    with pytest.raises(ValueError):
-        ThresholdReport(ess_bottom=1.0, bound_factor=1.0, beta_star=0.0)

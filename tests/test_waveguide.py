@@ -15,12 +15,12 @@ import pytest
 from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import EigOptions
 from shearspec.geometry import Rect, WaveguideSpec
+from shearspec.thresholds import ess_threshold
 from shearspec.waveguide import (
     CSV_COLUMNS,
     DiscretizationSpec,
     benchmark_disc,
     compute_spectrum,
-    count_discrete,
     separation_check,
     sweep_beta,
     symmetry_check,
@@ -218,11 +218,16 @@ class TestStrongShear:
         assert not any(f.startswith("monotone") for f in rep.flags)
 
 
+@pytest.fixture(scope="module")
+def lmask_report():
+    disc = DiscretizationSpec(nx=10, n1=8, n2=8, L=4.0, mode="half_DN",
+                              refine=2, l_steps=2)
+    return compute_spectrum(WaveguideSpec(1.0, l_shaped_mask(12)), disc)
+
+
 class TestMaskLadder:
-    def test_l_shape_binds_one_state(self):
-        disc = DiscretizationSpec(nx=10, n1=8, n2=8, L=4.0, mode="half_DN",
-                                  refine=2, l_steps=2)
-        rep = compute_spectrum(WaveguideSpec(1.0, l_shaped_mask(12)), disc)
+    def test_l_shape_binds_one_state(self, lmask_report):
+        rep = lmask_report
         assert rep.count == 1
         assert rep.stable
         assert rep.gap > 0.5
@@ -232,19 +237,18 @@ class TestMaskLadder:
         for rr in rep.rungs:
             assert rr.eigenvalues[0] < rr.threshold
 
+    def test_rung_threshold_is_ess_threshold(self, lmask_report):
+        # one discretization of the section: the threshold a rung counts
+        # against is E1 of the same mask refined to that rung
+        mask = l_shaped_mask(12)
+        for rr in lmask_report.rungs:
+            want = ess_threshold(1.0, mask, 2 ** rr.grid.r)
+            assert rr.threshold == pytest.approx(want, rel=1e-12)
+
     def test_reduced_rejects_masks(self):
         disc = DiscretizationSpec(nx=8, n1=8, n2=8, L=2.0, mode="reduced2d")
         with pytest.raises(ValueError, match="rectangle"):
             compute_spectrum(WaveguideSpec(1.0, l_shaped_mask(12)), disc)
-
-
-class TestCountCertificate:
-    def test_wraps_report(self):
-        cert = count_discrete(WaveguideSpec(1.0, SQUARE), small_reduced())
-        assert cert.count == cert.report.count == 1
-        assert cert.stable is True
-        assert cert.counts_by_rung == cert.report.counts_by_rung
-        assert cert.flags == cert.report.flags
 
 
 class TestSymmetryCheck:
