@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .eigcore import FactorSpectral, KronOp, MassKron, TensorPrecond
+from .eigcore import (FactorSpectral, KronOp, MassKron, TensorPrecond,
+                      lowest_eigenpairs)
 from .geometry import MaskSection, Rect, Section, beta_value, section_diameter
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "fem1d",
     "signed_skew",
     "section_fem",
-    "section_eigenpairs",
     "assemble_waveguide",
     "assemble_reduced2d",
     "assemble_prism",
@@ -47,10 +46,6 @@ __all__ = [
 ]
 
 _BC = ("dirichlet", "neumann")
-
-# section pencils up to this order are solved densely, larger ones by
-# sparse shift-invert
-SECTION_DENSE_N = 3000
 
 
 @dataclass(frozen=True)
@@ -204,32 +199,6 @@ def section_fem(section: MaskSection):
     return asm(K1l), asm(K2l), asm(D2l), asm(Ml)
 
 
-def section_eigenpairs(K: sp.spmatrix, M: sp.spmatrix,
-                       k: int | None = None):
-    """Lowest ``k`` generalized eigenpairs (lam ascending, V M-orthonormal)
-    of a section pencil (K, M); every section and prism-triangle
-    eigensolve goes through here.
-
-    Pencils of order up to SECTION_DENSE_N are solved by dense ``eigh``;
-    ``k=None`` then returns the full eigenbasis.  Larger pencils use
-    sparse shift-invert ``eigsh`` at sigma = 0 from a fixed start vector,
-    and ``k=None`` returns only the lowest pair, since the full basis is
-    not formed at that size.
-    """
-    n = K.shape[0]
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n} section pairs, got {k}")
-    if n <= SECTION_DENSE_N:
-        subset = None if k is None else [0, k - 1]
-        return sla.eigh(K.toarray(), M.toarray(), subset_by_index=subset)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    lam, V = spla.eigsh(K.tocsc(), k=k or 1, M=M.tocsc(), sigma=0.0,
-                        which="LM", v0=v0)
-    order = np.argsort(lam)
-    lam, V = lam[order], V[:, order]
-    return lam, V / np.sqrt(np.einsum("ij,ij->j", V, M @ V))
-
-
 @dataclass
 class ShearForm:
     """An assembled pencil (A, M) with its provenance.
@@ -253,18 +222,23 @@ class ShearForm:
     def n(self) -> int:
         return self.A.n
 
+    # largest section whose full eigenbasis the preconditioner forms
+    PRECOND_BASIS_MAX = 3000
+
     @functools.cached_property
     def section_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of the section (or triangle) pencil, solved
-        once per form: the full basis when it is dense-sized, the lowest
-        pair otherwise (see ``section_eigenpairs``)."""
+        once per form: the full basis up to PRECOND_BASIS_MAX, the
+        lowest pair above it."""
         K, Msec = next(fac for _, fac in self.factors["separable"]
                        if not isinstance(fac, Fem1D))
-        return section_eigenpairs(K, Msec)
+        full = K.shape[0] <= self.PRECOND_BASIS_MAX
+        res = lowest_eigenpairs(K, Msec, None if full else 1)
+        return res.theta, res.vectors
 
     def preconditioner(self) -> TensorPrecond | None:
         """Exact inverse of the separable part; None when a section
-        factor is too large to diagonalize densely."""
+        factor is above PRECOND_BASIS_MAX."""
         pairs = []
         for coeff, fac in self.factors["separable"]:
             if isinstance(fac, Fem1D):

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import assemble_prism, section_eigenpairs
+from .assembly import assemble_prism
+from .eigcore import lowest_eigenpairs
 from .geometry import Rect, beta_value, prism_region
 from .thresholds import BRANCH_POINT, bound_factor, ess_threshold, prism_mu_unit
 
@@ -411,10 +412,10 @@ def prism_eigen_check(beta, rect: Rect, grid=64) -> PrismReport:
     form = assemble_prism(b, rect, grid)
     n, n1 = (grid, grid) if isinstance(grid, int) else grid
     Atri, Mtri, kept = form.factors["triangle"]
-    lam_t, V = section_eigenpairs(Atri, Mtri, 6)
+    tri = lowest_eigenpairs(Atri, Mtri, 6)
     f1 = form.factors["y1"]
     lam_1 = np.sort(f1.spectral().lam)
-    sums = np.sort((lam_t[:, None] + lam_1[None, :6]).ravel())
+    sums = np.sort((tri.theta[:, None] + lam_1[None, :6]).ravel())
     mu1, mu2 = float(sums[0]), float(sums[1])
     cmu1, cmu2 = prism_mu_unit(rect)
     at_unit = abs(b - 1.0) <= 1e-12
@@ -423,7 +424,7 @@ def prism_eigen_check(beta, rect: Rect, grid=64) -> PrismReport:
     lower = bound_factor(b) * cmu2
     rhs = ess_threshold(b, rect)
     h = (rect.width2 / math.sqrt(2.0)) / n
-    resid = _slant_residual(V[:, 0], kept, n, h)
+    resid = _slant_residual(tri.vectors[:, 0], kept, n, h)
     return PrismReport(beta=b, grid=(n, n1), mu1=mu1, mu2=mu2,
                        closed_mu1=cmu1, closed_mu2=cmu2,
                        rel_mu1=rel1, rel_mu2=rel2,

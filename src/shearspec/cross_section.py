@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import section_eigenpairs, section_fem
+from .assembly import section_fem
+from .eigcore import lowest_eigenpairs
 from .geometry import MaskSection, Rect, beta_value
 
 __all__ = [
@@ -118,9 +119,9 @@ def numeric_modes(beta, section: MaskSection, grid,
     if factor > 1:
         section = refine_mask(section, factor)
     K1, K2, _, M = section_fem(section)
-    lam, V = section_eigenpairs((K1 + (1.0 + b * b) * K2).tocsr(), M, count)
-    return [SectionMode(kind="mask", E=float(lam[j]), beta=b, index=j,
-                        section=section, values=V[:, j])
+    res = lowest_eigenpairs((K1 + (1.0 + b * b) * K2).tocsr(), M, count)
+    return [SectionMode(kind="mask", E=float(res.theta[j]), beta=b, index=j,
+                        section=section, values=res.vectors[:, j])
             for j in range(count)]
 
 

@@ -10,6 +10,12 @@ Rayleigh-Ritz space that applies A and M once each per iteration and
 carries the products of X and P; preconditioning inverts the separable
 part of A exactly through per-factor eigenbases, which for uniform grids
 are plain sine/cosine transforms.
+
+Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
+pencils of order up to DENSE_N, and requests for the full eigenbasis,
+are solved by dense ``eigh``; above that order a bare sparse (section or
+triangle) pencil is solved by shift-invert ``eigsh`` and any other
+operator by block CG.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.fft import dct, dst
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
 
 __all__ = [
     "LinOp",
@@ -39,11 +45,17 @@ __all__ = [
     "EigOptions",
     "EigResult",
     "CountResult",
+    "DENSE_N",
     "as_operator",
     "materialize",
     "smallest_eigenpairs",
+    "lowest_eigenpairs",
     "count_below",
 ]
+
+# pencils up to this order are solved by dense eigh: below it a dense
+# solve is cheaper than iterating
+DENSE_N = 700
 
 
 class LinOp:
@@ -96,6 +108,9 @@ class SparseOp(LinOp):
 
     def diagonal(self):
         return self.a.diagonal()
+
+    def toarray(self):
+        return self.a.toarray()
 
 
 def as_operator(obj) -> LinOp:
@@ -435,6 +450,7 @@ class EigResult:
     residuals: np.ndarray      # ||A x - theta M x||_2 per requested pair,
                                # from freshly applied products
     block_theta: np.ndarray    # full block of Ritz values (upper bounds)
+    solver: str                # "dense", "block_cg" or "shift_invert"
 
     @property
     def ok(self) -> bool:
@@ -569,7 +585,8 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
                 conv = rn[:k] <= opts.tol * np.maximum(np.abs(theta[:k]),
                                                        1e-300)
                 return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
-                                 it, nmat, rn[:k].copy(), theta.copy())
+                                 it, nmat, rn[:k].copy(), theta.copy(),
+                                 "block_cg")
         W = precond(R, float(theta[0]))
         # M-orthogonal to X and P before the apply: the Gram matrix of
         # [X W P] stays near the identity, so the basis change below
@@ -604,12 +621,47 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         it += 1
 
 
-def _dense_result(A: LinOp, M, k: int) -> EigResult:
-    Ad = materialize(A)
-    Md = materialize(as_operator(M)) if M is not None else None
-    w, V = sla.eigh(Ad, Md)
-    return EigResult(w[:k].copy(), V[:, :k].copy(), np.ones(k, dtype=bool),
-                     0, 0, np.zeros(k), w.copy())
+def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
+                      precond=None) -> EigResult:
+    """Lowest ``k`` generalized eigenpairs of (A, M), by the one rule.
+
+    Order up to DENSE_N, or ``k=None`` (the full eigenbasis): dense
+    ``eigh``.  Above it, a bare sparse matrix (a section or triangle
+    pencil, positive definite) goes to shift-invert ``eigsh`` at
+    sigma = 0 from a start vector seeded by ``opts.seed``, and any other
+    operator (a KronOp/MassKron form) to ``smallest_eigenpairs`` with
+    ``precond``.  Direct solves report residuals from fresh applies;
+    ``solver`` records the branch taken.
+    """
+    opts = opts or EigOptions()
+    Aop = as_operator(A)
+    Mop = None if M is None else as_operator(M)
+    n = Aop.n
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    if k is None or n <= DENSE_N:
+        solver = "dense"
+        Ad = materialize(Aop)
+        Md = None if M is None else materialize(Mop)
+        theta, V = sla.eigh(Ad, Md,
+                            subset_by_index=None if k is None else [0, k - 1])
+    elif not sp.issparse(A):
+        return smallest_eigenpairs(A, M, dataclasses.replace(opts, k=k),
+                                   precond)
+    else:
+        solver = "shift_invert"
+        v0 = np.random.default_rng(opts.seed).standard_normal(n)
+        theta, V = eigsh(sp.csc_matrix(A), k=k,
+                         M=None if M is None else sp.csc_matrix(M),
+                         sigma=0.0, which="LM", v0=v0)
+        order = np.argsort(theta)
+        theta, V = theta[order], V[:, order]
+        if M is not None:
+            V = V / np.sqrt(np.einsum("ij,ij->j", V, Mop.matmat(V)))
+    MV = V if M is None else Mop.matmat(V)
+    res = np.linalg.norm(Aop.matmat(V) - MV * theta, axis=0)
+    return EigResult(theta, V, np.ones(theta.size, dtype=bool), 0, 0, res,
+                     theta.copy(), solver)
 
 
 @dataclass
@@ -634,26 +686,22 @@ def count_below(A, M, threshold: float, safety: float,
     Ritz values bound eigenvalues from above, so a converged value under
     the band certifies one eigenvalue there.  The block grows until at
     least one converged value clears ``threshold + safety``, so the
-    count cannot be truncated by a too-small search space.  Problems
-    whose block would rival the dimension fall back to a dense solve.
+    count cannot be truncated by a too-small search space.  Each growth
+    step is one ``lowest_eigenpairs`` solve.
     """
-    A = as_operator(A)
     if safety < 0:
         raise ValueError(f"safety band must be nonnegative, got {safety}")
+    n = as_operator(A).n
     base = opts or EigOptions()
     k = max(base.k, 4)
     while True:
-        k = min(k, A.n)
-        if 3 * (k + 3) > A.n:
-            res = _dense_result(A, M, k)
-        else:
-            res = smallest_eigenpairs(A, M, dataclasses.replace(base, k=k),
-                                      precond)
+        k = min(k, n)
+        res = lowest_eigenpairs(A, M, k, base, precond)
         th = res.theta[res.converged]
         above = th[th >= threshold + safety]
-        if above.size or k >= min(kmax, A.n):
+        if above.size or k >= min(kmax, n):
             break
-        k = min(2 * k, kmax, A.n)
+        k = min(2 * k, kmax, n)
     count = int(np.count_nonzero(th < threshold - safety))
     boundary = bool(np.any(np.abs(res.theta - threshold) <= safety)
                     or not res.ok)

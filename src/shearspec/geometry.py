@@ -24,10 +24,8 @@ __all__ = [
     "WaveguideSpec",
     "MetricTensor",
     "PrismRegion",
-    "Face",
     "metric",
     "map_point",
-    "contains",
     "prism_region",
     "section_diameter",
 ]
@@ -174,65 +172,23 @@ def map_point(beta: float | ShearParam, x, y1, y2):
     return x, y1, b * np.abs(x) + y2
 
 
-def contains(spec: WaveguideSpec, s, t, z):
-    """Open-set membership test for rectangle guides.
-
-    The guide in physical coordinates (s, t, z) is
-    a < t < b  and  beta*|s| + c < z < beta*|s| + d.
-    """
-    if not isinstance(spec.section, Rect):
-        raise ValueError("contains() supports rectangle sections only; "
-                         "mask membership is grid-level")
-    r = spec.section
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ridge = spec.beta * np.abs(s)
-    return (r.a < t) & (t < r.b) & (ridge + r.c < z) & (z < ridge + r.d)
-
-
-@dataclass(frozen=True)
-class Face:
-    """Flat face of the comparison prism with its boundary condition."""
-
-    name: str
-    bc: str  # 'dirichlet' | 'neumann'
-    normal: tuple[float, float, float]
-    point: tuple[float, float, float]
-
-
 @dataclass(frozen=True)
 class PrismRegion:
     """Triangular prism used by the two-sided eigenvalue comparison.
 
     Coordinates (x, y1, y2) with x in (-A, 0), y1 in (0, depth) and
     0 < y2 < x + A; A = (d-c)/sqrt(2), depth = b-a, B = depth/2.
+    Dirichlet on the y1 faces and on y2 = 0, Neumann on x = 0 and on
+    the slant.
     """
 
     A: float
     B: float
     depth: float
-    faces: tuple[Face, ...]
-
-    def contains(self, x, y1, y2):
-        x = np.asarray(x, dtype=float)
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        return ((-self.A < x) & (x < 0.0)
-                & (0.0 < y1) & (y1 < self.depth)
-                & (0.0 < y2) & (y2 < x + self.A))
 
 
 def prism_region(rect: Rect) -> PrismRegion:
     """Comparison prism attached to a rectangle section."""
-    A = rect.width2 / math.sqrt(2.0)
     depth = rect.width1
-    s = 1.0 / math.sqrt(2.0)
-    faces = (
-        Face("y1_top", "dirichlet", (0.0, 1.0, 0.0), (-A / 2, depth, A / 4)),
-        Face("y1_bottom", "dirichlet", (0.0, -1.0, 0.0), (-A / 2, 0.0, A / 4)),
-        Face("y2_bottom", "dirichlet", (0.0, 0.0, -1.0), (-A / 2, depth / 2, 0.0)),
-        Face("x_end", "neumann", (1.0, 0.0, 0.0), (0.0, depth / 2, A / 2)),
-        Face("slant", "neumann", (-s, 0.0, s), (-A / 2, depth / 2, A / 2)),
-    )
-    return PrismRegion(A=A, B=depth / 2.0, depth=depth, faces=faces)
+    return PrismRegion(A=rect.width2 / math.sqrt(2.0), B=depth / 2.0,
+                       depth=depth)

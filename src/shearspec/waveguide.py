@@ -32,11 +32,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .assembly import ShearForm, assemble_reduced2d, assemble_waveguide, fem1d
 from .cross_section import refine_mask
-from .eigcore import EigOptions, count_below, materialize, smallest_eigenpairs
+from .eigcore import EigOptions, EigResult, count_below, lowest_eigenpairs
 from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
 from .thresholds import ess_threshold
 
@@ -57,9 +56,6 @@ __all__ = [
 ]
 
 MODES = ("half_DN", "full_sign", "reduced2d")
-
-# below this pencil size a dense solve is cheaper than iterating
-DENSE_N = 700
 
 CSV_COLUMNS = ("beta", "mode", "rung", "L", "nx", "n1", "n2", "j",
                "lambda", "residual", "below_threshold", "flags")
@@ -126,7 +122,8 @@ class RungResult:
 
     ``eigenvalues`` are always on the full-guide scale; in reduced mode
     they are channel sums and ``planar`` keeps the raw planar values
-    they came from.
+    they came from.  ``solver`` is the branch of ``lowest_eigenpairs``
+    that produced them.
     """
 
     grid: RungGrid
@@ -141,6 +138,7 @@ class RungResult:
     # raw below-band count; kept separately because in reduced mode the
     # displayed value list is truncated while the count is not
     below: int = 0
+    solver: str = ""
 
 
 @dataclass
@@ -201,6 +199,7 @@ class SpectrumReport:
                 "warnings": list(rr.warnings),
                 "seconds": rr.seconds,
                 "iterations": rr.iterations,
+                "solver": rr.solver,
             })
         return d
 
@@ -247,30 +246,6 @@ def _section_dict(section: Section) -> dict:
             "origin": list(section.origin)}
 
 
-@dataclass
-class _Solve:
-    theta: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
-    converged: np.ndarray
-    iterations: int
-
-
-def _solve(form: ShearForm, k: int, opts: EigOptions,
-           dense_n: int = DENSE_N) -> _Solve:
-    k = min(k, form.n)
-    if form.n <= dense_n:
-        A = materialize(form.A)
-        M = materialize(form.M)
-        w, V = sla.eigh(A, M, subset_by_index=[0, k - 1])
-        res = np.linalg.norm(A @ V - (M @ V) * w, axis=0)
-        return _Solve(w, V, res, np.ones(k, dtype=bool), 0)
-    r = smallest_eigenpairs(form.A, form.M,
-                            dataclasses.replace(opts, k=k),
-                            form.preconditioner())
-    return _Solve(r.theta, r.vectors, r.residuals, r.converged, r.iterations)
-
-
 def _build(beta: float, section: Section, disc: DiscretizationSpec,
            g: RungGrid, straight: bool) -> ShearForm:
     if disc.mode == "reduced2d":
@@ -286,7 +261,7 @@ def _build(beta: float, section: Section, disc: DiscretizationSpec,
     return assemble_waveguide(beta, sec, g.L, grid, mode)
 
 
-def _rung_threshold(beta: float, form: ShearForm, mode: str) -> float:
+def _rung_threshold(beta: float, form: ShearForm) -> float:
     """Full-guide threshold consistent with this rung's discretization.
 
     Rectangles get the closed form.  Masks get the ground value of the
@@ -370,7 +345,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     g = _grid_for(disc, section, *top)
     t0 = time.perf_counter()
     form = _build(beta, section, disc, g, spec.straight)
-    e1_top = _rung_threshold(beta, form, disc.mode)
+    e1_top = _rung_threshold(beta, form)
     if reduced:
         solver_thr = e1_top - (math.pi / section.width1) ** 2
     else:
@@ -380,11 +355,9 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     cres = count_below(form.A, form.M, solver_thr, band0, opts=base,
                        precond=pre)
     k_solve = max(base.k, 4, cres.count + 2)
-    sol = _Solve(cres.result.theta, cres.result.vectors,
-                 cres.result.residuals, cres.result.converged,
-                 cres.result.iterations)
+    sol = cres.result
     if len(sol.theta) < k_solve:
-        sol = _solve(form, k_solve, base)
+        sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre)
     results[top] = _make_rung(g, e1_top, sol, k_solve, reduced, section,
                               form.warnings, time.perf_counter() - t0)
 
@@ -392,8 +365,9 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         g = _grid_for(disc, section, *p)
         t0 = time.perf_counter()
         form = _build(beta, section, disc, g, spec.straight)
-        e1_r = _rung_threshold(beta, form, disc.mode)
-        sol = _solve(form, k_solve, base)
+        e1_r = _rung_threshold(beta, form)
+        sol = lowest_eigenpairs(form.A, form.M, k_solve, base,
+                                form.preconditioner())
         results[p] = _make_rung(g, e1_r, sol, k_solve, reduced, section,
                                 form.warnings, time.perf_counter() - t0)
 
@@ -480,7 +454,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         planar=planar_out, channels=channels)
 
 
-def _make_rung(g: RungGrid, e1: float, sol: _Solve, k: int, reduced: bool,
+def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int, reduced: bool,
                section: Section, warnings: list[str],
                seconds: float) -> RungResult:
     theta = sol.theta[:k]
@@ -498,10 +472,11 @@ def _make_rung(g: RungGrid, e1: float, sol: _Solve, k: int, reduced: bool,
         cc = np.array([conv[m] for _, m, _ in take])
         return RungResult(g, e1, vals, rr, cc, seconds, warn,
                           planar=theta.copy(), iterations=sol.iterations,
-                          below=below)
+                          below=below, solver=sol.solver)
     below = int(np.sum(theta < e1 - band))
     return RungResult(g, e1, theta.copy(), res.copy(), conv.copy(),
-                      seconds, warn, iterations=sol.iterations, below=below)
+                      seconds, warn, iterations=sol.iterations, below=below,
+                      solver=sol.solver)
 
 
 def _flag_monotone(results, disc: DiscretizationSpec, reduced: bool,
@@ -565,9 +540,9 @@ def symmetry_check(spec: WaveguideSpec, disc: DiscretizationSpec,
     grid = g.nx if isinstance(section, MaskSection) else (g.nx, g.n1, g.n2)
     half = assemble_waveguide(beta, section, g.L, grid, "half_DN")
     full = assemble_waveguide(beta, section, g.L, grid, "full_sign")
-    sh = _solve(half, k, base)
+    sh = lowest_eigenpairs(half.A, half.M, k, base, half.preconditioner())
     kf = min(2 * k + 2, full.n)
-    sf = _solve(full, kf, base)
+    sf = lowest_eigenpairs(full.A, full.M, kf, base, full.preconditioner())
 
     gaps = np.empty(k)
     matches = []
@@ -624,8 +599,9 @@ def separation_check(spec: WaveguideSpec, disc: DiscretizationSpec,
     g = disc.rung(0, 0)
     form3 = assemble_waveguide(beta, rect, g.L, (g.nx, g.n1, g.n2), "half_DN")
     form2 = assemble_reduced2d(beta, rect, g.L, (g.nx, g.n2))
-    s3 = _solve(form3, k, tight, dense_n=4000)
-    s2 = _solve(form2, min(k + 4, form2.n), tight, dense_n=4000)
+    s3 = lowest_eigenpairs(form3.A, form3.M, k, tight, form3.preconditioner())
+    s2 = lowest_eigenpairs(form2.A, form2.M, min(k + 4, form2.n), tight,
+                           form2.preconditioner())
     mu = fem1d(g.n1, rect.width1).spectral().lam
 
     grid_sums = s2.theta[:, None] + mu[None, :]

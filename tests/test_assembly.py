@@ -8,19 +8,19 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from shearspec import assembly
+from shearspec import eigcore
 from shearspec.assembly import (
     Fem1D,
+    ShearForm,
     assemble_prism,
     assemble_reduced2d,
     assemble_waveguide,
     fem1d,
-    section_eigenpairs,
     section_fem,
     signed_skew,
     triangle_matrices,
 )
-from shearspec.eigcore import KronOp, materialize
+from shearspec.eigcore import KronOp, lowest_eigenpairs, materialize
 from shearspec.cli import load_mask
 from shearspec.cross_section import l_shaped_mask, refine_mask
 from shearspec.geometry import MaskSection, Rect
@@ -300,18 +300,21 @@ def test_mask_waveguide_symmetry_and_separability():
 def test_section_eigenpairs_sparse_path_matches_dense(monkeypatch):
     K1, K2, _, M = section_fem(l_shaped_mask(24))
     K = (K1 + 2.0 * K2).tocsr()
-    lam_d, V_d = section_eigenpairs(K, M, 3)
-    monkeypatch.setattr(assembly, "SECTION_DENSE_N", 100)
-    lam_s, V_s = section_eigenpairs(K, M, 3)
-    assert lam_s == pytest.approx(lam_d, rel=1e-10)
+    dense = lowest_eigenpairs(K, M, 3)
+    monkeypatch.setattr(eigcore, "DENSE_N", 100)
+    sparse = lowest_eigenpairs(K, M, 3)
+    assert (dense.solver, sparse.solver) == ("dense", "shift_invert")
+    V_s, V_d = sparse.vectors, dense.vectors
+    assert sparse.theta == pytest.approx(dense.theta, rel=1e-10)
     assert V_s.T @ (M @ V_s) == pytest.approx(np.eye(3), abs=1e-10)
     assert np.abs(V_s.T @ (M @ V_d)) == pytest.approx(np.eye(3), abs=1e-8)
-    # above the dense size the full basis is never formed
-    lam_1, V_1 = section_eigenpairs(K, M)
-    assert V_1.shape == (K.shape[0], 1)
-    assert lam_1[0] == pytest.approx(lam_d[0], rel=1e-10)
+    # the full basis is a dense solve at any order
+    full = lowest_eigenpairs(K, M, None)
+    assert full.solver == "dense"
+    assert full.vectors.shape == (K.shape[0], K.shape[0])
+    assert full.theta[:3] == pytest.approx(dense.theta, rel=1e-10)
     with pytest.raises(ValueError):
-        section_eigenpairs(K, M, 0)
+        lowest_eigenpairs(K, M, 0)
 
 
 def test_mask_form_decomposes_its_section_once(monkeypatch):
@@ -336,7 +339,7 @@ def test_mask_form_decomposes_its_section_once(monkeypatch):
 
 
 def test_preconditioner_skips_sections_above_dense_size(monkeypatch):
-    monkeypatch.setattr(assembly, "SECTION_DENSE_N", 20)
+    monkeypatch.setattr(ShearForm, "PRECOND_BASIS_MAX", 20)
     form = assemble_waveguide(1.0, l_shaped_mask(8), 3.0, 6)
     assert form.preconditioner() is None
     assert len(form.section_pairs[0]) == 1

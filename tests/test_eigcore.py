@@ -5,7 +5,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from shearspec.assembly import assemble_reduced2d, assemble_waveguide
+from shearspec import eigcore
+from shearspec.assembly import (
+    assemble_reduced2d,
+    assemble_waveguide,
+    section_fem,
+)
 from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import (
     CountResult,
@@ -20,6 +25,7 @@ from shearspec.eigcore import (
     TensorPrecond,
     as_operator,
     count_below,
+    lowest_eigenpairs,
     materialize,
     smallest_eigenpairs,
 )
@@ -352,6 +358,27 @@ def test_shear_pencils_match_dense_eigh(mode):
                      eigvals_only=True)[:4]
     assert res.ok
     assert res.theta == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind, iterative", [
+    ("reduced2d", "block_cg"), ("half_DN", "block_cg"),
+    ("full_sign", "block_cg"), ("section", "shift_invert")])
+def test_lowest_eigenpairs_branches_agree(monkeypatch, kind, iterative):
+    if kind == "section":
+        K1, K2, _, M = section_fem(l_shaped_mask(12))
+        A, pre = (K1 + 2.0 * K2).tocsr(), None
+    else:
+        form = shear_pencils()[kind]
+        A, M, pre = form.A, form.M, form.preconditioner()
+    got = {}
+    for dense_n, solver in ((10**9, "dense"), (0, iterative)):
+        monkeypatch.setattr(eigcore, "DENSE_N", dense_n)
+        res = lowest_eigenpairs(A, M, 3, EigOptions(tol=1e-10), pre)
+        assert res.solver == solver
+        assert res.ok
+        assert np.all(res.residuals <= 1e-8 * res.theta)
+        got[solver] = res.theta
+    assert got[iterative] == pytest.approx(got["dense"], rel=1e-10)
 
 
 # ---------------------------------------------------------------- counting

@@ -9,7 +9,6 @@ from shearspec.geometry import (
     Rect,
     ShearParam,
     WaveguideSpec,
-    contains,
     map_point,
     metric,
     prism_region,
@@ -64,33 +63,6 @@ def test_map_point_accepts_shear_param():
     assert z == 2.0 * 1.5 + 0.25
 
 
-def test_contains_follows_the_ridge():
-    spec = WaveguideSpec(beta=1.0, section=UNIT)
-    # center of the tube over x = 2 sits at z = beta*|2| + 1/2
-    assert contains(spec, 2.0, 0.5, 2.5)
-    assert contains(spec, -2.0, 0.5, 2.5)
-    assert not contains(spec, 2.0, 0.5, 0.5)
-    # boundary is excluded (open set)
-    assert not contains(spec, 0.0, 0.0, 0.5)
-    assert not contains(spec, 0.0, 0.5, 1.0)
-
-
-def test_contains_vectorized_symmetry():
-    spec = WaveguideSpec(beta=0.6, section=Rect(0.0, 2.0, -1.0, 1.0))
-    rng = np.random.default_rng(7)
-    s = rng.uniform(-4, 4, size=200)
-    t = rng.uniform(-0.5, 2.5, size=200)
-    z = rng.uniform(-2, 4, size=200)
-    assert np.array_equal(contains(spec, s, t, z), contains(spec, -s, t, z))
-
-
-def test_contains_rejects_mask_sections():
-    mask = MaskSection(np.ones((3, 3), dtype=bool), cell=0.25)
-    spec = WaveguideSpec(beta=1.0, section=mask)
-    with pytest.raises(ValueError):
-        contains(spec, 0.0, 0.1, 0.1)
-
-
 def test_rect_validation_and_aspect():
     with pytest.raises(ValueError):
         Rect(0.0, 0.0, 0.0, 1.0)
@@ -123,27 +95,6 @@ def test_prism_region_dimensions():
     assert prism.A == pytest.approx(1.0 / math.sqrt(2.0))
     assert prism.B == pytest.approx(0.5)
     assert prism.depth == 1.0
-    bcs = {f.name: f.bc for f in prism.faces}
-    assert bcs == {
-        "y1_top": "dirichlet",
-        "y1_bottom": "dirichlet",
-        "y2_bottom": "dirichlet",
-        "x_end": "neumann",
-        "slant": "neumann",
-    }
-
-
-def test_prism_contains_matches_half_square_cut():
-    prism = prism_region(Rect(0.0, 1.0, 0.0, 1.0))
-    A = prism.A
-    assert prism.contains(-A / 2, 0.5, A / 4)
-    assert not prism.contains(-A / 2, 0.5, A / 2 + 1e-9)  # above the slant
-    assert not prism.contains(A / 2, 0.5, A / 4)  # x > 0
-    # slant face normal is unit and 45 degrees off the x axis
-    slant = next(f for f in prism.faces if f.name == "slant")
-    n = np.array(slant.normal)
-    assert np.linalg.norm(n) == pytest.approx(1.0)
-    assert n @ [1.0, 0.0, 0.0] == pytest.approx(-math.cos(math.pi / 4))
 
 
 def test_metric_tensor_repr_hides_matrix():

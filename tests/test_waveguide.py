@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from shearspec import eigcore
 from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import EigOptions
 from shearspec.geometry import Rect, WaveguideSpec
@@ -294,6 +295,21 @@ class TestSeparationCheck:
         assert sep.max_rel <= 1e-12
         assert any(k == 2 for _, k in sep.pairs)
 
+    def test_c08_grid_iterates_on_the_3d_pencil(self, monkeypatch):
+        orders = []
+        solve = eigcore.smallest_eigenpairs
+
+        def spy(A, *args, **kwargs):
+            orders.append(A.n)
+            return solve(A, *args, **kwargs)
+
+        monkeypatch.setattr(eigcore, "smallest_eigenpairs", spy)
+        disc = DiscretizationSpec(nx=16, n1=10, n2=12, L=4.0)
+        sep = separation_check(WaveguideSpec(1.0, SQUARE), disc)
+        # the 3-D pencil is above DENSE_N, the planar one below it
+        assert orders == [16 * 9 * 11]
+        assert sep.max_rel <= 1e-10
+
     def test_rejects_masks(self):
         disc = DiscretizationSpec(nx=8, n1=8, n2=8, L=2.0)
         with pytest.raises(ValueError, match="rectangle"):
@@ -349,6 +365,10 @@ class TestReportSerialization:
         assert d["section"] == {"kind": "rect", "a": 0.0, "b": 1.0,
                                 "c": 0.0, "d": 1.0}
         assert set(d["counts_by_rung"]) == {"r0s1", "r1s0", "r1s1"}
+        # r0s1 has order 48 * 7 = 336, at or below DENSE_N; the others
+        # are above it
+        assert [r["solver"] for r in d["rungs"]] == ["dense", "block_cg",
+                                                     "block_cg"]
         rows = rep.rows()
         assert all(tuple(r) == CSV_COLUMNS for r in rows)
         ext = [r for r in rows if r["rung"] == "ext"]
