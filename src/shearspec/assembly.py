@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .eigcore import (FactorSpectral, KronOp, MassKron, TensorPrecond,
@@ -77,7 +76,8 @@ class Fem1D:
 
     def spectral(self) -> FactorSpectral:
         """M-orthonormal eigenbasis of (K, M); fast-transform closed
-        forms for the two grid-aligned cases, dense otherwise."""
+        forms for the two grid-aligned cases, otherwise the full basis from
+        ``lowest_eigenpairs`` (a dense solve)."""
         h = self.h
         if self.bc == ("dirichlet", "dirichlet"):
             j = np.arange(1, self.n)
@@ -88,8 +88,9 @@ class Fem1D:
             c = np.cos(np.pi * (j + 0.5) / self.n)
             kind = "dct"
         else:
-            lam, V = sla.eigh(self.K.toarray(), self.M.toarray())
-            return FactorSpectral(lam=lam, kind="dense", V=V)
+            full = lowest_eigenpairs(self.K, self.M, None)
+            return FactorSpectral(lam=full.theta, kind="dense",
+                                  V=full.vectors)
         lam = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
         nrm = np.sqrt((self.length / 6.0) * (2.0 + c))
         return FactorSpectral(lam=lam, kind=kind, nrm=nrm)
@@ -375,16 +376,23 @@ def triangle_matrices(n: int, A_len: float):
     element integrals from 3-point edge-midpoint quadrature (exact for
     the gradient products).  Dirichlet on y2 = 0 only; x = 0 and the
     slant are natural.  Returns (Sxx, Syy, Mass, kept vertex list).
+
+    Built without a Python loop, like ``section_fem``: the cells come from
+    ``np.tril_indices(n)``, each takes its full or cut 4x4 blocks by one
+    ``np.where``, and each matrix is one COO -> CSR conversion.  Entries
+    run cell by cell (x index slowest) and then by local row and column,
+    so duplicates are summed in a fixed order.
     """
     if n < 4:
         raise ValueError(f"grid too coarse for the diagonal cut: n={n}")
     h = A_len / n
     # vertex (i, k): x = -A + i h, y2 = k h; keep k >= 1 and k <= i + 1
+    i, k = np.indices((n + 1, n + 1))
+    keep = (k >= 1) & (k <= np.minimum(i + 1, n))
     idx = -np.ones((n + 1, n + 1), dtype=int)
-    kept = [(i, k) for i in range(n + 1) for k in range(1, min(i + 1, n) + 1)]
-    for p, (i, k) in enumerate(kept):
-        idx[i, k] = p
-    nv = len(kept)
+    nv = int(np.count_nonzero(keep))
+    idx[keep] = np.arange(nv)
+    kept = list(zip(i[keep].tolist(), k[keep].tolist()))
     k1e = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     m1e = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
     Sxx_f = np.kron(k1e, m1e)
@@ -418,30 +426,22 @@ def triangle_matrices(n: int, A_len: float):
         Syy_c += w * np.outer(de, de)
         M_c += w * h * h * np.outer(p, p)
 
-    rows, cols = [], []
-    vx, vy, vm = [], [], []
+    # cells (ci, ck) with ck <= ci, ci slowest: below the diagonal the
+    # full Q1 blocks, on it the cut ones; entries in (cell, a, b) order
+    ci, ck = np.tril_indices(n)
     offs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for ci in range(n):
-        for ck in range(ci + 1):
-            loc_x, loc_y, loc_m = ((Sxx_f, Syy_f, M_f) if ck < ci
-                                   else (Sxx_c, Syy_c, M_c))
-            dofs = [idx[ci + a, ck + b] for a, b in offs]
-            for a in range(4):
-                if dofs[a] < 0:
-                    continue
-                for bq in range(4):
-                    if dofs[bq] < 0:
-                        continue
-                    rows.append(dofs[a])
-                    cols.append(dofs[bq])
-                    vx.append(loc_x[a, bq])
-                    vy.append(loc_y[a, bq])
-                    vm.append(loc_m[a, bq])
+    glob = np.stack([idx[ci + a, ck + b] for a, b in offs], axis=1)
+    rows = np.repeat(glob, 4, axis=1).ravel()
+    cols = np.tile(glob, (1, 4)).ravel()
+    ok = (rows >= 0) & (cols >= 0)
+    cut = (ck == ci)[:, None, None]
     shape = (nv, nv)
-    Sxx = sp.csr_matrix((vx, (rows, cols)), shape=shape)
-    Syy = sp.csr_matrix((vy, (rows, cols)), shape=shape)
-    Mass = sp.csr_matrix((vm, (rows, cols)), shape=shape)
-    return Sxx, Syy, Mass, kept
+
+    def asm(full, cutl):
+        vals = np.where(cut, cutl, full).ravel()
+        return sp.csr_matrix((vals[ok], (rows[ok], cols[ok])), shape=shape)
+
+    return asm(Sxx_f, Sxx_c), asm(Syy_f, Syy_c), asm(M_f, M_c), kept
 
 
 def assemble_prism(beta, rect: Rect, grid) -> ShearForm:

@@ -252,16 +252,20 @@ class MassKron(LinOp):
     """Single Kronecker product of mass factors, with an exact solve.
 
     Applied slot by slot, which for one product is as fast as an
-    assembled matrix and costs no memory.  Each factor is factorized
-    once (sparse LU); the solve applies the inverses slot by slot,
-    giving ||r||_{M^-1} residual norms cheaply.
+    assembled matrix and costs no memory.  The factors are factorized
+    (sparse LU) on the first solve, so a form that is never solved
+    against never pays for it; the solve applies the inverses slot by
+    slot, giving ||r||_{M^-1} residual norms cheaply.
     """
 
     def __init__(self, mats, shape):
         self.shape, self.terms = _kron_terms([(1.0, mats)], shape)
         self.n = int(np.prod(self.shape))
         self.mats = self.terms[0][1]
-        self._lu = [splu(sp.csc_matrix(m)) for m in self.mats]
+
+    @functools.cached_property
+    def _lu(self):
+        return [splu(sp.csc_matrix(m)) for m in self.mats]
 
     def _slotwise(self, fns, X):
         X = np.asarray(X, dtype=float)

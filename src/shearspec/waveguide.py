@@ -339,6 +339,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
 
     pairs = disc.ladder()
     top = pairs[-1]
+    tr, ts = top
     results: dict[tuple[int, int], RungResult] = {}
 
     # finest rung: adaptive counting pass
@@ -354,6 +355,8 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     pre = form.preconditioner()
     cres = count_below(form.A, form.M, solver_thr, band0, opts=base,
                        precond=pre)
+    if not cres.reliable:
+        flags.append(f"unreliable_count:r{tr}s{ts}")
     k_solve = max(base.k, 4, cres.count + 2)
     sol = cres.result
     if len(sol.theta) < k_solve:
@@ -371,7 +374,6 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         results[p] = _make_rung(g, e1_r, sol, k_solve, reduced, section,
                                 form.warnings, time.perf_counter() - t0)
 
-    tr, ts = top
     for (r, s), rr in sorted(results.items()):
         if not rr.converged.all():
             flags.append(f"nonconverged:r{r}s{s}")
@@ -440,7 +442,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
                   == counts_by_rung[(tr, ts - 1)] == count)
     else:
         stable = False
-    if boundary or not stable:
+    if boundary or not stable or not cres.reliable:
         flags.append("inconclusive")
 
     return SpectrumReport(

@@ -361,6 +361,98 @@ def test_triangle_too_coarse():
         triangle_matrices(3, 1.0)
 
 
+def _triangle_matrices_loop(n, A_len):
+    """Reference: the element-by-element loop the vectorized build
+    replaced, kept verbatim as an oracle."""
+    h = A_len / n
+    idx = -np.ones((n + 1, n + 1), dtype=int)
+    kept = [(i, k) for i in range(n + 1) for k in range(1, min(i + 1, n) + 1)]
+    for p, (i, k) in enumerate(kept):
+        idx[i, k] = p
+    nv = len(kept)
+    k1e = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    m1e = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    Sxx_f = np.kron(k1e, m1e)
+    Syy_f = np.kron(m1e, k1e)
+    M_f = np.kron(m1e, m1e)
+
+    qp = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 0.5]])
+    wq = np.full(3, 0.5 / 3.0)
+
+    def q1(xi, eta):
+        return np.array([(1 - xi) * (1 - eta), (1 - xi) * eta,
+                         xi * (1 - eta), xi * eta])
+
+    def q1_dxi(xi, eta):
+        return np.array([-(1 - eta), -eta, (1 - eta), eta])
+
+    def q1_deta(xi, eta):
+        return np.array([-(1 - xi), (1 - xi), -xi, xi])
+
+    Sxx_c = np.zeros((4, 4))
+    Syy_c = np.zeros((4, 4))
+    M_c = np.zeros((4, 4))
+    for (xi, eta), w in zip(qp, wq):
+        p = q1(xi, eta)
+        dx = q1_dxi(xi, eta)
+        de = q1_deta(xi, eta)
+        Sxx_c += w * np.outer(dx, dx)
+        Syy_c += w * np.outer(de, de)
+        M_c += w * h * h * np.outer(p, p)
+
+    rows, cols = [], []
+    vx, vy, vm = [], [], []
+    offs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for ci in range(n):
+        for ck in range(ci + 1):
+            loc_x, loc_y, loc_m = ((Sxx_f, Syy_f, M_f) if ck < ci
+                                   else (Sxx_c, Syy_c, M_c))
+            dofs = [idx[ci + a, ck + b] for a, b in offs]
+            for a in range(4):
+                if dofs[a] < 0:
+                    continue
+                for bq in range(4):
+                    if dofs[bq] < 0:
+                        continue
+                    rows.append(dofs[a])
+                    cols.append(dofs[bq])
+                    vx.append(loc_x[a, bq])
+                    vy.append(loc_y[a, bq])
+                    vm.append(loc_m[a, bq])
+    shape = (nv, nv)
+    Sxx = sp.csr_matrix((vx, (rows, cols)), shape=shape)
+    Syy = sp.csr_matrix((vy, (rows, cols)), shape=shape)
+    Mass = sp.csr_matrix((vm, (rows, cols)), shape=shape)
+    return Sxx, Syy, Mass, kept
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 48])
+def test_triangle_matrices_match_loop_bitwise(n):
+    A_len = 1.0 / math.sqrt(2.0)
+    *got, kept = triangle_matrices(n, A_len)
+    *want, kept_loop = _triangle_matrices_loop(n, A_len)
+    assert kept == kept_loop
+    for g, w in zip(got, want):
+        assert g.indptr.dtype == w.indptr.dtype
+        assert g.indices.dtype == w.indices.dtype
+        assert np.array_equal(g.indptr, w.indptr)
+        assert np.array_equal(g.indices, w.indices)
+        assert np.array_equal(g.data, w.data)
+
+
+def test_assembly_factorizes_no_mass(monkeypatch):
+    # the MassKron factors are factorized on the first solve, not when
+    # a form is assembled
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called during assembly")
+
+    monkeypatch.setattr(eigcore, "splu", no_splu)
+    assemble_prism(1.0, UNIT, (8, 4))
+    assemble_waveguide(1.0, UNIT, 3.0, 5)
+    assemble_waveguide(1.0, l_shaped_mask(6), 3.0, 5)
+    assemble_reduced2d(1.0, UNIT, 3.0, (5, 4))
+
+
 def test_prism_separates_exactly():
     # A = Atri x M1 + Mtri x K1 shares eigenvectors with the factors, so
     # 3-D values are sums of triangle and channel values to roundoff

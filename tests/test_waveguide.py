@@ -6,13 +6,14 @@ shift-invert Lanczos), so they test the whole pipeline, not just the
 solver against itself.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from shearspec import eigcore
+from shearspec import eigcore, waveguide
 from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import EigOptions
 from shearspec.geometry import Rect, WaveguideSpec
@@ -207,6 +208,26 @@ class TestStraightReference:
             WaveguideSpec(0.0, SQUARE)
         with pytest.raises(ValueError, match="straight"):
             WaveguideSpec(0.5, SQUARE, straight=True)
+
+
+class TestCountReliability:
+    def test_reliable_count_raises_no_flag(self, strip_report):
+        assert not any(f.startswith("unreliable_count")
+                       for f in strip_report.flags)
+
+    def test_unreliable_top_count_is_flagged_inconclusive(self, monkeypatch):
+        # a top-rung count whose block never cleared the threshold must
+        # not be reported as settled
+        real = waveguide.count_below
+
+        def uncleared(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs),
+                                       clearance=-np.inf)
+
+        monkeypatch.setattr(waveguide, "count_below", uncleared)
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
+        assert "unreliable_count:r1s1" in rep.flags
+        assert "inconclusive" in rep.flags
 
 
 class TestStrongShear:
