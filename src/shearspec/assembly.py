@@ -1,22 +1,22 @@
 """Discrete quadratic forms for the transformed waveguide problems.
 
-All operators are built from 1-D piecewise-linear element factors
-(stiffness K, mass M, skew D = integral of phi' psi) combined in
-Kronecker products, so the half-guide form
+Operators are built from P1 element factors in x (stiffness K, mass M,
+skew D = integral of phi' psi) and one section triple (M, K(beta), D2),
+so the half-guide form
 
     Q_beta(psi) = int |psi' - beta d(psi)/dy2|^2 + |grad_y psi|^2
 
-becomes  A = Kx(x)M1(x)M2 - beta (Dx(x)M1(x)D2' + Dx'(x)M1(x)D2)
-           + beta^2 Mx(x)M1(x)K2 + Mx(x)K1(x)M2 + Mx(x)M1(x)K2
+becomes  A = Kx(x)M + Mx(x)K - beta (Dx(x)D2' + Dx'(x)D2)
 
-against the mass Mx(x)M1(x)M2.  The stiffness terms are summed once
-into one CSR matrix (``KronOp``), written directly on their shared
-pattern; the factors stay on the form for the separable preconditioner
-and for dumps, and the mass stays a factored ``MassKron``.  Consistent
+against the mass Mx(x)M, written once in ``_half_guide``.  The forms
+differ only in the triple: Kronecker products of the 1-D y1 and y2
+factors for rectangles, the y2 factors for reduced2d, ``section_fem``
+for masks.  The stiffness terms are summed once into one CSR matrix
+(``KronOp``) and the mass stays a factored ``MassKron``.  Consistent
 mass everywhere: discrete eigenvalues are variational upper bounds,
 which the ladder logic and the counting rely on.  The x interval is
 capped at L with a Dirichlet end (upper bounds again, decreasing in L);
-x = 0 is natural Neumann.
+x = 0 is natural Neumann, or the kink node of the full guide on (-L, L).
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class Fem1D:
         return self.K.shape[0]
 
     def spectral(self) -> FactorSpectral:
-        """M-orthonormal eigenbasis of (K, M); fast-transform closed
-        forms for the two grid-aligned cases, otherwise the full basis from
-        ``lowest_eigenpairs`` (a dense solve)."""
+        """M-orthonormal eigenbasis of (K, M) as a fast transform: sines
+        for Dirichlet-Dirichlet, half-shift cosines for Neumann-Dirichlet,
+        the only boundary pairs the forms use."""
         h = self.h
         if self.bc == ("dirichlet", "dirichlet"):
             j = np.arange(1, self.n)
@@ -88,9 +88,8 @@ class Fem1D:
             c = np.cos(np.pi * (j + 0.5) / self.n)
             kind = "dct"
         else:
-            full = lowest_eigenpairs(self.K, self.M, None)
-            return FactorSpectral(lam=full.theta, kind="dense",
-                                  V=full.vectors)
+            raise ValueError(f"no closed-form eigenbasis for boundary "
+                             f"conditions {self.bc}")
         lam = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
         nrm = np.sqrt((self.length / 6.0) * (2.0 + c))
         return FactorSpectral(lam=lam, kind=kind, nrm=nrm)
@@ -204,9 +203,10 @@ def section_fem(section: MaskSection):
 class ShearForm:
     """An assembled pencil (A, M) with its provenance.
 
-    ``factors`` keeps the 1-D (or section) matrices for dumps and for
-    the separable preconditioner; ``warnings`` records advisory issues
-    such as a truncation length that is short relative to the section.
+    Half-guide forms keep their x factor, its skew and their section
+    triple; ``factors["separable"]`` holds what the preconditioner
+    inverts.  ``warnings`` records advisory notes such as a truncation
+    length that is short relative to the section.
     """
 
     mode: str
@@ -218,6 +218,9 @@ class ShearForm:
     section: Section | None = None
     L: float | None = None
     warnings: list[str] = field(default_factory=list)
+    x_factor: Fem1D | None = None
+    x_skew: sp.csr_matrix | None = field(default=None, repr=False)
+    triple: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -251,17 +254,12 @@ class ShearForm:
             pairs.append((coeff, FactorSpectral(lam=lam, kind="dense", V=V)))
         return TensorPrecond(pairs)
 
-    def dump_factors(self, path) -> None:
-        """Plain-text sparse triplets: one 'row col value' line each."""
-        with open(path, "w") as f:
-            for name, mat in self.factors["matrices"].items():
-                coo = sp.coo_matrix(mat)
-                f.write(f"# {name} {coo.shape[0]} {coo.shape[1]}\n")
-                for i, j, v in zip(coo.row, coo.col, coo.data):
-                    f.write(f"{i} {j} {v:.17g}\n")
-
 
 def _x_factor(L: float, nx: int, mode: str):
+    """x factor and skew: Neumann-Dirichlet on (0, L) for the half guide,
+    Dirichlet on (-L, L) with the signed skew for full_sign."""
+    if L <= 0 or not math.isfinite(L):
+        raise ValueError(f"bad truncation length {L}")
     if mode == "full_sign":
         fem = fem1d(2 * nx, 2 * L, "dirichlet", "dirichlet", start=-L)
         return fem, signed_skew(fem)
@@ -269,72 +267,57 @@ def _x_factor(L: float, nx: int, mode: str):
     return fem, fem.D
 
 
-def _check_truncation(L: float, section: Section, warnings: list[str]):
-    diam = section_diameter(section)
+def _half_guide(mode: str, b: float, fx: Fem1D, Dx, triple, separable,
+                section: Section, L: float, diam: float) -> ShearForm:
+    """The pencil Kx(x)M + Mx(x)K - b (Dx(x)D2' + Dx'(x)D2) against
+    Mx(x)M, from the x factor and the section triple (M, K, D2)."""
+    Msec, Ksec, D2 = triple
+    shape = (fx.dim, Msec.shape[0])
+    terms = [(1.0, (fx.K, Msec)), (1.0, (fx.M, Ksec))]
+    if b:
+        terms += [(-b, (Dx, D2.T.tocsr())), (-b, (Dx.T.tocsr(), D2))]
+    warnings = []
     if L <= diam:
         warnings.append(f"truncation L={L:g} does not exceed the section "
                         f"diameter {diam:g}; expect strong confinement bias")
+    return ShearForm(mode=mode, beta=b, A=KronOp(terms, shape),
+                     M=MassKron((fx.M, Msec), shape), shape=shape,
+                     factors={"separable": separable}, section=section, L=L,
+                     warnings=warnings, x_factor=fx, x_skew=Dx,
+                     triple=triple)
 
 
 def assemble_waveguide(beta, section: Section, L: float, grid,
                        mode: str = "half_DN") -> ShearForm:
-    """3-D half-guide (half_DN), full-domain (full_sign) or beta = 0
-    (straight) form.
+    """3-D half-guide (half_DN) or full-domain (full_sign) form; beta = 0
+    is the straight tube in either.
 
-    ``grid`` is (nx, n1, n2) for rectangle sections, nx for masks; nx
-    counts x elements on (0, L) (doubled internally for full_sign).
+    ``grid`` is (nx, n1, n2) or one size for all three; masks read nx
+    only.  nx counts x elements on (0, L) (doubled for full_sign).
+    Rectangles keep their 1-D factors for the preconditioner.
     """
-    if mode not in ("half_DN", "full_sign", "straight"):
+    if mode not in ("half_DN", "full_sign"):
         raise ValueError(f"unknown mode {mode!r}")
-    b = beta_value(beta, allow_zero=mode == "straight")
-    if mode == "straight":
-        b = 0.0
-    if L <= 0 or not math.isfinite(L):
-        raise ValueError(f"bad truncation length {L}")
-    warnings: list[str] = []
-    _check_truncation(L, section, warnings)
-    xmode = "full_sign" if mode == "full_sign" else "half_DN"
+    b = beta_value(beta, allow_zero=True)
+    if np.ndim(grid) == 0:
+        grid = (grid, grid, grid)
+    fx, Dx = _x_factor(L, grid[0], mode)
     if isinstance(section, Rect):
-        nx, n1, n2 = (grid, grid, grid) if isinstance(grid, int) else grid
-        fx, Dx = _x_factor(L, nx, xmode)
+        _, n1, n2 = grid
         f1 = fem1d(n1, section.width1)
         f2 = fem1d(n2, section.width2)
-        shape = (fx.dim, f1.dim, f2.dim)
-        terms = [
-            (1.0, (fx.K, f1.M, f2.M)),
-            (1.0, (fx.M, f1.K, f2.M)),
-            (1.0 + b * b, (fx.M, f1.M, f2.K)),
-        ]
-        if b:
-            terms += [(-b, (Dx, f1.M, f2.D.T.tocsr())),
-                      (-b, (Dx.T.tocsr(), f1.M, f2.D))]
-        A = KronOp(terms, shape)
-        M = MassKron((fx.M, f1.M, f2.M), shape)
-        factors = {
-            "separable": [(1.0, fx), (1.0, f1), (1.0 + b * b, f2)],
-            "matrices": {"x_K": fx.K, "x_M": fx.M, "x_D": Dx,
-                         "y1_K": f1.K, "y1_M": f1.M,
-                         "y2_K": f2.K, "y2_M": f2.M, "y2_D": f2.D},
-        }
+        triple = (sp.kron(f1.M, f2.M, "csr"),
+                  (sp.kron(f1.K, f2.M) + (1.0 + b * b)
+                   * sp.kron(f1.M, f2.K)).tocsr(),
+                  sp.kron(f1.M, f2.D, "csr"))
+        separable = [(1.0, fx), (1.0, f1), (1.0 + b * b, f2)]
     else:
-        nx = grid if isinstance(grid, int) else grid[0]
-        fx, Dx = _x_factor(L, nx, xmode)
         K1, K2, D2, Msec = section_fem(section)
-        shape = (fx.dim, Msec.shape[0])
         Ksec = (K1 + (1.0 + b * b) * K2).tocsr()
-        terms = [(1.0, (fx.K, Msec)), (1.0, (fx.M, Ksec))]
-        if b:
-            terms += [(-b, (Dx, D2.T.tocsr())), (-b, (Dx.T.tocsr(), D2))]
-        A = KronOp(terms, shape)
-        M = MassKron((fx.M, Msec), shape)
-        factors = {
-            "separable": [(1.0, fx), (1.0, (Ksec, Msec))],
-            "matrices": {"x_K": fx.K, "x_M": fx.M, "x_D": Dx,
-                         "sec_K": Ksec, "sec_M": Msec, "sec_D2": D2},
-        }
-    return ShearForm(mode=mode, beta=b, A=A, M=M, shape=shape,
-                     factors=factors, section=section, L=L,
-                     warnings=warnings)
+        triple = (Msec, Ksec, D2)
+        separable = [(1.0, fx), (1.0, (Ksec, Msec))]
+    return _half_guide(mode, b, fx, Dx, triple, separable, section, L,
+                       section_diameter(section))
 
 
 def assemble_reduced2d(beta, rect: Rect, L: float, grid) -> ShearForm:
@@ -347,25 +330,12 @@ def assemble_reduced2d(beta, rect: Rect, L: float, grid) -> ShearForm:
     if not isinstance(rect, Rect):
         raise ValueError("reduced mode needs a rectangle section")
     b = beta_value(beta, allow_zero=True)
-    if L <= 0 or not math.isfinite(L):
-        raise ValueError(f"bad truncation length {L}")
     nx, n2 = (grid, grid) if isinstance(grid, int) else grid
-    fx = fem1d(nx, L, "neumann", "dirichlet")
+    fx, Dx = _x_factor(L, nx, "half_DN")
     f2 = fem1d(n2, rect.width2)
-    shape = (fx.dim, f2.dim)
-    terms = [(1.0, (fx.K, f2.M)), (1.0 + b * b, (fx.M, f2.K))]
-    if b:
-        terms += [(-b, (fx.D, f2.D.T.tocsr())), (-b, (fx.D.T.tocsr(), f2.D))]
-    warnings: list[str] = []
-    if L <= rect.width2:
-        warnings.append(f"truncation L={L:g} below strip width")
-    return ShearForm(mode="reduced2d", beta=b, A=KronOp(terms, shape),
-                     M=MassKron((fx.M, f2.M), shape), shape=shape,
-                     factors={"separable": [(1.0, fx), (1.0 + b * b, f2)],
-                              "matrices": {"x_K": fx.K, "x_M": fx.M,
-                                           "x_D": fx.D, "y2_K": f2.K,
-                                           "y2_M": f2.M, "y2_D": f2.D}},
-                     section=rect, L=L, warnings=warnings)
+    return _half_guide("reduced2d", b, fx, Dx,
+                       (f2.M, (1.0 + b * b) * f2.K, f2.D),
+                       [(1.0, fx), (1.0 + b * b, f2)], rect, L, rect.width2)
 
 
 def triangle_matrices(n: int, A_len: float):
@@ -467,8 +437,6 @@ def assemble_prism(beta, rect: Rect, grid) -> ShearForm:
     M = MassKron((Mass, f1.M), shape)
     return ShearForm(mode="prism", beta=b, A=A, M=M, shape=shape,
                      factors={"separable": [(1.0, (Atri, Mass)), (1.0, f1)],
-                              "matrices": {"tri_A": Atri, "tri_M": Mass,
-                                           "y1_K": f1.K, "y1_M": f1.M},
                               "triangle": (Atri, Mass, kept),
                               "y1": f1},
                      section=rect, L=None)

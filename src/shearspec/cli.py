@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -26,7 +27,7 @@ from . import __version__
 from .certificates import existence_certificate
 from .cross_section import numeric_modes, rectangle_modes
 from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
-from .thresholds import BRANCH_POINT, beta_star, bound_factor
+from .thresholds import BRANCH_POINT, beta_star, bound_factor, ess_threshold
 from .waveguide import (CSV_COLUMNS, DiscretizationSpec, SweepResult,
                         compute_spectrum, separation_check, sweep_beta)
 from .eigcore import EigOptions
@@ -49,10 +50,30 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- config
 
-def _require_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+# the JSON kinds a config value may take, with the name an error uses
+INT = (int, "an integer")
+NUM = ((int, float), "a number")
+STR = (str, "a string")
+
+
+def _is(v, kind) -> bool:
+    """isinstance, except that a boolean is of no kind but bool."""
+    return isinstance(v, bool) == (kind is bool) and isinstance(v, kind)
+
+
+def _check_keys(d, kinds: dict, where: str) -> None:
+    """Raise ConfigError unless ``d`` is a JSON object whose keys are all
+    in ``kinds`` and each holds a value of its kind; a boolean is never
+    a number."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    unknown = set(d) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, v in d.items():
+        kind, name = kinds[key]
+        if not _is(v, kind):
+            raise ConfigError(f"{where} {key} must be {name}, got {v!r}")
 
 
 def load_mask(path: str) -> MaskSection:
@@ -60,13 +81,17 @@ def load_mask(path: str) -> MaskSection:
     (axis 0 is y1).  '#' and '.' are accepted as aliases of 1 and 0."""
     rows = []
     cell = None
-    with open(path) as f:
+    try:
+        f = open(path)
+    except OSError as e:
+        raise ConfigError(f"cannot read mask file {path}: {e}")
+    with f:
         for raw in f:
             line = raw.strip()
             if not line or line.startswith("//"):
                 continue
             if line.startswith("cell"):
-                cell = float(line.split()[1])
+                cell = float(line[4:])
                 continue
             trans = {"#": True, "1": True, ".": False, "0": False}
             try:
@@ -83,6 +108,8 @@ def load_mask(path: str) -> MaskSection:
 def _parse_rect(values) -> Rect:
     if isinstance(values, str):
         values = values.split(",")
+    elif not all(_is(v, NUM[0]) for v in values):
+        raise ConfigError(f"rect needs four numbers a,b,c,d, got {values}")
     vals = [float(v) for v in values]
     if len(vals) != 4:
         raise ConfigError(f"rect needs four numbers a,b,c,d, got {vals}")
@@ -101,8 +128,8 @@ def _section_from(cfg: dict, base_dir: str) -> Section:
 
 
 def _disc_from(cfg: dict) -> DiscretizationSpec:
-    _require_keys(cfg, {"nx", "n1", "n2", "L", "mode", "refine", "l_steps"},
-                  "disc")
+    _check_keys(cfg, {"nx": INT, "n1": INT, "n2": INT, "L": NUM,
+                      "mode": STR, "refine": INT, "l_steps": INT}, "disc")
     kw = dict(cfg)
     if "mode" in kw:
         mode = kw["mode"]
@@ -118,39 +145,60 @@ def _disc_from(cfg: dict) -> DiscretizationSpec:
 
 
 def _eig_from(cfg: dict) -> EigOptions:
-    _require_keys(cfg, {"k", "block", "tol", "maxit", "seed"}, "eig")
+    _check_keys(cfg, {"k": INT, "block": ((int, type(None)), "an integer"),
+                      "tol": NUM, "maxit": INT, "seed": INT}, "eig")
     return EigOptions(**cfg)
 
 
-TOP_KEYS = {"beta", "betas", "straight", "rect", "mask", "disc", "eig", "out"}
+def _check_betas(betas: list, section: Section) -> None:
+    """Each beta is a finite, nonnegative number whose threshold E1(beta)
+    is finite; E1 grows with beta, so the largest one decides."""
+    if not all(_is(b, NUM[0]) for b in betas):
+        raise ConfigError(f"beta must be a number, got {betas!r}")
+    b = max(beta_value(v, allow_zero=True) for v in betas)
+    try:
+        e1 = ess_threshold(b, section) if math.isfinite(b * b) else math.inf
+    except OverflowError:
+        e1 = math.inf
+    if not math.isfinite(e1):
+        raise ConfigError(f"beta {b:g} is too large: its threshold E1(beta) "
+                          f"overflows")
+
+
+TOP_KEYS = {"beta": NUM, "betas": (list, "a list"),
+            "straight": (bool, "true or false"),
+            "rect": ((str, list), "a list a,b,c,d"), "mask": STR,
+            "disc": (dict, "a JSON object"), "eig": (dict, "a JSON object"),
+            "out": STR}
 
 
 def load_config(path: str, sweep: bool = False):
     """Parse and validate one run config; raises ConfigError on any
-    unknown key or inconsistent value before touching a solver."""
+    unknown key, mistyped or inconsistent value before touching a
+    solver."""
     try:
         with open(path) as f:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(cfg, TOP_KEYS, "config")
+    _check_keys(cfg, TOP_KEYS, "config")
     base = os.path.dirname(os.path.abspath(path))
     section = _section_from(cfg, base)
     if "disc" not in cfg:
         raise ConfigError("config lacks 'disc'")
     disc = _disc_from(cfg["disc"])
     opts = _eig_from(cfg.get("eig", {}))
-    straight = bool(cfg.get("straight", False))
     if sweep:
-        if "betas" not in cfg:
-            raise ConfigError("sweep config needs 'betas'")
+        if not cfg.get("betas"):
+            raise ConfigError("sweep config needs a nonempty 'betas'")
+        _check_betas(cfg["betas"], section)
         betas = [float(b) for b in cfg["betas"]]
         return cfg, section, betas, disc, opts
     if "beta" not in cfg:
         raise ConfigError("config needs 'beta'")
-    spec = WaveguideSpec(float(cfg["beta"]), section, straight=straight)
+    _check_betas([cfg["beta"]], section)
+    spec = WaveguideSpec(float(cfg["beta"]), section,
+                         straight=cfg.get("straight", False))
     return cfg, spec, disc, opts
 
 

@@ -223,9 +223,8 @@ class KronOp(LinOp):
 
     ``terms`` is a list of ``(coeff, mats)`` where ``mats`` holds one
     square factor per tensor slot (row index runs over slot 0 slowest).
-    The terms are kept for the separable preconditioner and for dumps;
-    ``matrix`` is their sum as one CSR matrix, so an apply is a single
-    sparse product.
+    The terms are kept as given; ``matrix`` is their sum as one CSR
+    matrix, so an apply is a single sparse product.
     """
 
     def __init__(self, terms, shape):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -203,13 +202,6 @@ class SpectrumReport:
             })
         return d
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.as_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text + "\n")
-        return text
-
     def rows(self) -> list[dict]:
         """Flat table rows, one per (rung, j) plus extrapolated rows."""
         out = []
@@ -247,18 +239,13 @@ def _section_dict(section: Section) -> dict:
 
 
 def _build(beta: float, section: Section, disc: DiscretizationSpec,
-           g: RungGrid, straight: bool) -> ShearForm:
+           g: RungGrid) -> ShearForm:
     if disc.mode == "reduced2d":
         return assemble_reduced2d(beta, section, g.L, (g.nx, g.n2))
-    sec = section
-    if isinstance(section, MaskSection):
-        if g.r > 0:
-            sec = refine_mask(section, 2 ** g.r)
-        grid = g.nx
-    else:
-        grid = (g.nx, g.n1, g.n2)
-    mode = "straight" if straight else disc.mode
-    return assemble_waveguide(beta, sec, g.L, grid, mode)
+    if isinstance(section, MaskSection) and g.r > 0:
+        section = refine_mask(section, 2 ** g.r)
+    return assemble_waveguide(beta, section, g.L, (g.nx, g.n1, g.n2),
+                              disc.mode)
 
 
 def _rung_threshold(beta: float, form: ShearForm) -> float:
@@ -345,7 +332,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     # finest rung: adaptive counting pass
     g = _grid_for(disc, section, *top)
     t0 = time.perf_counter()
-    form = _build(beta, section, disc, g, spec.straight)
+    form = _build(beta, section, disc, g)
     e1_top = _rung_threshold(beta, form)
     if reduced:
         solver_thr = e1_top - (math.pi / section.width1) ** 2
@@ -367,7 +354,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     for p in pairs[:-1]:
         g = _grid_for(disc, section, *p)
         t0 = time.perf_counter()
-        form = _build(beta, section, disc, g, spec.straight)
+        form = _build(beta, section, disc, g)
         e1_r = _rung_threshold(beta, form)
         sol = lowest_eigenpairs(form.A, form.M, k_solve, base,
                                 form.preconditioner())
@@ -539,7 +526,7 @@ def symmetry_check(spec: WaveguideSpec, disc: DiscretizationSpec,
     base = opts or EigOptions(k=3, tol=1e-9)
     k = max(base.k, 3)
     g = disc.rung(0, 0)
-    grid = g.nx if isinstance(section, MaskSection) else (g.nx, g.n1, g.n2)
+    grid = (g.nx, g.n1, g.n2)
     half = assemble_waveguide(beta, section, g.L, grid, "half_DN")
     full = assemble_waveguide(beta, section, g.L, grid, "full_sign")
     sh = lowest_eigenpairs(half.A, half.M, k, base, half.preconditioner())
@@ -639,13 +626,6 @@ class SweepResult:
         if path is not None:
             with open(path, "w") as f:
                 f.write(text)
-        return text
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps([rep.as_dict() for rep in self.reports], indent=2)
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text + "\n")
         return text
 
 

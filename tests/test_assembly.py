@@ -20,7 +20,7 @@ from shearspec.assembly import (
     signed_skew,
     triangle_matrices,
 )
-from shearspec.eigcore import KronOp, lowest_eigenpairs, materialize
+from shearspec.eigcore import KronOp, MassKron, lowest_eigenpairs, materialize
 from shearspec.cli import load_mask
 from shearspec.cross_section import l_shaped_mask, refine_mask
 from shearspec.geometry import MaskSection, Rect
@@ -73,9 +73,7 @@ def test_fem1d_dirichlet_drops_end_dofs():
 
 
 @pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"),
-                                ("neumann", "dirichlet"),
-                                ("neumann", "neumann"),
-                                ("dirichlet", "neumann")])
+                                ("neumann", "dirichlet")])
 def test_fem1d_spectral_matches_dense(bc):
     f = fem1d(9, 1.7, *bc)
     s = f.spectral()
@@ -85,6 +83,13 @@ def test_fem1d_spectral_matches_dense(bc):
     V = s.apply(np.eye(f.dim), 0)
     assert V.T @ f.M.toarray() @ V == pytest.approx(np.eye(f.dim), abs=1e-10)
     assert V.T @ f.K.toarray() @ V == pytest.approx(np.diag(s.lam), abs=1e-9)
+
+
+@pytest.mark.parametrize("bc", [("neumann", "neumann"),
+                                ("dirichlet", "neumann")])
+def test_fem1d_spectral_rejects_unused_boundary_pairs(bc):
+    with pytest.raises(ValueError, match="boundary conditions"):
+        fem1d(9, 1.7, *bc).spectral()
 
 
 def test_fem1d_validation():
@@ -200,8 +205,8 @@ def test_waveguide_symmetry_probe():
         assert abs(y @ ax - x @ apply(form.A, y)) <= 1e-12 * scale
 
 
-def test_waveguide_straight_mode_separates():
-    form = assemble_waveguide(0.7, UNIT, 4.0, (8, 5, 6), mode="straight")
+def test_waveguide_zero_shear_separates():
+    form = assemble_waveguide(0.0, UNIT, 4.0, (8, 5, 6))
     assert form.beta == 0.0
     lam = pencil_eigs(form, 4)
     parts = []
@@ -250,13 +255,19 @@ def test_waveguide_grid_int_shorthand():
     a = assemble_waveguide(1.0, UNIT, 3.0, 5)
     b = assemble_waveguide(1.0, UNIT, 3.0, (5, 5, 5))
     assert a.shape == b.shape
+    # a numpy integer, as DiscretizationSpec allows, is a scalar grid too
+    mask = l_shaped_mask(6)
+    assert assemble_waveguide(1.0, mask, 3.0, np.int64(5)).shape == \
+        assemble_waveguide(1.0, mask, 3.0, 5).shape
 
 
 def test_waveguide_mode_validation():
     with pytest.raises(ValueError):
         assemble_waveguide(1.0, UNIT, 3.0, 5, mode="periodic")
     with pytest.raises(ValueError):
-        assemble_waveguide(0.0, UNIT, 3.0, 5)  # zero shear needs straight
+        assemble_waveguide(0.0, UNIT, 3.0, 5, mode="straight")
+    with pytest.raises(ValueError):
+        assemble_waveguide(-1.0, UNIT, 3.0, 5)
     with pytest.raises(ValueError):
         assemble_waveguide(1.0, UNIT, math.inf, 5)
 
@@ -288,7 +299,7 @@ def test_mask_waveguide_symmetry_and_separability():
     scale = np.linalg.norm(ax) * np.linalg.norm(y) + 1e-30
     assert abs(y @ ax - x @ apply(form.A, y)) <= 1e-12 * scale
 
-    straight = assemble_waveguide(0.0, mask, 3.0, 6, mode="straight")
+    straight = assemble_waveguide(0.0, mask, 3.0, 6)
     lam = pencil_eigs(straight, 1)[0]
     fx = fem1d(6, 3.0, "neumann", "dirichlet")
     lx = sla.eigh(fx.K.toarray(), fx.M.toarray(), eigvals_only=True)[0]
@@ -332,8 +343,7 @@ def test_mask_form_decomposes_its_section_once(monkeypatch):
     lam, V = form.section_pairs
     assert calls == [V.shape[0]]
     assert V.shape == (V.shape[0], V.shape[0])
-    Ks = form.factors["matrices"]["sec_K"]
-    Ms = form.factors["matrices"]["sec_M"]
+    Ms, Ks, _ = form.triple
     want = eigh(Ks.toarray(), Ms.toarray(), eigvals_only=True)
     assert lam == pytest.approx(want, rel=1e-12)
 
@@ -539,6 +549,74 @@ def test_csr_assembly_peak_memory_stays_near_output_size():
     assert peak <= 2 * final
 
 
+# ----------------------------------------- one pencil, three sections
+
+def test_full_rectangle_mask_matches_rect_triple():
+    # Q1 on a full rectangle is the Kronecker product of the 1-D P1
+    # factors, in the same d2-fastest vertex order
+    n1, n2, h = 6, 4, 0.25
+    mask = MaskSection(np.ones((n1, n2), dtype=bool), h)
+    rect = Rect(0.0, n1 * h, 0.0, n2 * h)
+    fm = assemble_waveguide(0.9, mask, 3.0, 8)
+    fr = assemble_waveguide(0.9, rect, 3.0, (8, n1, n2))
+    for got, want in zip(fm.triple, fr.triple):
+        want = want.toarray()
+        assert got.shape == want.shape
+        assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    assert pencil_eigs(fm, 6) == pytest.approx(pencil_eigs(fr, 6), rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: assemble_waveguide(0.8, r, 3.0, (8, 5, 6)),
+    lambda r: assemble_reduced2d(0.8, r, 3.0, (12, 9)),
+], ids=["half_DN", "reduced2d"])
+def test_translated_rect_keeps_spectrum(build):
+    base = pencil_eigs(build(Rect(0.0, 1.0, 0.0, 1.5)), 8)
+    moved = pencil_eigs(build(Rect(-2.0, -1.0, 3.25, 4.75)), 8)
+    assert moved == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("mode", ["half_DN", "full_sign"])
+def test_rect_pencil_matches_three_slot_sum(mode, beta):
+    # the rectangle pencil as x stencil (x) section triple equals the
+    # explicit sum of Kronecker products over the three 1-D factors
+    nx, n1, n2, L = 6, 5, 7, 3.0
+    rect = Rect(0.0, 1.0, 0.0, 1.3)
+    form = assemble_waveguide(beta, rect, L, (nx, n1, n2), mode)
+    if mode == "full_sign":
+        fx = fem1d(2 * nx, 2 * L, "dirichlet", "dirichlet", start=-L)
+        Dx = signed_skew(fx)
+    else:
+        fx = fem1d(nx, L, "neumann", "dirichlet")
+        Dx = fx.D
+    f1, f2 = fem1d(n1, rect.width1), fem1d(n2, rect.width2)
+    shape = (fx.dim, f1.dim, f2.dim)
+    ref = KronOp([(1.0, (fx.K, f1.M, f2.M)),
+                  (1.0, (fx.M, f1.K, f2.M)),
+                  (1.0 + beta * beta, (fx.M, f1.M, f2.K)),
+                  (-beta, (Dx, f1.M, f2.D.T)),
+                  (-beta, (Dx.T, f1.M, f2.D))], shape).matrix
+    got = form.A.matrix
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    X = np.random.default_rng(2).standard_normal((form.n, 3))
+    want = MassKron((fx.M, f1.M, f2.M), shape).matmat(X)
+    assert np.abs(form.M.matmat(X) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_rect_preconditioner_inverts_straight_pencil():
+    # x-major (nx, n1 n2) is the memory layout of (nx, n1, n2), so the
+    # three-factor preconditioner applies to the two-slot pencil
+    form = assemble_waveguide(0.0, UNIT, 3.0, (6, 5, 4))
+    A = materialize(form.A)
+    M = materialize(form.M)
+    R = np.random.default_rng(4).standard_normal((form.n, 2))
+    X = form.preconditioner()(R, 5.0)
+    assert A @ X - 5.0 * (M @ X) == pytest.approx(R, abs=1e-9)
+
+
 # ------------------------------------------------------- form utilities
 
 def test_preconditioner_inverts_separable_part():
@@ -559,28 +637,3 @@ def test_preconditioner_available_for_all_modes():
     mask = l_shaped_mask(6)
     assert assemble_waveguide(1.0, mask, 3.0, 5).preconditioner() is not None
 
-
-def test_dump_factors_roundtrip(tmp_path):
-    form = assemble_reduced2d(1.0, UNIT, 3.0, (5, 4))
-    path = tmp_path / "factors.txt"
-    form.dump_factors(path)
-    text = path.read_text().splitlines()
-    headers = [ln for ln in text if ln.startswith("#")]
-    assert any("x_K" in h for h in headers)
-    # rebuild x_K from its triplets
-    rows = {}
-    current = None
-    for ln in text:
-        if ln.startswith("#"):
-            name, r, c = ln[1:].split()
-            current = name
-            rows[current] = (int(r), int(c), [])
-        else:
-            i, j, v = ln.split()
-            rows[current][2].append((int(i), int(j), float(v)))
-    r, c, trips = rows["x_K"]
-    K = np.zeros((r, c))
-    for i, j, v in trips:
-        K[i, j] += v
-    fx = fem1d(5, 3.0, "neumann", "dirichlet")
-    assert np.abs(K - fx.K.toarray()).max() < 1e-15

@@ -144,6 +144,27 @@ class TestSpectrum:
         assert code == 2
         assert "betaa" in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"beta": [1.0]},
+        {"disc": None},
+        {"eig": {"k": "4"}},
+        {"rect": None, "mask": "missing.txt"},
+        {"beta": 1e200},
+    ], ids=["beta_list", "disc_null", "k_string", "missing_mask",
+            "beta_overflow"])
+    def test_malformed_config_exits_2(self, capsys, tmp_path, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        if "mask" in overrides:
+            data = json.loads(cfg.read_text())
+            del data["rect"]
+            cfg.write_text(json.dumps(data))
+        code, _, err = run(capsys, "spectrum", str(cfg))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        if "beta" in overrides:
+            assert "beta" in err
+
     def test_straight_run_has_no_bound_rows(self, capsys, tmp_path):
         cfg = write_config(tmp_path, beta=0.0, straight=True)
         out_dir = tmp_path / "out"

@@ -203,6 +203,16 @@ class TestStraightReference:
         # nothing below the band edge: the lowest value is a box mode
         assert rep.eigenvalues[0] >= rep.threshold - 1e-9
 
+    def test_full_sign_assembles_the_full_guide(self):
+        # beta = 0 is the straight tube in every mode: a straight
+        # full_sign run solves on (-L, L), not on the half guide
+        spec = WaveguideSpec(0.0, SQUARE, straight=True)
+        disc = DiscretizationSpec(nx=8, n1=8, n2=8, L=2.0, mode="full_sign")
+        g = disc.rung(0, 0)
+        form = waveguide._build(spec.beta, spec.section, disc, g)
+        assert form.mode == "full_sign"
+        assert form.n == (2 * g.nx - 1) * (g.n1 - 1) * (g.n2 - 1)
+
     def test_straight_flag_is_strict(self):
         with pytest.raises(ValueError, match="shear slope"):
             WaveguideSpec(0.0, SQUARE)
@@ -366,7 +376,8 @@ class TestSweep:
             float(r["lambda"])  # 12-digit floats parse back
 
     def test_json_round_trip(self, square_sweep):
-        data = json.loads(square_sweep.to_json())
+        data = json.loads(json.dumps([r.as_dict()
+                                      for r in square_sweep.reports]))
         assert len(data) == 2
         assert data[0]["beta"] == 0.5
         assert data[0]["count"] >= 1
@@ -380,7 +391,7 @@ class TestSweep:
 class TestReportSerialization:
     def test_json_and_rows(self):
         rep = compute_spectrum(WaveguideSpec(1.0, SQUARE), small_reduced())
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.as_dict()))
         assert d["count"] == rep.count
         assert d["order"] == 2
         assert d["section"] == {"kind": "rect", "a": 0.0, "b": 1.0,
