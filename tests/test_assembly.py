@@ -205,7 +205,7 @@ def test_waveguide_symmetry_probe():
         assert abs(y @ ax - x @ apply(form.A, y)) <= 1e-12 * scale
 
 
-def test_waveguide_zero_shear_separates():
+def test_waveguide_straight_mode_separates():
     form = assemble_waveguide(0.0, UNIT, 4.0, (8, 5, 6))
     assert form.beta == 0.0
     lam = pencil_eigs(form, 4)
