@@ -13,22 +13,29 @@ are plain sine/cosine transforms.
 
 Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
-are solved by dense ``eigh``; above that order a bare sparse (section or
-triangle) pencil is solved by shift-invert ``eigsh`` and any other
-operator by block CG.
+are solved by dense ``eigh``.  Above that order a pencil with a sparse
+matrix (a KronOp/MassKron form or a bare section or triangle pencil)
+whose band Cholesky fits in the memory block CG would hold is factored:
+shift-invert Lanczos (``eigsh``) runs on the band Cholesky of
+A - sigma M, and ``count_below`` reads the count off the inertia of a
+block LDL^T (Sylvester's law with Haynsworth additivity).  Every other
+pencil goes to block CG.  For x-major half-guide forms the half-bandwidth
+is about the section order, so the planar (reduced2d) forms and small 3-D
+sections are factored and large 3-D sections iterate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.fft import dct, dst
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 __all__ = [
     "LinOp",
@@ -56,6 +63,15 @@ __all__ = [
 # pencils up to this order are solved by dense eigh: below it a dense
 # solve is cheaper than iterating
 DENSE_N = 700
+
+# n x bs arrays block CG holds at its peak, the basis change at the end of
+# an iteration: the nine of [X W P] with their A and M products, the
+# residual R, the next X and P with their products at width 2 bs (six),
+# and the 2 bs product temporary of ``_combine`` (two).  A pencil is
+# factored when its band Cholesky takes no more.  (tracemalloc reads about
+# 21 on the strip, square and L-mask forms: the preconditioner's transform
+# buffers come on top.)
+_CG_ARRAYS = 18
 
 
 class LinOp:
@@ -263,6 +279,12 @@ class MassKron(LinOp):
         self.mats = self.terms[0][1]
 
     @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The product as one CSR matrix, built on first use: only a
+        factored solve needs it."""
+        return _assemble(self.terms, self.shape, self.n)
+
+    @functools.cached_property
     def _lu(self):
         return [splu(sp.csc_matrix(m)) for m in self.mats]
 
@@ -454,6 +476,8 @@ class EigResult:
                                # from freshly applied products
     block_theta: np.ndarray    # full block of Ritz values (upper bounds)
     solver: str                # "dense", "block_cg" or "shift_invert"
+    shift: float | None = None  # sigma of a factored solve, certified
+                                # below the spectrum by its Cholesky
 
     @property
     def ok(self) -> bool:
@@ -624,17 +648,164 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         it += 1
 
 
+def _csr(op) -> sp.csr_matrix | None:
+    """The CSR matrix behind a pencil operand; None for a dense or
+    matrix-free one."""
+    if sp.issparse(op):
+        return sp.csr_matrix(op)
+    if isinstance(op, (KronOp, MassKron)):
+        return op.matrix
+    if isinstance(op, SparseOp):
+        return op.a
+    return None
+
+
+def _half_bandwidth(op) -> int | None:
+    """Largest |i - j| over the nonzeros of a pencil operand (0 for an
+    absent M); None for an operand with no sparse matrix.  A MassKron's
+    is read off its factors, so a form that goes to block CG never
+    assembles its mass."""
+    if op is None or isinstance(op, IdentityOp):
+        return 0
+    if isinstance(op, MassKron):
+        kd, stride = 0, 1
+        for m, size in zip(reversed(op.mats), reversed(op.shape)):
+            kd += _half_bandwidth(m) * stride
+            stride *= size
+        return kd
+    m = _csr(op)
+    if m is None:
+        return None
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return int(np.abs(m.indices - rows).max(initial=0))
+
+
+def _band_pencil(A, M, bs: int):
+    """``(A, M, kd)``, the operands as CSR matrices and their
+    half-bandwidth, when the pencil is to be factored; None otherwise.
+
+    An operator form is factored when its band Cholesky, n (kd + 1)
+    doubles, is no larger than the _CG_ARRAYS n x bs arrays block CG
+    would hold.  A bare sparse matrix (a section or triangle pencil) is
+    factored at any bandwidth: block CG has no preconditioner for it but
+    Jacobi, under which its iterations grow with the mesh.
+    """
+    kds = (_half_bandwidth(A), _half_bandwidth(M))
+    if None in kds:
+        return None
+    if not sp.issparse(A) and max(kds) + 1 > _CG_ARRAYS * bs:
+        return None
+    Mc = None if M is None or isinstance(M, IdentityOp) else _csr(M)
+    return _csr(A), Mc, max(kds)
+
+
+def _shifted(A, M, sigma: float) -> sp.csr_matrix:
+    """A - sigma M as a canonical CSR matrix."""
+    n = A.shape[0]
+    S = A - sigma * (sp.identity(n, format="csr") if M is None else M)
+    S = sp.csr_matrix(S)
+    S.sum_duplicates()
+    return S
+
+
+def _lower_band(S: sp.csr_matrix, kd: int) -> np.ndarray:
+    """Symmetric S in LAPACK lower band storage, ab[i - j, j] = S[i, j];
+    column-major, so LAPACK factors it in place."""
+    c = S.tocoo()
+    low = c.row >= c.col
+    ab = np.zeros((kd + 1, S.shape[0]), order="F")
+    ab[c.row[low] - c.col[low], c.col[low]] = c.data[low]
+    return ab
+
+
+def _band_cholesky(A, M, kd: int, sigma: float) -> np.ndarray | None:
+    """Band Cholesky factor of A - sigma M, or None when that matrix is not
+    positive definite, i.e. sigma is not below every eigenvalue."""
+    try:
+        return sla.cholesky_banded(_lower_band(_shifted(A, M, sigma), kd),
+                                   overwrite_ab=True, lower=True,
+                                   check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _negative_count(S: sp.csr_matrix, kd: int) -> int:
+    """Negative eigenvalues of the symmetric S of half-bandwidth kd, by a
+    block LDL^T whose positive definite stretches are band Cholesky.
+
+    The inertia of S is that of a leading block plus that of its Schur
+    complement (Sylvester, Haynsworth).  The band Cholesky (``pbtrf``)
+    factors the leading positive definite stretch in one call.  Where it
+    meets a pivot at row f that is not positive, eliminating the rows
+    before f changes only the kd x kd block B at f, by X^T X with
+    X = L_t^-1 C^T (L_t the last block of the factor, C the coupling of
+    B's rows to the kd rows before f).  B holds the non-positive pivot, so
+    its Cholesky would fail: it is decomposed densely, its negative
+    eigenvalues are counted, and the block after it, corrected by
+    C2 B^-1 C2^T, starts the next stretch.
+    """
+    n = S.shape[0]
+    neg = 0
+    start = 0
+    E = np.zeros((0, 0))   # correction to the leading block of the stretch
+
+    def block(r0, r1, c0, c1):
+        """Rows r0:r1, columns c0:c1 of the corrected stretch, dense."""
+        out = S[start + r0:start + r1, start + c0:start + c1].toarray()
+        e = E.shape[0]
+        out[:max(0, min(r1, e) - r0), :max(0, min(c1, e) - c0)] -= \
+            E[r0:min(r1, e), c0:min(c1, e)]
+        return out
+
+    while True:
+        L = _lower_band(S[start:, start:] if start else S, kd)
+        i, j = np.tril_indices(E.shape[0])
+        L[i - j, j] -= E[i, j]
+        L, info = sla.lapack.dpbtrf(L, lower=1, overwrite_ab=1)
+        if info == 0:
+            return neg
+        size = n - start
+        f = info - 1
+        m = min(kd, size - f)
+        B = block(f, f + m, f, f + m)
+        t = max(0, f - kd)
+        if f > t:
+            i, j = np.tril_indices(f - t)
+            Lt = np.zeros((f - t, f - t))
+            Lt[i, j] = L[i - j, t + j]
+            X = sla.solve_triangular(Lt, block(f, f + m, t, f).T, lower=True)
+            B -= X.T @ X
+        del L   # the next stretch is factored in a fresh band
+        w, V = np.linalg.eigh(B)
+        neg += int(np.count_nonzero(w < 0.0))
+        nxt = f + m
+        if nxt == size:
+            return neg
+        m2 = min(kd, size - nxt)
+        Y = V.T @ block(nxt, nxt + m2, f, f + m).T
+        e = E.shape[0]
+        E2 = np.zeros((max(m2, e - nxt),) * 2)
+        E2[:m2, :m2] = Y.T @ (Y / w[:, None])
+        if e > nxt:
+            E2[:e - nxt, :e - nxt] += E[nxt:, nxt:]
+        E = E2
+        start += nxt
+
+
 def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
-                      precond=None) -> EigResult:
+                      precond=None, *, sigma: float = 0.0) -> EigResult:
     """Lowest ``k`` generalized eigenpairs of (A, M), by the one rule.
 
     Order up to DENSE_N, or ``k=None`` (the full eigenbasis): dense
-    ``eigh``.  Above it, a bare sparse matrix (a section or triangle
-    pencil, positive definite) goes to shift-invert ``eigsh`` at
-    sigma = 0 from a start vector seeded by ``opts.seed``, and any other
-    operator (a KronOp/MassKron form) to ``smallest_eigenpairs`` with
-    ``precond``.  Direct solves report residuals from fresh applies;
-    ``solver`` records the branch taken.
+    ``eigh``.  Above it, a pencil whose band Cholesky fits in what block
+    CG would hold (``_band_pencil``) is factored at ``sigma``: a Cholesky
+    that succeeds proves sigma lies below the spectrum, and shift-invert
+    ``eigsh`` on it from a start vector seeded by ``opts.seed`` returns
+    the lowest k.  A sigma that is not below the spectrum costs one more
+    factorization, at sigma = 0.  Any other pencil, or one whose A is not
+    positive definite, goes to ``smallest_eigenpairs`` with ``precond``.
+    Direct solves report residuals from fresh applies; ``solver`` records
+    the branch taken and ``shift`` the certified sigma.
     """
     opts = opts or EigOptions()
     Aop = as_operator(A)
@@ -642,21 +813,33 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     n = Aop.n
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    shift = None
     if k is None or n <= DENSE_N:
         solver = "dense"
         Ad = materialize(Aop)
         Md = None if M is None else materialize(Mop)
         theta, V = sla.eigh(Ad, Md,
                             subset_by_index=None if k is None else [0, k - 1])
-    elif not sp.issparse(A):
-        return smallest_eigenpairs(A, M, dataclasses.replace(opts, k=k),
-                                   precond)
     else:
+        band = _band_pencil(A, M, min(opts.block or k + 3, n))
+        chol = None
+        if band is not None:
+            Ac, Mc, kd = band
+            for shift in ([0.0] if sigma == 0.0 else [float(sigma), 0.0]):
+                chol = _band_cholesky(Ac, Mc, kd, shift)
+                if chol is not None:
+                    break
+        if chol is None:
+            return smallest_eigenpairs(A, M, dataclasses.replace(opts, k=k),
+                                       precond)
         solver = "shift_invert"
+        OPinv = LinearOperator(
+            (n, n), dtype=float,
+            matvec=lambda b: sla.cho_solve_banded((chol, True), b,
+                                                  check_finite=False))
         v0 = np.random.default_rng(opts.seed).standard_normal(n)
-        theta, V = eigsh(sp.csc_matrix(A), k=k,
-                         M=None if M is None else sp.csc_matrix(M),
-                         sigma=0.0, which="LM", v0=v0)
+        theta, V = eigsh(Ac, k=k, M=Mc, sigma=shift, which="LM",
+                         OPinv=OPinv, v0=v0)
         order = np.argsort(theta)
         theta, V = theta[order], V[:, order]
         if M is not None:
@@ -664,21 +847,26 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     MV = V if M is None else Mop.matmat(V)
     res = np.linalg.norm(Aop.matmat(V) - MV * theta, axis=0)
     return EigResult(theta, V, np.ones(theta.size, dtype=bool), 0, 0, res,
-                     theta.copy(), solver)
+                     theta.copy(), solver, shift)
 
 
 @dataclass
 class CountResult:
     count: int
-    boundary: bool             # some Ritz value inside the safety band
-    clearance: float           # smallest converged value above T, minus T
+    boundary: bool             # some eigenvalue inside the safety band
+    # smallest converged value above T, minus T; inf for an inertia
+    # count, which sees every eigenvalue
+    clearance: float
     threshold: float
     safety: float
-    result: EigResult
+    result: EigResult | None   # the block solve; None for an inertia count
+    # negative eigenvalues of A - (T -/+ safety) M, for an inertia count
+    inertia: tuple[int, int] | None = None
 
     @property
     def reliable(self) -> bool:
-        return (not self.boundary) and self.result.ok and self.clearance > 0
+        return ((not self.boundary) and self.clearance > 0
+                and (self.result is None or self.result.ok))
 
 
 def count_below(A, M, threshold: float, safety: float,
@@ -686,17 +874,29 @@ def count_below(A, M, threshold: float, safety: float,
                 kmax: int = 48) -> CountResult:
     """Count eigenvalues certified below ``threshold - safety``.
 
-    Ritz values bound eigenvalues from above, so a converged value under
-    the band certifies one eigenvalue there.  The block grows until at
-    least one converged value clears ``threshold + safety``, so the
-    count cannot be truncated by a too-small search space.  Each growth
-    step is one ``lowest_eigenpairs`` solve.
+    A pencil that ``lowest_eigenpairs`` would factor is counted exactly
+    by the inertia of A - (T - s) M; ``boundary`` is set when the inertia
+    at T + s differs.  Otherwise Ritz values bound eigenvalues from above,
+    so a converged value under the band certifies one eigenvalue there.
+    The block grows until at least one converged value clears
+    ``threshold + safety``, so the count cannot be truncated by a
+    too-small search space.  Each growth step is one
+    ``lowest_eigenpairs`` solve.
     """
     if safety < 0:
         raise ValueError(f"safety band must be nonnegative, got {safety}")
     n = as_operator(A).n
     base = opts or EigOptions()
     k = max(base.k, 4)
+    band = None if n <= DENSE_N else _band_pencil(
+        A, M, min(base.block or k + 3, n))
+    if band is not None:
+        Ac, Mc, kd = band
+        below = _negative_count(_shifted(Ac, Mc, threshold - safety), kd)
+        above = below if safety == 0 else _negative_count(
+            _shifted(Ac, Mc, threshold + safety), kd)
+        return CountResult(below, above != below, math.inf, threshold,
+                           safety, None, (below, above))
     while True:
         k = min(k, n)
         res = lowest_eigenpairs(A, M, k, base, precond)

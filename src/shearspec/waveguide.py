@@ -122,7 +122,7 @@ class RungResult:
     ``eigenvalues`` are always on the full-guide scale; in reduced mode
     they are channel sums and ``planar`` keeps the raw planar values
     they came from.  ``solver`` is the branch of ``lowest_eigenpairs``
-    that produced them.
+    that produced them and ``shift`` the sigma of a factored solve.
     """
 
     grid: RungGrid
@@ -138,6 +138,10 @@ class RungResult:
     # displayed value list is truncated while the count is not
     below: int = 0
     solver: str = ""
+    shift: float | None = None    # certified sigma of a factored solve
+    # negative eigenvalues at threshold -/+ band, on an inertia-counted
+    # top rung
+    inertia: tuple[int, int] | None = None
 
 
 @dataclass
@@ -199,6 +203,8 @@ class SpectrumReport:
                 "seconds": rr.seconds,
                 "iterations": rr.iterations,
                 "solver": rr.solver,
+                "shift": rr.shift,
+                "inertia": None if rr.inertia is None else list(rr.inertia),
             })
         return d
 
@@ -269,15 +275,20 @@ def _channel_sums(planar: np.ndarray, rect: Rect, e1: float,
 
     Planar values at or above the planar threshold only produce sums at
     or above e1, so a planar list with clearance above its own threshold
-    makes the sum list complete below e1.
+    makes the sum list complete below e1.  The channel loop stops at the
+    first k > 1 whose offset exceeds e1 + band, or whose lowest sum
+    exceeds both e1 + band and every channel-1 sum: from there on no sum
+    is counted, sits in the band or ranks among the first len(planar).
     """
     w1 = rect.width1
     kmax = max(1, int(math.floor(w1 * math.sqrt(max(e1, 0.0)) / math.pi)) + 1)
+    lowest = min(planar)
+    ceiling = max(e1 + band, max(planar) + (math.pi / w1) ** 2)
     entries = []
     count = 0
     for k in range(1, kmax + 1):
         off = (math.pi * k / w1) ** 2
-        if off > e1 + band and k > 1:
+        if k > 1 and (off > e1 + band or off + lowest > ceiling):
             break
         for m, p in enumerate(planar):
             v = p + off
@@ -306,10 +317,17 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     """Run the full ladder and report extrapolated eigenvalues, the
     below-threshold count with its safety band, and stability flags.
 
-    The finest rung runs first with an adaptive block that keeps growing
-    until a converged value clears the threshold; the block size it
-    settles on fixes how many pairs every other rung resolves, so values
-    stay index-aligned across the ladder.
+    The finest rung is counted first: by inertia when its pencil is
+    factored, otherwise by a block that keeps growing until a converged
+    value clears the threshold.  The count fixes how many pairs every rung
+    resolves, so values stay index-aligned across the ladder.  The rungs
+    are then solved from coarse to fine, box steps last.  Nested spaces
+    make the lowest value fall along the mesh series at about a quarter of
+    the last drop per step, so each factored solve is shifted to the
+    previous mesh rung's lowest value minus that rung's drop (the first,
+    minus its drop from the threshold): close below its spectrum, and
+    certified below it by the factorization.  A block-CG top rung reuses
+    the values of its count.
     """
     t_start = time.perf_counter()
     base = opts or EigOptions(k=4, tol=1e-9)
@@ -327,39 +345,55 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     pairs = disc.ladder()
     top = pairs[-1]
     tr, ts = top
-    results: dict[tuple[int, int], RungResult] = {}
+    # planar values sit one channel offset below the full-guide ones
+    offset = (math.pi / section.width1) ** 2 if reduced else 0.0
 
-    # finest rung: adaptive counting pass
-    g = _grid_for(disc, section, *top)
     t0 = time.perf_counter()
-    form = _build(beta, section, disc, g)
-    e1_top = _rung_threshold(beta, form)
-    if reduced:
-        solver_thr = e1_top - (math.pi / section.width1) ** 2
-    else:
-        solver_thr = e1_top
+    top_form = _build(beta, section, disc, _grid_for(disc, section, *top))
+    e1_top = _rung_threshold(beta, top_form)
     band0 = 1e-6 * abs(e1_top)
-    pre = form.preconditioner()
-    cres = count_below(form.A, form.M, solver_thr, band0, opts=base,
-                       precond=pre)
+    top_pre = top_form.preconditioner()
+    top_warnings = top_form.warnings
+    cres = count_below(top_form.A, top_form.M, e1_top - offset, band0,
+                       opts=base, precond=top_pre)
     if not cres.reliable:
         flags.append(f"unreliable_count:r{tr}s{ts}")
     k_solve = max(base.k, 4, cres.count + 2)
-    sol = cres.result
-    if len(sol.theta) < k_solve:
-        sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre)
-    results[top] = _make_rung(g, e1_top, sol, k_solve, reduced, section,
-                              form.warnings, time.perf_counter() - t0)
+    top_sol = cres.result
+    if top_sol is not None and len(top_sol.theta) < k_solve:
+        top_sol = None
+    if top_sol is not None:
+        top_form = top_pre = None   # values in hand: free the pencil
+    top_seconds = time.perf_counter() - t0
 
-    for p in pairs[:-1]:
+    results: dict[tuple[int, int], RungResult] = {}
+    theta1 = drop = None
+    mesh = [(r, ts) for r in range(disc.refine)]
+    for p in mesh + [(tr, s) for s in range(ts)]:
         g = _grid_for(disc, section, *p)
         t0 = time.perf_counter()
-        form = _build(beta, section, disc, g)
-        e1_r = _rung_threshold(beta, form)
-        sol = lowest_eigenpairs(form.A, form.M, k_solve, base,
-                                form.preconditioner())
+        if p == top:
+            form, pre, e1_r, warnings = top_form, top_pre, e1_top, top_warnings
+            top_form = top_pre = None
+            sol, seconds = top_sol, top_seconds
+        else:
+            form = _build(beta, section, disc, g)
+            pre = form.preconditioner()
+            e1_r, warnings = _rung_threshold(beta, form), form.warnings
+            sol, seconds = None, 0.0
+        if sol is None:
+            sigma = 0.0 if theta1 is None else theta1 - drop
+            sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre,
+                                    sigma=sigma)
+        form = pre = None   # one pencil alive at a time
         results[p] = _make_rung(g, e1_r, sol, k_solve, reduced, section,
-                                form.warnings, time.perf_counter() - t0)
+                                warnings,
+                                seconds + time.perf_counter() - t0)
+        if p in mesh:
+            last = e1_r - offset if theta1 is None else theta1
+            theta1 = float(sol.theta[0])
+            drop = last - theta1
+    results[top].inertia = cres.inertia
 
     for (r, s), rr in sorted(results.items()):
         if not rr.converged.all():
@@ -397,7 +431,9 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
 
     if reduced:
         safety_planar = np.maximum(1e-6 * abs(e1_ext), est + thr_est)
-        entries, _ = _channel_sums(ext, section, e1_ext, 0.0)
+        # the widest band keeps every sum the boundary test below reads
+        entries, _ = _channel_sums(ext, section, e1_ext,
+                                   float(safety_planar.max()))
         count = sum(1 for v, m, _ in entries
                     if v < e1_ext - safety_planar[m])
         take = entries[:k_solve]
@@ -461,11 +497,11 @@ def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int, reduced: bool,
         cc = np.array([conv[m] for _, m, _ in take])
         return RungResult(g, e1, vals, rr, cc, seconds, warn,
                           planar=theta.copy(), iterations=sol.iterations,
-                          below=below, solver=sol.solver)
+                          below=below, solver=sol.solver, shift=sol.shift)
     below = int(np.sum(theta < e1 - band))
     return RungResult(g, e1, theta.copy(), res.copy(), conv.copy(),
                       seconds, warn, iterations=sol.iterations, below=below,
-                      solver=sol.solver)
+                      solver=sol.solver, shift=sol.shift)
 
 
 def _flag_monotone(results, disc: DiscretizationSpec, reduced: bool,

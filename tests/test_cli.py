@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from shearspec.cli import ConfigError, load_mask, main
+from shearspec import cli
+from shearspec.cli import ConfigError, load_config, load_mask, main
 from shearspec.waveguide import CSV_COLUMNS
 
 PI2 = math.pi ** 2
@@ -150,11 +151,15 @@ class TestSpectrum:
         {"eig": {"k": "4"}},
         {"rect": None, "mask": "missing.txt"},
         {"beta": 1e200},
+        {"beta": 1e150},
+        {"rect": None, "mask": "m4.txt", "beta": 1e154,
+         "disc": {"nx": 8, "n1": 8, "n2": 8, "L": 4.0, "mode": "half"}},
     ], ids=["beta_list", "disc_null", "k_string", "missing_mask",
-            "beta_overflow"])
+            "beta_overflow", "beta_1e150_reduced", "beta_1e154_mask"])
     def test_malformed_config_exits_2(self, capsys, tmp_path, overrides):
         cfg = write_config(tmp_path, **overrides)
         if "mask" in overrides:
+            (tmp_path / "m4.txt").write_text("cell 0.25\n" + "1111\n" * 4)
             data = json.loads(cfg.read_text())
             del data["rect"]
             cfg.write_text(json.dumps(data))
@@ -164,6 +169,39 @@ class TestSpectrum:
         assert len(err.strip().splitlines()) == 1
         if "beta" in overrides:
             assert "beta" in err
+
+    def test_largest_resolved_beta_loads(self, tmp_path):
+        # 1 + beta^2 is exact up to beta = 2^26; one step above it is not
+        load_config(str(write_config(tmp_path, beta=2.0 ** 26)))
+        with pytest.raises(ConfigError, match="beta"):
+            load_config(str(write_config(tmp_path, beta=2.0 ** 26 * 1.01)))
+
+    def test_report_traces_shifts_not_csv(self, capsys, tmp_path):
+        cfg = write_config(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(capsys, "spectrum", str(cfg), "--out", str(a))[0] == 0
+        assert run(capsys, "spectrum", str(cfg), "--out", str(b))[0] == 0
+        rungs = json.loads((a / "report.json").read_text())["rungs"]
+        assert [r["solver"] for r in rungs] == ["dense", "shift_invert",
+                                                "shift_invert"]
+        assert rungs[0]["shift"] is None and rungs[1]["shift"] > 0
+        assert [r["inertia"] for r in rungs] == [None, None, [1, 1]]
+        text = (a / "eigenvalues.csv").read_text()
+        assert text.splitlines()[0] == ("beta,mode,rung,L,nx,n1,n2,j,lambda,"
+                                        "residual,below_threshold,flags")
+        assert (a / "eigenvalues.csv").read_bytes() == \
+               (b / "eigenvalues.csv").read_bytes()
+
+    def test_empty_failure_message_names_the_exception(self, capsys,
+                                                         monkeypatch):
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_thresholds", exhausted)
+        code, _, err = run(capsys, "thresholds", "--beta", "1",
+                           "--rect", "0,1,0,1")
+        assert code == 3
+        assert err.strip() == "solver failure: MemoryError"
 
     def test_straight_run_has_no_bound_rows(self, capsys, tmp_path):
         cfg = write_config(tmp_path, beta=0.0, straight=True)
@@ -177,9 +215,10 @@ class TestSpectrum:
         assert all(r["below_threshold"] == "0" for r in rows)
 
     def test_nonconvergence_exits_3(self, capsys, tmp_path):
+        # sections of 11 x 11 and up are too wide to factor: block CG
         cfg = write_config(tmp_path,
-                           disc={"nx": 104, "n1": 8, "n2": 8, "L": 4.0,
-                                 "mode": "reduced", "refine": 2,
+                           disc={"nx": 8, "n1": 12, "n2": 12, "L": 4.0,
+                                 "mode": "half", "refine": 2,
                                  "l_steps": 2},
                            eig={"k": 4, "tol": 1e-14, "maxit": 2})
         code, out, _ = run(capsys, "spectrum", str(cfg))

@@ -360,15 +360,27 @@ def test_shear_pencils_match_dense_eigh(mode):
     assert res.theta == pytest.approx(dense, rel=1e-10)
 
 
+def wide_pencils():
+    """3-D pencils whose sections are too wide to factor (half-bandwidth
+    133 against a band limit of 18 (k + 3) = 108 at k = 3)."""
+    unit = Rect(0.0, 1.0, 0.0, 1.0)
+    return {
+        "half_DN": assemble_waveguide(1.0, unit, 3.0, (8, 12, 12)),
+        "full_sign": assemble_waveguide(1.0, unit, 2.0, (4, 12, 12),
+                                        "full_sign"),
+    }
+
+
 @pytest.mark.parametrize("kind, iterative", [
-    ("reduced2d", "block_cg"), ("half_DN", "block_cg"),
+    ("reduced2d", "shift_invert"), ("half_DN", "block_cg"),
     ("full_sign", "block_cg"), ("section", "shift_invert")])
 def test_lowest_eigenpairs_branches_agree(monkeypatch, kind, iterative):
     if kind == "section":
         K1, K2, _, M = section_fem(l_shaped_mask(12))
         A, pre = (K1 + 2.0 * K2).tocsr(), None
     else:
-        form = shear_pencils()[kind]
+        pencils = shear_pencils() if kind == "reduced2d" else wide_pencils()
+        form = pencils[kind]
         A, M, pre = form.A, form.M, form.preconditioner()
     got = {}
     for dense_n, solver in ((10**9, "dense"), (0, iterative)):
@@ -377,8 +389,104 @@ def test_lowest_eigenpairs_branches_agree(monkeypatch, kind, iterative):
         assert res.solver == solver
         assert res.ok
         assert np.all(res.residuals <= 1e-8 * res.theta)
+        assert (res.shift is None) == (solver != "shift_invert")
         got[solver] = res.theta
     assert got[iterative] == pytest.approx(got["dense"], rel=1e-10)
+
+
+# -------------------------------------------------------- factored pencils
+
+def test_fit_rule_sends_pencils_by_band_against_block_memory():
+    unit = Rect(0.0, 1.0, 0.0, 1.0)
+    narrow = assemble_reduced2d(1.0, unit, 3.0, (64, 16))
+    wide = assemble_reduced2d(1.0, unit, 3.0, (8, 128))
+    solid = wide_pencils()["half_DN"]
+    # x-major half-guide forms: half-bandwidth n2 on reduced2d, the
+    # section order plus n2 in 3-D
+    assert eigcore._half_bandwidth(narrow.A) == 16
+    assert eigcore._half_bandwidth(wide.A) == 128
+    assert eigcore._half_bandwidth(solid.A) == 121 + 12
+    # the mass bandwidth comes from its factors, unassembled
+    assert eigcore._half_bandwidth(solid.M) == 133
+    assert "matrix" not in vars(solid.M)
+    opts = EigOptions(tol=1e-10)
+    got = {}
+    for name, form in (("narrow", narrow), ("wide", wide),
+                       ("solid", solid)):
+        assert form.n > eigcore.DENSE_N
+        got[name] = lowest_eigenpairs(form.A, form.M, 4, opts,
+                                      form.preconditioner()).solver
+    assert got == {"narrow": "shift_invert", "wide": "block_cg",
+                   "solid": "block_cg"}
+    # the limit is 18 n x bs arrays: kd + 1 = 129 fits a block of 8
+    assert eigcore._band_pencil(wide.A, wide.M, 7) is None
+    assert eigcore._band_pencil(wide.A, wide.M, 8) is not None
+    # a bare section pencil has no block-CG preconditioner: factored at
+    # any bandwidth
+    K1, K2, _, Msec = section_fem(l_shaped_mask(96))
+    K = (K1 + 2.0 * K2).tocsr()
+    assert eigcore._half_bandwidth(K) + 1 > 18 * 4
+    res = lowest_eigenpairs(K, Msec, 1, opts)
+    assert res.solver == "shift_invert"
+    assert res.residuals[0] <= 1e-10 * res.theta[0]
+
+
+def dense_spectrum(form):
+    return sla.eigh(materialize(form.A), materialize(form.M),
+                    eigvals_only=True)
+
+
+@pytest.mark.parametrize("mode", ["reduced2d", "half_DN", "mask",
+                                  "full_sign"])
+def test_inertia_counts_match_dense_counts(monkeypatch, mode):
+    form = shear_pencils()[mode]
+    lam = dense_spectrum(form)
+    low = lam[:41]
+    shifts = np.concatenate([[0.5 * lam[0]], 0.5 * (low[1:] + low[:-1]),
+                             low[:40] * (1.0 - 1e-9),
+                             low[:40] * (1.0 + 1e-9)])
+    monkeypatch.setattr(eigcore, "DENSE_N", 0)
+    for s in shifts:
+        r = count_below(form.A, form.M, s, 0.0)
+        assert r.result is None and r.reliable
+        assert r.count == np.count_nonzero(lam < s), s
+
+
+def test_inertia_count_flags_the_band(monkeypatch):
+    form = shear_pencils()["reduced2d"]
+    lam = dense_spectrum(form)
+    monkeypatch.setattr(eigcore, "DENSE_N", 0)
+    r = count_below(form.A, form.M, lam[2], 1e-6 * lam[2])
+    assert (r.count, r.inertia, r.boundary) == (2, (2, 3), True)
+    assert not r.reliable
+    clear = 0.5 * (lam[2] + lam[3])
+    r = count_below(form.A, form.M, clear, 1e-6 * clear)
+    assert (r.count, r.inertia, r.boundary) == (3, (3, 3), False)
+    assert r.reliable and r.clearance == math.inf
+
+
+def test_factored_shift_above_the_spectrum_falls_back(monkeypatch):
+    form = shear_pencils()["half_DN"]
+    lam = dense_spectrum(form)[:4]
+    monkeypatch.setattr(eigcore, "DENSE_N", 0)
+    below = lowest_eigenpairs(form.A, form.M, 4, sigma=0.9 * lam[0])
+    assert below.shift == 0.9 * lam[0]
+    for sigma in (lam[1], 10.0 * lam[0]):
+        res = lowest_eigenpairs(form.A, form.M, 4, sigma=sigma)
+        assert res.solver == "shift_invert" and res.shift == 0.0
+        assert res.theta == pytest.approx(lam, rel=1e-10)
+        assert res.theta == pytest.approx(below.theta, rel=1e-12)
+        assert np.all(res.residuals <= 1e-10 * res.theta)
+
+
+def test_indefinite_sparse_pencil_iterates():
+    # no shift makes A - sigma I positive definite from sigma = 0: the
+    # factored branch hands the pencil to block CG
+    lam = np.linspace(-2.0, 10.0, 800)
+    res = lowest_eigenpairs(sp.diags(lam).tocsr(), None, 3,
+                            EigOptions(tol=1e-9))
+    assert res.solver == "block_cg"
+    assert res.theta == pytest.approx(lam[:3], rel=1e-8)
 
 
 # ---------------------------------------------------------------- counting

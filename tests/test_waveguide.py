@@ -12,10 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearspec import eigcore, waveguide
 from shearspec.cross_section import l_shaped_mask
-from shearspec.eigcore import EigOptions
+from shearspec.eigcore import EigOptions, lowest_eigenpairs, smallest_eigenpairs
 from shearspec.geometry import Rect, WaveguideSpec
 from shearspec.thresholds import ess_threshold
 from shearspec.waveguide import (
@@ -326,19 +328,22 @@ class TestSeparationCheck:
         assert sep.max_rel <= 1e-12
         assert any(k == 2 for _, k in sep.pairs)
 
-    def test_c08_grid_iterates_on_the_3d_pencil(self, monkeypatch):
-        orders = []
-        solve = eigcore.smallest_eigenpairs
+    def test_c08_grid_factors_the_3d_pencil(self, monkeypatch):
+        solves = []
+        solve = waveguide.lowest_eigenpairs
 
         def spy(A, *args, **kwargs):
-            orders.append(A.n)
-            return solve(A, *args, **kwargs)
+            res = solve(A, *args, **kwargs)
+            solves.append((A.n, res.solver))
+            return res
 
-        monkeypatch.setattr(eigcore, "smallest_eigenpairs", spy)
+        monkeypatch.setattr(waveguide, "lowest_eigenpairs", spy)
         disc = DiscretizationSpec(nx=16, n1=10, n2=12, L=4.0)
         sep = separation_check(WaveguideSpec(1.0, SQUARE), disc)
-        # the 3-D pencil is above DENSE_N, the planar one below it
-        assert orders == [16 * 9 * 11]
+        # the 3-D pencil is above DENSE_N with half-bandwidth 9 * 11 + 12
+        # = 111, under the band limit 18 (4 + 3) = 126; the planar one is
+        # below DENSE_N
+        assert solves == [(16 * 9 * 11, "shift_invert"), (16 * 11, "dense")]
         assert sep.max_rel <= 1e-10
 
     def test_rejects_masks(self):
@@ -398,9 +403,13 @@ class TestReportSerialization:
                                 "c": 0.0, "d": 1.0}
         assert set(d["counts_by_rung"]) == {"r0s1", "r1s0", "r1s1"}
         # r0s1 has order 48 * 7 = 336, at or below DENSE_N; the others
-        # are above it
-        assert [r["solver"] for r in d["rungs"]] == ["dense", "block_cg",
-                                                     "block_cg"]
+        # are above it, with half-bandwidth n2 = 16: factored
+        assert [r["solver"] for r in d["rungs"]] == ["dense", "shift_invert",
+                                                     "shift_invert"]
+        assert [r["shift"] is None for r in d["rungs"]] == [True, False,
+                                                           False]
+        # the top rung is counted by inertia at E1 -/+ band
+        assert [r["inertia"] for r in d["rungs"]] == [None, None, [1, 1]]
         rows = rep.rows()
         assert all(tuple(r) == CSV_COLUMNS for r in rows)
         ext = [r for r in rows if r["rung"] == "ext"]
@@ -410,7 +419,8 @@ class TestReportSerialization:
 
 class TestNonconvergence:
     def test_flagged_not_raised(self):
-        disc = DiscretizationSpec(nx=104, n1=8, n2=8, L=4.0, mode="reduced2d",
+        # sections of 11 x 11 and up are too wide to factor: block CG
+        disc = DiscretizationSpec(nx=8, n1=12, n2=12, L=4.0, mode="half_DN",
                                   refine=2, l_steps=2)
         opts = EigOptions(k=4, tol=1e-14, maxit=2)
         rep = compute_spectrum(WaveguideSpec(1.0, SQUARE), disc, opts)
@@ -432,3 +442,92 @@ class TestBenchmarkProfile:
     def test_masks_rejected(self):
         with pytest.raises(ValueError, match="rectangle"):
             benchmark_disc(l_shaped_mask(12))
+
+
+class TestFactoredRungs:
+    """Factored solves against block CG on the rungs of the strip and
+    shear-sweep benchmark ladders."""
+
+    STRIP_LADDER = DiscretizationSpec(nx=40, n1=8, n2=8, L=21.2,
+                                      mode="reduced2d", refine=3, l_steps=2)
+    SWEEP_LADDER = DiscretizationSpec(nx=8, n1=8, n2=8, L=4.0,
+                                      mode="reduced2d", refine=3, l_steps=2)
+
+    @pytest.mark.parametrize("rect, beta, disc", [
+        (STRIP, 1.0, STRIP_LADDER), (SQUARE, 0.5, SWEEP_LADDER),
+        (SQUARE, 3.0, SWEEP_LADDER)], ids=["strip", "sweep0.5", "sweep3"])
+    def test_values_agree_with_block_cg(self, monkeypatch, rect, beta, disc):
+        monkeypatch.setattr(eigcore, "DENSE_N", 0)
+        opts = EigOptions(k=4, tol=1e-11)
+        for p in disc.ladder():
+            g = waveguide._grid_for(disc, rect, *p)
+            form = waveguide._build(beta, rect, disc, g)
+            fac = lowest_eigenpairs(form.A, form.M, 4, opts)
+            cg = smallest_eigenpairs(form.A, form.M, opts,
+                                     form.preconditioner())
+            assert fac.solver == "shift_invert" and cg.ok
+            assert fac.theta == pytest.approx(cg.theta, rel=1e-10), p
+
+    def test_ladder_shifts_sit_below_each_rung(self):
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), self.STRIP_LADDER)
+        by = {(rr.grid.r, rr.grid.s): rr for rr in rep.rungs}
+        assert by[(0, 1)].solver == "dense" and by[(0, 1)].shift is None
+        for p in ((1, 1), (2, 1), (2, 0)):
+            rr = by[p]
+            assert rr.solver == "shift_invert"
+            # the guess from the previous mesh drop was certified, not
+            # replaced by the sigma = 0 fallback
+            assert 0.0 < rr.shift < rr.planar[0]
+        assert by[(2, 1)].inertia == (1, 1)
+
+
+def _channel_sums_seed(planar, rect, e1, band):
+    """``waveguide._channel_sums`` as it was before the channel bound."""
+    w1 = rect.width1
+    kmax = max(1, int(math.floor(w1 * math.sqrt(max(e1, 0.0)) / math.pi)) + 1)
+    entries = []
+    count = 0
+    for k in range(1, kmax + 1):
+        off = (math.pi * k / w1) ** 2
+        if off > e1 + band and k > 1:
+            break
+        for m, p in enumerate(planar):
+            v = p + off
+            entries.append((v, m, k))
+            if v < e1 - band:
+                count += 1
+    entries.sort()
+    return entries, count
+
+
+class TestChannelSums:
+    @settings(max_examples=300, deadline=None)
+    @given(planar=st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=8),
+           w1=st.floats(0.3, 3.0), e1=st.floats(0.0, 400.0),
+           band=st.floats(0.0, 30.0))
+    def test_same_count_list_and_band_as_unbounded(self, planar, w1, e1,
+                                                   band):
+        rect = Rect(0.0, w1, 0.0, 1.0)
+        got, count = waveguide._channel_sums(planar, rect, e1, band)
+        want, want_count = _channel_sums_seed(planar, rect, e1, band)
+        assert count == want_count
+        k = len(planar)
+        assert got[:k] == want[:k]
+        assert set(got) <= set(want)
+        near = [e for e in want if abs(e[0] - e1) <= band]
+        assert [e for e in got if abs(e[0] - e1) <= band] == near
+
+    def test_strong_shear_lists_one_channel(self):
+        # near the planar threshold the second channel's lowest sum is
+        # already above every first-channel sum and E1: the unbounded walk
+        # took every channel below E1, about beta of them, 400,000 entries
+        # here
+        beta = 1e5
+        e1 = ess_threshold(beta, SQUARE)
+        thr = e1 - PI2
+        planar = np.array([thr - 1.0, thr + 0.5, thr + 2.0, thr + 3.0])
+        entries, count = waveguide._channel_sums(planar, SQUARE, e1, 0.0)
+        assert count == 1
+        assert [(m, k) for _, m, k in entries] == [(0, 1), (1, 1), (2, 1),
+                                                   (3, 1)]
+        assert len(_channel_sums_seed(planar, SQUARE, e1, 0.0)[0]) == 400_000
