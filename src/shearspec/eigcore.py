@@ -13,15 +13,15 @@ are plain sine/cosine transforms.
 
 Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
-are solved by dense ``eigh``.  Above that order a pencil with a sparse
-matrix (a KronOp/MassKron form or a bare section or triangle pencil)
-whose band Cholesky fits in the memory block CG would hold is factored:
-shift-invert Lanczos (``eigsh``) runs on the band Cholesky of
-A - sigma M, and ``count_below`` reads the count off the inertia of a
-block LDL^T (Sylvester's law with Haynsworth additivity).  Every other
-pencil goes to block CG.  For x-major half-guide forms the half-bandwidth
-is about the section order, so the planar (reduced2d) forms and small 3-D
-sections are factored and large 3-D sections iterate.
+are solved by dense ``eigh``.  Above that order a KronOp/MassKron form
+whose band Cholesky fits in the memory block CG would hold, and every
+bare sparse (section or triangle) pencil, is factored: shift-invert
+Lanczos (``eigsh``) runs on the band Cholesky of A - sigma M, and
+``count_below`` reads the count off the inertia of a block LDL^T
+(Sylvester's law with Haynsworth additivity).  Every other pencil goes to
+block CG.  For x-major half-guide forms the half-bandwidth is about the
+section order, so the planar (reduced2d) forms and small 3-D sections are
+factored and large 3-D sections iterate.
 """
 
 from __future__ import annotations
@@ -776,7 +776,7 @@ def _negative_count(S: sp.csr_matrix, kd: int) -> int:
             X = sla.solve_triangular(Lt, block(f, f + m, t, f).T, lower=True)
             B -= X.T @ X
         del L   # the next stretch is factored in a fresh band
-        w, V = np.linalg.eigh(B)
+        w, V = sla.eigh(B)
         neg += int(np.count_nonzero(w < 0.0))
         nxt = f + m
         if nxt == size:
@@ -797,8 +797,8 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     """Lowest ``k`` generalized eigenpairs of (A, M), by the one rule.
 
     Order up to DENSE_N, or ``k=None`` (the full eigenbasis): dense
-    ``eigh``.  Above it, a pencil whose band Cholesky fits in what block
-    CG would hold (``_band_pencil``) is factored at ``sigma``: a Cholesky
+    ``eigh``.  Above it, a pencil that ``_band_pencil`` selects is
+    factored at ``sigma``: a Cholesky
     that succeeds proves sigma lies below the spectrum, and shift-invert
     ``eigsh`` on it from a start vector seeded by ``opts.seed`` returns
     the lowest k.  A sigma that is not below the spectrum costs one more
