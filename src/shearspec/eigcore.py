@@ -655,8 +655,6 @@ def _csr(op) -> sp.csr_matrix | None:
         return sp.csr_matrix(op)
     if isinstance(op, (KronOp, MassKron)):
         return op.matrix
-    if isinstance(op, SparseOp):
-        return op.a
     return None
 
 
@@ -665,7 +663,7 @@ def _half_bandwidth(op) -> int | None:
     absent M); None for an operand with no sparse matrix.  A MassKron's
     is read off its factors, so a form that goes to block CG never
     assembles its mass."""
-    if op is None or isinstance(op, IdentityOp):
+    if op is None:
         return 0
     if isinstance(op, MassKron):
         kd, stride = 0, 1
@@ -695,8 +693,7 @@ def _band_pencil(A, M, bs: int):
         return None
     if not sp.issparse(A) and max(kds) + 1 > _CG_ARRAYS * bs:
         return None
-    Mc = None if M is None or isinstance(M, IdentityOp) else _csr(M)
-    return _csr(A), Mc, max(kds)
+    return _csr(A), None if M is None else _csr(M), max(kds)
 
 
 def _shifted(A, M, sigma: float) -> sp.csr_matrix:
@@ -776,7 +773,9 @@ def _negative_count(S: sp.csr_matrix, kd: int) -> int:
             X = sla.solve_triangular(Lt, block(f, f + m, t, f).T, lower=True)
             B -= X.T @ X
         del L   # the next stretch is factored in a fresh band
-        w, V = sla.eigh(B)
+        # LAPACK's driver, as for the band factor: one thread pool, and
+        # no dense solve for the tracer to count
+        w, V, _ = sla.lapack.dsyevd(B)
         neg += int(np.count_nonzero(w < 0.0))
         nxt = f + m
         if nxt == size:
