@@ -780,14 +780,10 @@ def _negative_count(S: sp.csr_matrix, kd: int) -> int:
         nxt = f + m
         if nxt == size:
             return neg
-        m2 = min(kd, size - nxt)
-        Y = V.T @ block(nxt, nxt + m2, f, f + m).T
-        e = E.shape[0]
-        E2 = np.zeros((max(m2, e - nxt),) * 2)
-        E2[:m2, :m2] = Y.T @ (Y / w[:, None])
-        if e > nxt:
-            E2[:e - nxt, :e - nxt] += E[nxt:, nxt:]
-        E = E2
+        # B is a full kd block here (m = kd <= nxt), so the old correction
+        # lies behind and the next stretch starts with the new one only
+        Y = V.T @ block(nxt, nxt + min(kd, size - nxt), f, nxt).T
+        E = Y.T @ (Y / w[:, None])
         start += nxt
 
 
