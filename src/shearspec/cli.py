@@ -144,8 +144,8 @@ def _disc_from(cfg: dict) -> DiscretizationSpec:
 
 
 def _eig_from(cfg: dict) -> EigOptions:
-    _check_keys(cfg, {"k": INT, "block": ((int, type(None)), "an integer"),
-                      "tol": NUM, "maxit": INT, "seed": INT}, "eig")
+    _check_keys(cfg, {"k": INT, "tol": NUM, "maxit": INT, "seed": INT},
+                "eig")
     return EigOptions(**cfg)
 
 
@@ -259,7 +259,7 @@ def _report_exit(flags) -> int:
 
 def cmd_thresholds(args) -> int:
     section = _section_arg(args)
-    beta = beta_value(args.beta)
+    beta = _beta_arg(args)
     if isinstance(section, Rect):
         modes = rectangle_modes(beta, section, 2)
     else:
@@ -282,7 +282,7 @@ def cmd_thresholds(args) -> int:
 
 def cmd_certify(args) -> int:
     rect = _parse_rect(args.rect)
-    beta = beta_value(args.beta)
+    beta = _beta_arg(args)
     cert = existence_certificate(beta, rect)
     out = dataclasses.asdict(cert)
     out["cross_term"] = cert.piece_cross / (2.0 * cert.eps)
@@ -394,7 +394,7 @@ def _convergence_rows(rep, disc: DiscretizationSpec) -> list[dict]:
 
 def cmd_oracle_compare(args) -> int:
     rect = _parse_rect(args.rect)
-    spec = WaveguideSpec(beta_value(args.beta), rect)
+    spec = WaveguideSpec(_beta_arg(args), rect)
     nx, n1, n2 = (int(v) for v in args.grid.split(","))
     disc = DiscretizationSpec(nx=nx, n1=n1, n2=n2, L=args.L,
                               refine=2, l_steps=2)
@@ -414,6 +414,12 @@ def cmd_oracle_compare(args) -> int:
                    "grid": args.grid, "L": args.L, "k": args.k},
                   0, [os.path.join(args.out, "separation.json")], args.out)
     return EXIT_OK
+
+
+def _beta_arg(args) -> float:
+    """``--beta``, held to the rule of the configs' beta."""
+    _check_betas([args.beta])
+    return beta_value(args.beta)
 
 
 def _section_arg(args) -> Section:

@@ -108,16 +108,15 @@ def numeric_modes(beta, section: MaskSection, grid,
     """Lowest ``count`` eigenpairs of the Q1 section pencil of T(beta).
 
     The unknowns are the interior vertices of the mask, refined by the
-    integer factor ``grid`` (None or 1 for the mask as given).
+    integer factor ``grid`` (None for the mask as given; at least 1).
     Rectangles have closed forms: use ``rectangle_modes``.
     """
     if isinstance(section, Rect):
         raise ValueError("rectangle sections have closed-form modes; "
                          "use rectangle_modes")
     b = beta_value(beta, allow_zero=True)
-    factor = 1 if grid is None else int(grid)
-    if factor > 1:
-        section = refine_mask(section, factor)
+    if grid is not None:
+        section = refine_mask(section, int(grid))
     K1, K2, _, M = section_fem(section)
     res = lowest_eigenpairs((K1 + (1.0 + b * b) * K2).tocsr(), M, count)
     return [SectionMode(kind="mask", E=float(res.theta[j]), beta=b, index=j,

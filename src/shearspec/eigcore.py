@@ -1,23 +1,23 @@
 """Block eigensolver core: operators, preconditioners, LOBPCG, counting.
 
 Everything downstream reduces to the generalized pencil (A, M) with A
-symmetric and M symmetric positive definite.  A is a sum of Kronecker
-products of 1-D (or section) factor matrices, assembled once into one
-CSR matrix so that an apply is a single sparse product; M is a single
-Kronecker product, applied factor by factor.  The solver is a locally
-optimal block preconditioned CG iteration with a [X, W, P]
-Rayleigh-Ritz space that applies A and M once each per iteration and
-carries the products of X and P; preconditioning inverts the separable
-part of A exactly through per-factor eigenbases, which for uniform grids
-are plain sine/cosine transforms.
+symmetric and M symmetric positive definite; an absent M is the sparse
+identity.  A is a sum of Kronecker products of 1-D (or section) factor
+matrices and M a single one (``MassKron``, a one-term ``KronOp``); each is
+assembled once into one CSR matrix, so that an apply is a single sparse
+product.  The solver is a locally optimal block preconditioned CG
+iteration with a [X, W, P] Rayleigh-Ritz space that applies A and M once
+each per iteration and carries the products of X and P; preconditioning
+inverts the separable part of A exactly through per-factor eigenbases,
+which for uniform grids are plain sine/cosine transforms.
 
 Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
-are solved by dense ``eigh``.  Above that order a KronOp/MassKron form
-whose band Cholesky fits in the memory block CG would hold, and every
-bare sparse (section or triangle) pencil, is factored: shift-invert
-Lanczos (``eigsh``) runs on the band Cholesky of A - sigma M, and
-``count_below`` reads the count off the inertia of a block LDL^T
+are solved by dense ``eigh``.  Above that order a KronOp form whose band
+Cholesky fits in the memory block CG would hold, and every bare sparse
+(section or triangle) pencil, is factored: shift-invert Lanczos
+(``eigsh``) runs on the band Cholesky of A - sigma M.  ``count_below``
+counts every such pencil, at any order, by the inertia of a block LDL^T
 (Sylvester's law with Haynsworth additivity).  Every other pencil goes to
 block CG.  For x-major half-guide forms the half-bandwidth is about the
 section order, so the planar (reduced2d) forms and small 3-D sections are
@@ -39,7 +39,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 __all__ = [
     "LinOp",
-    "IdentityOp",
     "DenseOp",
     "SparseOp",
     "KronOp",
@@ -64,6 +63,9 @@ __all__ = [
 # solve is cheaper than iterating
 DENSE_N = 700
 
+# the largest block the count's growth loop solves for
+_KMAX = 48
+
 # n x bs arrays block CG holds at its peak, the basis change at the end of
 # an iteration: the nine of [X W P] with their A and M products, the
 # residual R, the next X and P with their products at width 2 bs (six),
@@ -84,17 +86,6 @@ class LinOp:
 
     def toarray(self) -> np.ndarray:
         return self.matmat(np.eye(self.n))
-
-
-class IdentityOp(LinOp):
-    def __init__(self, n: int):
-        self.n = n
-
-    def matmat(self, X):
-        return np.array(X, dtype=float, copy=True)
-
-    def diagonal(self):
-        return np.ones(self.n)
 
 
 class DenseOp(LinOp):
@@ -263,60 +254,29 @@ class KronOp(LinOp):
         return self.matrix.toarray()
 
 
-class MassKron(LinOp):
+class MassKron(KronOp):
     """Single Kronecker product of mass factors, with an exact solve.
 
-    Applied slot by slot, which for one product is as fast as an
-    assembled matrix and costs no memory.  The factors are factorized
+    A one-term KronOp: applied, densified and banded through the same
+    assembled CSR matrix as the stiffness.  The factors are factorized
     (sparse LU) on the first solve, so a form that is never solved
     against never pays for it; the solve applies the inverses slot by
     slot, giving ||r||_{M^-1} residual norms cheaply.
     """
 
     def __init__(self, mats, shape):
-        self.shape, self.terms = _kron_terms([(1.0, mats)], shape)
-        self.n = int(np.prod(self.shape))
-        self.mats = self.terms[0][1]
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The product as one CSR matrix, built on first use: only a
-        factored solve needs it."""
-        return _assemble(self.terms, self.shape, self.n)
+        super().__init__([(1.0, mats)], shape)
 
     @functools.cached_property
     def _lu(self):
-        return [splu(sp.csc_matrix(m)) for m in self.mats]
-
-    def _slotwise(self, fns, X):
-        X = np.asarray(X, dtype=float)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[:, None]
-        b = X.shape[1]
-        T = X.reshape(*self.shape, b)
-        for axis, fn in enumerate(fns):
-            T = _along(fn, T, axis)
-        out = T.reshape(self.n, b)
-        return out[:, 0] if squeeze else out
-
-    def matmat(self, X):
-        return self._slotwise([m.__matmul__ for m in self.mats], X)
+        return [splu(sp.csc_matrix(m)) for m in self.terms[0][1]]
 
     def solve(self, X):
-        return self._slotwise([lu.solve for lu in self._lu], X)
-
-    def diagonal(self):
-        d = np.ones(())
-        for m in self.mats:
-            d = np.multiply.outer(d, m.diagonal())
-        return d.reshape(self.n)
-
-    def toarray(self):
-        out = np.ones((1, 1))
-        for m in self.mats:
-            out = np.kron(out, m.toarray())
-        return out
+        X = np.asarray(X, dtype=float)
+        T = X.reshape(*self.shape, -1)
+        for axis, lu in enumerate(self._lu):
+            T = _along(lu.solve, T, axis)
+        return T.reshape(X.shape)
 
 
 @dataclass(frozen=True)
@@ -451,7 +411,6 @@ def materialize(op: LinOp) -> np.ndarray:
 @dataclass(frozen=True)
 class EigOptions:
     k: int = 1
-    block: int | None = None  # default k + 3
     tol: float = 1e-8
     maxit: int = 5000
     seed: int = 0
@@ -488,6 +447,17 @@ class SolverError(RuntimeError):
     pass
 
 
+def _syevd(H: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric H, by
+    scipy's LAPACK like every dense factorization here: numpy's bundles
+    a second BLAS thread pool, and alternating the two costs ms per call
+    on small blocks."""
+    w, V, info = sla.lapack.dsyevd(H)
+    if info:
+        raise SolverError(f"dsyevd failed with info {info}")
+    return w, V
+
+
 def _whiten(G: np.ndarray) -> np.ndarray:
     """Coefficients T with T^T G T = I for the Gram matrix G of a block.
 
@@ -501,7 +471,7 @@ def _whiten(G: np.ndarray) -> np.ndarray:
     s = np.zeros_like(d)
     s[d > 0.0] = 1.0 / np.sqrt(d[d > 0.0])
     Gs = s[:, None] * G * s[None, :]
-    w, Q = np.linalg.eigh(0.5 * (Gs + Gs.T))
+    w, Q = _syevd(0.5 * (Gs + Gs.T))
     if w.max() <= 0.0:
         raise SolverError("search block collapsed to the zero subspace")
     if w.min() < -1e-10 * w.max():
@@ -517,7 +487,7 @@ def _rayleigh_ritz(GA: np.ndarray, GM: np.ndarray, bs: int):
     if T.shape[1] < bs:
         raise SolverError("search block lost rank below the block size")
     H = T.T @ GA @ T
-    theta, Z = np.linalg.eigh(0.5 * (H + H.T))
+    theta, Z = _syevd(0.5 * (H + H.T))
     return theta, T @ Z
 
 
@@ -571,15 +541,15 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
     A = as_operator(A)
     opts = opts or EigOptions()
     n = A.n
-    M = IdentityOp(n) if M is None else as_operator(M)
+    if M is None:
+        M = sp.identity(n, format="csr")
+    M = as_operator(M)
     if M.n != n:
         raise ValueError(f"operator sizes differ: A is {n}, M is {M.n}")
     k = opts.k
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    bs = min(opts.block or k + 3, n)
-    if bs < k:
-        raise ValueError(f"block size {bs} smaller than k={k}")
+    bs = min(k + 3, n)
     if precond is None:
         try:
             precond = JacobiPrecond(A.diagonal())
@@ -653,24 +623,14 @@ def _csr(op) -> sp.csr_matrix | None:
     matrix-free one."""
     if sp.issparse(op):
         return sp.csr_matrix(op)
-    if isinstance(op, (KronOp, MassKron)):
+    if isinstance(op, KronOp):
         return op.matrix
     return None
 
 
 def _half_bandwidth(op) -> int | None:
-    """Largest |i - j| over the nonzeros of a pencil operand (0 for an
-    absent M); None for an operand with no sparse matrix.  A MassKron's
-    is read off its factors, so a form that goes to block CG never
-    assembles its mass."""
-    if op is None:
-        return 0
-    if isinstance(op, MassKron):
-        kd, stride = 0, 1
-        for m, size in zip(reversed(op.mats), reversed(op.shape)):
-            kd += _half_bandwidth(m) * stride
-            stride *= size
-        return kd
+    """Largest |i - j| over the nonzeros of a pencil operand; None for an
+    operand with no sparse matrix."""
     m = _csr(op)
     if m is None:
         return None
@@ -693,13 +653,12 @@ def _band_pencil(A, M, bs: int):
         return None
     if not sp.issparse(A) and max(kds) + 1 > _CG_ARRAYS * bs:
         return None
-    return _csr(A), None if M is None else _csr(M), max(kds)
+    return _csr(A), _csr(M), max(kds)
 
 
 def _shifted(A, M, sigma: float) -> sp.csr_matrix:
     """A - sigma M as a canonical CSR matrix."""
-    n = A.shape[0]
-    S = A - sigma * (sp.identity(n, format="csr") if M is None else M)
+    S = A - sigma * M
     S.sum_duplicates()
     return S
 
@@ -772,9 +731,7 @@ def _negative_count(S: sp.csr_matrix, kd: int) -> int:
             X = sla.solve_triangular(Lt, block(f, f + m, t, f).T, lower=True)
             B -= X.T @ X
         del L   # the next stretch is factored in a fresh band
-        # LAPACK's driver, like the band factor: scipy's thread pool only
-        # (alternating with numpy's costs ms per call on small blocks)
-        w, V, _ = sla.lapack.dsyevd(B)
+        w, V = _syevd(B)
         neg += int(np.count_nonzero(w < 0.0))
         nxt = f + m
         if nxt == size:
@@ -803,19 +760,19 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     """
     opts = opts or EigOptions()
     Aop = as_operator(A)
-    Mop = None if M is None else as_operator(M)
     n = Aop.n
+    if M is None:
+        M = sp.identity(n, format="csr")
+    Mop = as_operator(M)
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     shift = None
     if k is None or n <= DENSE_N:
         solver = "dense"
-        Ad = materialize(Aop)
-        Md = None if M is None else materialize(Mop)
-        theta, V = sla.eigh(Ad, Md,
+        theta, V = sla.eigh(materialize(Aop), materialize(Mop),
                             subset_by_index=None if k is None else [0, k - 1])
     else:
-        band = _band_pencil(A, M, min(opts.block or k + 3, n))
+        band = _band_pencil(A, M, min(k + 3, n))
         chol = None
         if band is not None:
             Ac, Mc, kd = band
@@ -836,9 +793,8 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
                          OPinv=OPinv, v0=v0)
         order = np.argsort(theta)
         theta, V = theta[order], V[:, order]
-        if M is not None:
-            V = V / np.sqrt(np.einsum("ij,ij->j", V, Mop.matmat(V)))
-    MV = V if M is None else Mop.matmat(V)
+        V = V / np.sqrt(np.einsum("ij,ij->j", V, Mop.matmat(V)))
+    MV = Mop.matmat(V)
     res = np.linalg.norm(Aop.matmat(V) - MV * theta, axis=0)
     return EigResult(theta, V, np.ones(theta.size, dtype=bool), 0, 0, res,
                      theta.copy(), solver, shift)
@@ -864,26 +820,26 @@ class CountResult:
 
 
 def count_below(A, M, threshold: float, safety: float,
-                opts: EigOptions | None = None, precond=None,
-                kmax: int = 48) -> CountResult:
+                opts: EigOptions | None = None, precond=None) -> CountResult:
     """Count eigenvalues certified below ``threshold - safety``.
 
-    A pencil that ``lowest_eigenpairs`` would factor is counted exactly
-    by the inertia of A - (T - s) M; ``boundary`` is set when the inertia
-    at T + s differs.  Otherwise Ritz values bound eigenvalues from above,
-    so a converged value under the band certifies one eigenvalue there.
-    The block grows until at least one converged value clears
-    ``threshold + safety``, so the count cannot be truncated by a
-    too-small search space.  Each growth step is one
+    A pencil that ``_band_pencil`` selects, at any order, is counted
+    exactly by the inertia of A - (T - s) M; ``boundary`` is set when the
+    inertia at T + s differs.  Otherwise Ritz values bound eigenvalues
+    from above, so a converged value under the band certifies one
+    eigenvalue there.  The block grows, up to _KMAX pairs, until at least
+    one converged value clears ``threshold + safety``, so the count cannot
+    be truncated by a too-small search space.  Each growth step is one
     ``lowest_eigenpairs`` solve.
     """
     if safety < 0:
         raise ValueError(f"safety band must be nonnegative, got {safety}")
     n = as_operator(A).n
+    if M is None:
+        M = sp.identity(n, format="csr")
     base = opts or EigOptions()
     k = max(base.k, 4)
-    band = None if n <= DENSE_N else _band_pencil(
-        A, M, min(base.block or k + 3, n))
+    band = _band_pencil(A, M, min(k + 3, n))
     if band is not None:
         Ac, Mc, kd = band
         below = _negative_count(_shifted(Ac, Mc, threshold - safety), kd)
@@ -896,9 +852,9 @@ def count_below(A, M, threshold: float, safety: float,
         res = lowest_eigenpairs(A, M, k, base, precond)
         th = res.theta[res.converged]
         above = th[th >= threshold + safety]
-        if above.size or k >= min(kmax, n):
+        if above.size or k >= min(_KMAX, n):
             break
-        k = min(2 * k, kmax, n)
+        k = min(2 * k, _KMAX, n)
     count = int(np.count_nonzero(th < threshold - safety))
     boundary = bool(np.any(np.abs(res.theta - threshold) <= safety)
                     or not res.ok)

@@ -530,6 +530,17 @@ def test_assembled_csr_matches_kronecker_sum(build):
     assert got.shape == (form.n, form.n)
     assert got.has_sorted_indices
     assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the mass is a one-term KronOp: its apply, dense form and diagonal
+    # come from the same assembly
+    (coeff, mats), = form.M.terms
+    Mref = coeff * functools.reduce(np.kron, [m.toarray() for m in mats])
+    scale = np.abs(Mref).max()
+    assert np.abs(form.M.toarray() - Mref).max() <= 1e-14 * scale
+    assert np.abs(form.M.diagonal() - np.diag(Mref)).max() <= 1e-14 * scale
+    X = np.random.default_rng(1).standard_normal((form.n, 3))
+    want = Mref @ X
+    assert np.abs(form.M.matmat(X) - want).max() <= \
+        1e-14 * np.abs(want).max()
 
 
 def test_csr_assembly_peak_memory_stays_near_output_size():

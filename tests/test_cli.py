@@ -80,6 +80,15 @@ class TestThresholds:
         assert d["E1"] > 0
         assert "beta_star" not in d
 
+    @pytest.mark.parametrize("factor", ["0", "-3"])
+    def test_grid_factor_below_one_exits_2(self, capsys, tmp_path, factor):
+        mask = tmp_path / "m.txt"
+        mask.write_text(MASK_TEXT)
+        code, _, err = run(capsys, "thresholds", "--beta", "1",
+                           "--mask", str(mask), "--grid-factor", factor)
+        assert code == 2
+        assert "refinement factor" in err
+
     def test_mask_grid_factor_threshold_is_e1(self, capsys, tmp_path):
         # one section solve: the threshold field is the refined E1
         mask = tmp_path / "m.txt"
@@ -101,6 +110,21 @@ class TestCertify:
         assert d["cross_term"] == pytest.approx(-0.5, abs=1e-12)
         assert d["verdict"] is True
         assert d["total"] < 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("thresholds", "--beta", "1e8", "--rect", "0,1,0,1"),
+    ("thresholds", "--beta", "1e200", "--rect", "0,1,0,1"),
+    ("certify", "--beta", "1e8", "--rect", "0,1,0,1"),
+    ("oracle-compare", "--beta", "1e9", "--rect", "0,1,0,1"),
+], ids=["thresholds", "thresholds_1e200", "certify", "oracle_compare"])
+def test_beta_flag_takes_the_config_rule(capsys, argv):
+    # --beta is held to the rule of a config's beta: above 2^26 it exits 2
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "beta" in err
 
 
 class TestSpectrum:
@@ -149,12 +173,13 @@ class TestSpectrum:
         {"beta": [1.0]},
         {"disc": None},
         {"eig": {"k": "4"}},
+        {"eig": {"block": 8}},
         {"rect": None, "mask": "missing.txt"},
         {"beta": 1e200},
         {"beta": 1e150},
         {"rect": None, "mask": "m4.txt", "beta": 1e154,
          "disc": {"nx": 8, "n1": 8, "n2": 8, "L": 4.0, "mode": "half"}},
-    ], ids=["beta_list", "disc_null", "k_string", "missing_mask",
+    ], ids=["beta_list", "disc_null", "k_string", "eig_block", "missing_mask",
             "beta_overflow", "beta_1e150_reduced", "beta_1e154_mask"])
     def test_malformed_config_exits_2(self, capsys, tmp_path, overrides):
         cfg = write_config(tmp_path, **overrides)

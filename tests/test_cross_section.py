@@ -202,3 +202,7 @@ def test_validation_errors():
         l_shaped_mask(7)
     with pytest.raises(ValueError):
         refine_mask(l_shaped_mask(8), 0)
+    # a refinement factor below 1 is refused, not read as the mask as given
+    for factor in (0, -3):
+        with pytest.raises(ValueError, match="refinement factor"):
+            numeric_modes(1.0, l_shaped_mask(12), factor, 1)

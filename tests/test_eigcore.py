@@ -406,9 +406,9 @@ def test_fit_rule_sends_pencils_by_band_against_block_memory():
     assert eigcore._half_bandwidth(narrow.A) == 16
     assert eigcore._half_bandwidth(wide.A) == 128
     assert eigcore._half_bandwidth(solid.A) == 121 + 12
-    # the mass bandwidth comes from its factors, unassembled
+    # the mass band is read off its assembled CSR matrix
     assert eigcore._half_bandwidth(solid.M) == 133
-    assert "matrix" not in vars(solid.M)
+    assert eigcore._half_bandwidth(solid.M.matrix) == 133
     opts = EigOptions(tol=1e-10)
     got = {}
     for name, form in (("narrow", narrow), ("wide", wide),
@@ -438,24 +438,25 @@ def dense_spectrum(form):
 
 @pytest.mark.parametrize("mode", ["reduced2d", "half_DN", "mask",
                                   "full_sign"])
-def test_inertia_counts_match_dense_counts(monkeypatch, mode):
+def test_inertia_counts_match_dense_counts(mode):
+    # a banded pencil is counted by inertia at any order, DENSE_N and below
     form = shear_pencils()[mode]
+    assert form.n <= eigcore.DENSE_N
     lam = dense_spectrum(form)
     low = lam[:41]
     shifts = np.concatenate([[0.5 * lam[0]], 0.5 * (low[1:] + low[:-1]),
                              low[:40] * (1.0 - 1e-9),
                              low[:40] * (1.0 + 1e-9)])
-    monkeypatch.setattr(eigcore, "DENSE_N", 0)
     for s in shifts:
         r = count_below(form.A, form.M, s, 0.0)
         assert r.result is None and r.reliable
-        assert r.count == np.count_nonzero(lam < s), s
+        want = np.count_nonzero(lam < s)
+        assert (r.count, r.inertia) == (want, (want, want)), s
 
 
-def test_inertia_count_flags_the_band(monkeypatch):
+def test_inertia_count_flags_the_band():
     form = shear_pencils()["reduced2d"]
     lam = dense_spectrum(form)
-    monkeypatch.setattr(eigcore, "DENSE_N", 0)
     r = count_below(form.A, form.M, lam[2], 1e-6 * lam[2])
     assert (r.count, r.inertia, r.boundary) == (2, (2, 3), True)
     assert not r.reliable
@@ -517,6 +518,25 @@ def test_count_below_grows_block_for_clearance():
     assert r.count == 12
     assert r.reliable
     assert r.clearance == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("dense_n", [10**9, 0], ids=["dense", "factored"])
+def test_absent_mass_is_the_sparse_identity(monkeypatch, dense_n):
+    monkeypatch.setattr(eigcore, "DENSE_N", dense_n)
+    n = 40
+    A = fd_chain(n)
+    eye = sp.identity(n, format="csr")
+    opts = EigOptions(k=3, tol=1e-10)
+    for solve in (lambda M: smallest_eigenpairs(A, M, opts),
+                  lambda M: lowest_eigenpairs(A, M, 3, opts)):
+        a, b = solve(None), solve(eye)
+        assert a.solver == b.solver
+        assert a.theta.tobytes() == b.theta.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+    lam = fd_chain_eigs(n)
+    T = 0.5 * (lam[2] + lam[3])
+    a, b = (count_below(A, M, T, 1e-6 * T) for M in (None, eye))
+    assert (a.count, a.inertia) == (b.count, b.inertia) == (3, (3, 3))
 
 
 def test_count_below_rejects_negative_safety():
