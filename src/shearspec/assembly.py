@@ -202,12 +202,13 @@ def section_fem(section: MaskSection):
 
 @dataclass
 class ShearForm:
-    """An assembled pencil (A, M) with its provenance.
+    """An assembled waveguide pencil (A, M) with its provenance.
 
-    Half-guide forms keep their x factor, its skew and their section
-    triple; ``factors["separable"]`` holds what the preconditioner
-    inverts.  ``warnings`` records advisory notes such as a truncation
-    length that is short relative to the section.
+    The form keeps its x factor, its skew and its section triple;
+    ``separable`` pairs a coefficient with each factor the
+    preconditioner inverts, a ``Fem1D`` or a section pencil (K, M).
+    ``warnings`` records advisory notes such as a truncation length
+    that is short relative to the section.
     """
 
     mode: str
@@ -215,7 +216,7 @@ class ShearForm:
     A: KronOp
     M: MassKron
     shape: tuple[int, ...]
-    factors: dict
+    separable: list[tuple[float, Fem1D | tuple]]
     section: Section | None = None
     L: float | None = None
     warnings: list[str] = field(default_factory=list)
@@ -232,10 +233,10 @@ class ShearForm:
 
     @functools.cached_property
     def section_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the section (or triangle) pencil, solved
-        once per form: the full basis up to PRECOND_BASIS_MAX, the
-        lowest pair above it."""
-        K, Msec = next(fac for _, fac in self.factors["separable"]
+        """Eigendecomposition of the section pencil, solved once per form:
+        the full basis up to PRECOND_BASIS_MAX, the lowest pair above
+        it."""
+        K, Msec = next(fac for _, fac in self.separable
                        if not isinstance(fac, Fem1D))
         full = K.shape[0] <= self.PRECOND_BASIS_MAX
         res = lowest_eigenpairs(K, Msec, None if full else 1)
@@ -245,7 +246,7 @@ class ShearForm:
         """Exact inverse of the separable part; None when a section
         factor is above PRECOND_BASIS_MAX."""
         pairs = []
-        for coeff, fac in self.factors["separable"]:
+        for coeff, fac in self.separable:
             if isinstance(fac, Fem1D):
                 pairs.append((coeff, fac.spectral()))
                 continue
@@ -283,7 +284,7 @@ def _half_guide(mode: str, b: float, fx: Fem1D, Dx, triple, separable,
                         f"diameter {diam:g}; expect strong confinement bias")
     return ShearForm(mode=mode, beta=b, A=KronOp(terms, shape),
                      M=MassKron((fx.M, Msec), shape), shape=shape,
-                     factors={"separable": separable}, section=section, L=L,
+                     separable=separable, section=section, L=L,
                      warnings=warnings, x_factor=fx, x_skew=Dx,
                      triple=triple)
 
@@ -415,13 +416,15 @@ def triangle_matrices(n: int, A_len: float):
     return asm(Sxx_f, Sxx_c), asm(Syy_f, Syy_c), asm(M_f, M_c), kept
 
 
-def assemble_prism(beta, rect: Rect, grid) -> ShearForm:
+def assemble_prism(beta, rect: Rect, grid):
     """Comparison prism form J(beta) with its anisotropic coefficients.
 
     ``grid`` is (n, n1): n cells along x and y2 (equal, so the diagonal
     cut runs through cell corners), n1 elements across y1.  The x/y2
-    triangle factor and the y1 factor separate exactly; the ShearForm
-    carries both so eigenvalues can be synthesized per channel.
+    triangle pencil and the y1 factor separate exactly, so prism
+    eigenvalues are synthesized per channel from the two and the 3-D
+    pencil is never formed.  Returns ``(Atri, Mtri, kept, f1)``: the
+    triangle pencil, its kept vertex list and the y1 ``Fem1D``.
     """
     b = beta_value(beta)
     if not isinstance(rect, Rect):
@@ -431,13 +434,4 @@ def assemble_prism(beta, rect: Rect, grid) -> ShearForm:
     cx = (1.0 + b * b) / (2.0 * b * b)
     cy = (1.0 + b * b) / 2.0
     Sxx, Syy, Mass, kept = triangle_matrices(n, A_len)
-    Atri = (cx * Sxx + cy * Syy).tocsr()
-    f1 = fem1d(n1, rect.width1)
-    shape = (Mass.shape[0], f1.dim)
-    A = KronOp([(1.0, (Atri, f1.M)), (1.0, (Mass, f1.K))], shape)
-    M = MassKron((Mass, f1.M), shape)
-    return ShearForm(mode="prism", beta=b, A=A, M=M, shape=shape,
-                     factors={"separable": [(1.0, (Atri, Mass)), (1.0, f1)],
-                              "triangle": (Atri, Mass, kept),
-                              "y1": f1},
-                     section=rect, L=None)
+    return (cx * Sxx + cy * Syy).tocsr(), Mass, kept, fem1d(n1, rect.width1)

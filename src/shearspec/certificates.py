@@ -409,11 +409,9 @@ def _slant_residual(vec, kept, n, h):
 def prism_eigen_check(beta, rect: Rect, grid=64) -> PrismReport:
     """Evaluate the prism problem numerically and compare with theory."""
     b = beta_value(beta)
-    form = assemble_prism(b, rect, grid)
+    Atri, Mtri, kept, f1 = assemble_prism(b, rect, grid)
     n, n1 = (grid, grid) if isinstance(grid, int) else grid
-    Atri, Mtri, kept = form.factors["triangle"]
     tri = lowest_eigenpairs(Atri, Mtri, 6)
-    f1 = form.factors["y1"]
     lam_1 = np.sort(f1.spectral().lam)
     sums = np.sort((tri.theta[:, None] + lam_1[None, :6]).ravel())
     mu1, mu2 = float(sums[0]), float(sums[1])

@@ -56,7 +56,10 @@ STR = (str, "a string")
 
 
 def _is(v, kind) -> bool:
-    """isinstance, except that a boolean is of no kind but bool."""
+    """isinstance, except that a boolean is of no kind but bool and an
+    integer beyond the float range is no number."""
+    if kind is NUM[0] and isinstance(v, int) and abs(v) > sys.float_info.max:
+        return False
     return isinstance(v, bool) == (kind is bool) and isinstance(v, kind)
 
 
@@ -395,7 +398,11 @@ def _convergence_rows(rep, disc: DiscretizationSpec) -> list[dict]:
 def cmd_oracle_compare(args) -> int:
     rect = _parse_rect(args.rect)
     spec = WaveguideSpec(_beta_arg(args), rect)
-    nx, n1, n2 = (int(v) for v in args.grid.split(","))
+    try:
+        nx, n1, n2 = (int(v) for v in args.grid.split(","))
+    except ValueError:
+        raise ConfigError(f"--grid needs three integers nx,n1,n2, got "
+                          f"{args.grid!r}") from None
     disc = DiscretizationSpec(nx=nx, n1=n1, n2=n2, L=args.L,
                               refine=2, l_steps=2)
     sep = separation_check(spec, disc, EigOptions(k=args.k))

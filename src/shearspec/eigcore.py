@@ -2,14 +2,17 @@
 
 Everything downstream reduces to the generalized pencil (A, M) with A
 symmetric and M symmetric positive definite; an absent M is the sparse
-identity.  A is a sum of Kronecker products of 1-D (or section) factor
-matrices and M a single one (``MassKron``, a one-term ``KronOp``); each is
-assembled once into one CSR matrix, so that an apply is a single sparse
-product.  The solver is a locally optimal block preconditioned CG
-iteration with a [X, W, P] Rayleigh-Ritz space that applies A and M once
-each per iteration and carries the products of X and P; preconditioning
-inverts the separable part of A exactly through per-factor eigenbases,
-which for uniform grids are plain sine/cosine transforms.
+identity.  A pencil operand is a scipy sparse matrix, a ``KronOp`` or a
+dense ndarray, applied with ``@``, with no wrapper around it.  A
+waveguide form's A is a sum of Kronecker products of 1-D (or section)
+factor matrices and its M a single one (``MassKron``, a one-term
+``KronOp``); each is assembled once into one CSR matrix, so that an
+apply is a single sparse product.  The solver is a locally optimal block
+preconditioned CG iteration with a [X, W, P] Rayleigh-Ritz space that
+applies A and M once each per iteration and carries the products of X
+and P; preconditioning inverts the separable part of A exactly through
+per-factor eigenbases, which for uniform grids are plain sine/cosine
+transforms.
 
 Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
@@ -38,9 +41,6 @@ from scipy.fft import dct, dst
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 __all__ = [
-    "LinOp",
-    "DenseOp",
-    "SparseOp",
     "KronOp",
     "MassKron",
     "FactorSpectral",
@@ -52,7 +52,6 @@ __all__ = [
     "EigResult",
     "CountResult",
     "DENSE_N",
-    "as_operator",
     "materialize",
     "smallest_eigenpairs",
     "lowest_eigenpairs",
@@ -74,60 +73,6 @@ _KMAX = 48
 # 21 on the strip, square and L-mask forms: the preconditioner's transform
 # buffers come on top.)
 _CG_ARRAYS = 18
-
-
-class LinOp:
-    """Symmetric operator interface: a size ``n`` and a block apply."""
-
-    n: int
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def toarray(self) -> np.ndarray:
-        return self.matmat(np.eye(self.n))
-
-
-class DenseOp(LinOp):
-    def __init__(self, a: np.ndarray):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        self.a = a
-        self.n = a.shape[0]
-
-    def matmat(self, X):
-        return self.a @ X
-
-    def diagonal(self):
-        return np.diag(self.a).copy()
-
-
-class SparseOp(LinOp):
-    def __init__(self, a):
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        self.a = a.tocsr()
-        self.n = a.shape[0]
-
-    def matmat(self, X):
-        return self.a @ X
-
-    def diagonal(self):
-        return self.a.diagonal()
-
-    def toarray(self):
-        return self.a.toarray()
-
-
-def as_operator(obj) -> LinOp:
-    if isinstance(obj, LinOp):
-        return obj
-    if sp.issparse(obj):
-        return SparseOp(obj)
-    if isinstance(obj, np.ndarray):
-        return DenseOp(obj)
-    raise TypeError(f"cannot wrap {type(obj).__name__} as an operator")
 
 
 def _kron_terms(terms, shape):
@@ -225,13 +170,14 @@ def _assemble(terms, shape, n) -> sp.csr_matrix:
     return A
 
 
-class KronOp(LinOp):
+class KronOp:
     """Sum of Kronecker-product terms over a tensor grid, assembled once.
 
     ``terms`` is a list of ``(coeff, mats)`` where ``mats`` holds one
-    square factor per tensor slot (row index runs over slot 0 slowest).
-    The terms are kept as given; ``matrix`` is their sum as one CSR
-    matrix, so an apply is a single sparse product.
+    square factor per tensor slot (row index runs over slot 0 slowest);
+    ``shape`` is the slot tuple and ``n`` the order.  The terms are kept
+    as given; ``matrix`` is their sum as one CSR matrix, so an apply
+    (``op @ X``) is a single sparse product.
     """
 
     def __init__(self, terms, shape):
@@ -240,12 +186,14 @@ class KronOp(LinOp):
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The terms summed into one CSR matrix, built on first use: forms
-        whose eigenpairs come from their factors never pay for it."""
+        """The terms summed into one CSR matrix, built on first use."""
         return _assemble(self.terms, self.shape, self.n)
 
     def matmat(self, X):
         return self.matrix @ np.asarray(X, dtype=float)
+
+    def __matmul__(self, X):
+        return self.matmat(X)
 
     def diagonal(self):
         return self.matrix.diagonal()
@@ -403,9 +351,19 @@ class SpluPrecond:
         return self._lu.solve(R)
 
 
-def materialize(op: LinOp) -> np.ndarray:
-    """Dense matrix of an operator; for tests and small direct solves."""
-    return op.toarray()
+def _order(op) -> int:
+    """Order of a square pencil operand: ``n`` of a KronOp, whose
+    ``shape`` is its slot tuple; the row count of a matrix."""
+    if isinstance(op, KronOp):
+        return op.n
+    if len(op.shape) != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {op.shape}")
+    return op.shape[0]
+
+
+def materialize(op) -> np.ndarray:
+    """Dense matrix of a pencil operand; for tests and small direct solves."""
+    return np.asarray(op) if isinstance(op, np.ndarray) else op.toarray()
 
 
 @dataclass(frozen=True)
@@ -418,8 +376,12 @@ class EigOptions:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if self.maxit < 0:
+            raise ValueError(f"maxit must be nonnegative, got {self.maxit}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -433,7 +395,6 @@ class EigResult:
     matmats: int
     residuals: np.ndarray      # ||A x - theta M x||_2 per requested pair,
                                # from freshly applied products
-    block_theta: np.ndarray    # full block of Ritz values (upper bounds)
     solver: str                # "dense", "block_cg" or "shift_invert"
     shift: float | None = None  # sigma of a factored solve, certified
                                 # below the spectrum by its Cholesky
@@ -538,14 +499,12 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
     subspace), converged or not; `converged` reports which pairs met the
     relative residual tolerance.
     """
-    A = as_operator(A)
     opts = opts or EigOptions()
-    n = A.n
+    n = _order(A)
     if M is None:
         M = sp.identity(n, format="csr")
-    M = as_operator(M)
-    if M.n != n:
-        raise ValueError(f"operator sizes differ: A is {n}, M is {M.n}")
+    if _order(M) != n:
+        raise ValueError(f"operator sizes differ: A is {n}, M is {_order(M)}")
     k = opts.k
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
@@ -553,12 +512,12 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
     if precond is None:
         try:
             precond = JacobiPrecond(A.diagonal())
-        except (AttributeError, ValueError):
+        except ValueError:
             precond = lambda R, sigma: R
 
     def ritz(X):
         """Fresh products of X and its Rayleigh-Ritz rotation."""
-        AX, MX = A.matmat(X), M.matmat(X)
+        AX, MX = A @ X, M @ X
         theta, C = _rayleigh_ritz(X.T @ AX, X.T @ MX, bs)
         C = C[:, :bs]
         return theta[:bs], X @ C, AX @ C, MX @ C
@@ -582,8 +541,7 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
                 conv = rn[:k] <= opts.tol * np.maximum(np.abs(theta[:k]),
                                                        1e-300)
                 return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
-                                 it, nmat, rn[:k].copy(), theta.copy(),
-                                 "block_cg")
+                                 it, nmat, rn[:k].copy(), "block_cg")
         W = precond(R, float(theta[0]))
         # M-orthogonal to X and P before the apply: the Gram matrix of
         # [X W P] stays near the identity, so the basis change below
@@ -591,7 +549,7 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         W -= X @ (MX.T @ W)
         if P is not None:
             W -= P @ (MP.T @ W)
-        AW, MW = A.matmat(W), M.matmat(W)
+        AW, MW = A @ W, M @ W
         nmat += 1
         S, AS, MS = [X, W], [AX, AW], [MX, MW]
         if P is not None:
@@ -759,17 +717,15 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     the branch taken and ``shift`` the certified sigma.
     """
     opts = opts or EigOptions()
-    Aop = as_operator(A)
-    n = Aop.n
+    n = _order(A)
     if M is None:
         M = sp.identity(n, format="csr")
-    Mop = as_operator(M)
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     shift = None
     if k is None or n <= DENSE_N:
         solver = "dense"
-        theta, V = sla.eigh(materialize(Aop), materialize(Mop),
+        theta, V = sla.eigh(materialize(A), materialize(M),
                             subset_by_index=None if k is None else [0, k - 1])
     else:
         band = _band_pencil(A, M, min(k + 3, n))
@@ -793,11 +749,11 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
                          OPinv=OPinv, v0=v0)
         order = np.argsort(theta)
         theta, V = theta[order], V[:, order]
-        V = V / np.sqrt(np.einsum("ij,ij->j", V, Mop.matmat(V)))
-    MV = Mop.matmat(V)
-    res = np.linalg.norm(Aop.matmat(V) - MV * theta, axis=0)
+        V = V / np.sqrt(np.einsum("ij,ij->j", V, M @ V))
+    MV = M @ V
+    res = np.linalg.norm(A @ V - MV * theta, axis=0)
     return EigResult(theta, V, np.ones(theta.size, dtype=bool), 0, 0, res,
-                     theta.copy(), solver, shift)
+                     solver, shift)
 
 
 @dataclass
@@ -834,7 +790,7 @@ def count_below(A, M, threshold: float, safety: float,
     """
     if safety < 0:
         raise ValueError(f"safety band must be nonnegative, got {safety}")
-    n = as_operator(A).n
+    n = _order(A)
     if M is None:
         M = sp.identity(n, format="csr")
     base = opts or EigOptions()

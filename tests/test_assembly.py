@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -457,7 +458,6 @@ def test_assembly_factorizes_no_mass(monkeypatch):
         raise AssertionError("splu called during assembly")
 
     monkeypatch.setattr(eigcore, "splu", no_splu)
-    assemble_prism(1.0, UNIT, (8, 4))
     assemble_waveguide(1.0, UNIT, 3.0, 5)
     assemble_waveguide(1.0, l_shaped_mask(6), 3.0, 5)
     assemble_reduced2d(1.0, UNIT, 3.0, (5, 4))
@@ -466,11 +466,11 @@ def test_assembly_factorizes_no_mass(monkeypatch):
 def test_prism_separates_exactly():
     # A = Atri x M1 + Mtri x K1 shares eigenvectors with the factors, so
     # 3-D values are sums of triangle and channel values to roundoff
-    form = assemble_prism(1.0, UNIT, (8, 4))
-    lam = pencil_eigs(form)
-    Atri, Mtri, _ = form.factors["triangle"]
+    Atri, Mtri, _, f1 = assemble_prism(1.0, UNIT, (8, 4))
+    A = sp.kron(Atri, f1.M) + sp.kron(Mtri, f1.K)
+    lam = sla.eigh(A.toarray(), sp.kron(Mtri, f1.M).toarray(),
+                   eigvals_only=True)
     lt = sla.eigh(Atri.toarray(), Mtri.toarray(), eigvals_only=True)
-    f1 = form.factors["y1"]
     l1 = sla.eigh(f1.K.toarray(), f1.M.toarray(), eigvals_only=True)
     sums = np.sort((lt[:, None] + l1[None, :]).ravel())
     assert lam[:10] == pytest.approx(sums[:10], abs=1e-9)
@@ -478,10 +478,8 @@ def test_prism_separates_exactly():
 
 def test_prism_unit_square_known_levels():
     # beta = 1 on the unit square: mu1 = 2 pi^2, mu2 = 5 pi^2
-    form = assemble_prism(1.0, UNIT, (48, 32))
-    Atri, Mtri, _ = form.factors["triangle"]
+    Atri, Mtri, _, f1 = assemble_prism(1.0, UNIT, (48, 32))
     lt = sla.eigh(Atri.toarray(), Mtri.toarray(), eigvals_only=True)
-    f1 = form.factors["y1"]
     l1 = sla.eigh(f1.K.toarray(), f1.M.toarray(), eigvals_only=True)
     sums = np.sort((lt[:4, None] + l1[None, :4]).ravel())
     assert sums[0] == pytest.approx(2.0 * PI2, rel=0.01)
@@ -494,8 +492,7 @@ def test_prism_unit_square_known_levels():
 def test_prism_refinement_improves():
     vals = []
     for n in (12, 24, 48):
-        form = assemble_prism(1.0, UNIT, (n, 8))
-        Atri, Mtri, _ = form.factors["triangle"]
+        Atri, Mtri, _, _ = assemble_prism(1.0, UNIT, (n, 8))
         vals.append(sla.eigh(Atri.toarray(), Mtri.toarray(),
                              eigvals_only=True)[0])
     assert vals[0] > vals[1] > vals[2]
@@ -516,12 +513,23 @@ def kron_sum(terms):
                for c, mats in terms)
 
 
+def prism_pencil(beta, grid):
+    """The 3-D prism pencil from its triangle and y1 factors, whose
+    slot-0 factor is irregular: rows of the cut triangle differ in
+    length, unlike every x stencil."""
+    Atri, Mtri, _, f1 = assemble_prism(beta, UNIT, grid)
+    shape = (Atri.shape[0], f1.dim)
+    return SimpleNamespace(
+        A=KronOp([(1.0, (Atri, f1.M)), (1.0, (Mtri, f1.K))], shape),
+        M=MassKron((Mtri, f1.M), shape), n=shape[0] * shape[1])
+
+
 @pytest.mark.parametrize("build", [
     lambda: assemble_reduced2d(1.3, UNIT, 3.0, (10, 7)),
     lambda: assemble_waveguide(0.7, UNIT, 3.0, (5, 4, 6), "half_DN"),
     lambda: assemble_waveguide(1.1, UNIT, 2.0, (4, 5, 4), "full_sign"),
     lambda: assemble_waveguide(1.0, l_shaped_mask(8), 3.0, 6),
-    lambda: assemble_prism(1.5, UNIT, (8, 5)),
+    lambda: prism_pencil(1.5, (8, 5)),
 ], ids=["reduced2d", "half_DN", "full_sign", "mask", "prism"])
 def test_assembled_csr_matches_kronecker_sum(build):
     form = build()
@@ -644,7 +652,6 @@ def test_preconditioner_inverts_separable_part():
 
 def test_preconditioner_available_for_all_modes():
     assert assemble_waveguide(1.0, UNIT, 3.0, 5).preconditioner() is not None
-    assert assemble_prism(1.0, UNIT, (8, 4)).preconditioner() is not None
     mask = l_shaped_mask(6)
     assert assemble_waveguide(1.0, mask, 3.0, 5).preconditioner() is not None
 

@@ -303,7 +303,7 @@ def test_prism_check_matches_full_dense_solve():
     # only the lowest triangle pairs are solved; the full dense pencil
     # must give the same two lowest prism levels
     rep = prism_eigen_check(1.0, UNIT, 64)
-    Atri, Mtri, _ = assemble_prism(1.0, UNIT, 64).factors["triangle"]
+    Atri, Mtri, _, _ = assemble_prism(1.0, UNIT, 64)
     lam_t = sla.eigh(Atri.toarray(), Mtri.toarray(), eigvals_only=True)
     lam_1 = fem1d(64, UNIT.width1).spectral().lam
     sums = np.sort((lam_t[:, None] + lam_1[None, :]).ravel())

@@ -1,9 +1,15 @@
 """Front-end behavior: validation, exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearspec import cli
 from shearspec.cli import ConfigError, load_config, load_mask, main
@@ -179,8 +185,12 @@ class TestSpectrum:
         {"beta": 1e150},
         {"rect": None, "mask": "m4.txt", "beta": 1e154,
          "disc": {"nx": 8, "n1": 8, "n2": 8, "L": 4.0, "mode": "half"}},
+        {"disc": {"nx": 8, "n1": 8, "n2": 8, "L": 4.0, "mode": "half"},
+         "eig": {"tol": 1e-300, "maxit": -1}},
+        {"eig": {"tol": math.nan}},
     ], ids=["beta_list", "disc_null", "k_string", "eig_block", "missing_mask",
-            "beta_overflow", "beta_1e150_reduced", "beta_1e154_mask"])
+            "beta_overflow", "beta_1e150_reduced", "beta_1e154_mask",
+            "negative_maxit", "nan_tol"])
     def test_malformed_config_exits_2(self, capsys, tmp_path, overrides):
         cfg = write_config(tmp_path, **overrides)
         if "mask" in overrides:
@@ -321,6 +331,15 @@ class TestOracleCompare:
         assert d["max_rel"] <= 1e-10
         assert d["pairs"][0] == [0, 1]
 
+    @pytest.mark.parametrize("grid", ["10,8", "10,8,x", "10,8,8,8"])
+    def test_malformed_grid_exits_2(self, capsys, grid):
+        code, _, err = run(capsys, "oracle-compare", "--beta", "1",
+                           "--rect", "0,1,0,1", "--grid", grid)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "--grid" in err and "nx,n1,n2" in err
+
 
 class TestMaskFiles:
     def test_round_trip(self, tmp_path):
@@ -363,3 +382,73 @@ class TestParser:
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# configs made by editing a valid one: each edit sets a known or an
+# unknown key, at the top or in "disc" or "eig", to a random JSON value
+# (integers beyond the float range and non-finite floats included), or
+# deletes it; mask paths stay inside the config's directory
+BASE = {"beta": 1.0, "rect": [0, 1, 0, 1],
+        "disc": {"nx": 8, "n1": 8, "n2": 8, "L": 4.0, "mode": "half",
+                 "refine": 2, "l_steps": 2},
+        "eig": {"k": 4, "tol": 1e-9, "maxit": 50, "seed": 0}}
+KEYS = ([(k,) for k in cli.TOP_KEYS] + [("disc", k) for k in BASE["disc"]]
+        + [("eig", k) for k in BASE["eig"]] + [("x",), ("disc", "x"),
+                                                ("eig", "x")])
+NUMBER = st.integers() | st.floats() | st.sampled_from([2**1024, -2**1024])
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBER | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=5)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+DELETE = object()
+VALUES = (st.just(DELETE) | st.lists(NUMBER, min_size=4, max_size=4)
+          | st.sampled_from(["half", "full", "reduced", "m.txt", "0,1,0,1"])
+          | st.text(st.characters(blacklist_characters="/"), max_size=6)
+          | JSON)
+
+
+@st.composite
+def configs(draw):
+    cfg = json.loads(json.dumps(BASE))
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(KEYS),
+                                               VALUES), min_size=1,
+                                     max_size=4)):
+        parent = cfg if len(path) == 1 else cfg.get(path[0])
+        if not isinstance(parent, dict):
+            continue
+        if value is DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    return cfg
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=configs())
+    def test_bad_configs_exit_2_with_one_line(self, cfg):
+        # no solve runs: only configs that load_config rejects reach main
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as f:
+                json.dump(cfg, f)
+            with open(os.path.join(tmp, "m.txt"), "w") as f:
+                f.write("cell 0.25\n" + "1111\n" * 4)
+            try:
+                load_config(path, sweep=True)
+            except ValueError:   # ConfigError is a ValueError
+                pass
+            try:
+                load_config(path)
+            except ValueError:
+                pass
+            else:
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["spectrum", path])
+        assert code == 2
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

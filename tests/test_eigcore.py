@@ -14,22 +14,20 @@ from shearspec.assembly import (
 from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import (
     CountResult,
-    DenseOp,
     EigOptions,
     FactorSpectral,
     JacobiPrecond,
     KronOp,
-    LinOp,
     MassKron,
     SpluPrecond,
     TensorPrecond,
-    as_operator,
     count_below,
     lowest_eigenpairs,
     materialize,
     smallest_eigenpairs,
 )
 from shearspec.geometry import Rect
+from shearspec.thresholds import ess_threshold
 
 
 def fd_chain(n, length=1.0):
@@ -65,7 +63,9 @@ def test_kron_op_matches_dense_kron_two_slots():
     dense = 2.0 * np.kron(Ax, Ay) - 0.5 * np.kron(Bx, By)
     X = rng.standard_normal((20, 3))
     assert np.allclose(op.matmat(X), dense @ X, rtol=1e-13, atol=1e-12)
+    assert np.array_equal(op @ X, op.matmat(X))
     assert np.allclose(materialize(op), dense)
+    assert np.array_equal(materialize(dense), dense)
     assert np.allclose(op.diagonal(), np.diag(dense))
 
 
@@ -277,9 +277,15 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         EigOptions(tol=0.0)
     with pytest.raises(ValueError):
+        EigOptions(tol=float("nan"))
+    with pytest.raises(ValueError, match="maxit"):
+        EigOptions(k=2, tol=1e-300, maxit=-1)
+    with pytest.raises(ValueError, match="seed"):
+        EigOptions(seed=-1)
+    with pytest.raises(ValueError):
         smallest_eigenpairs(np.eye(3), None, EigOptions(k=5))
-    with pytest.raises(TypeError):
-        as_operator("not a matrix")
+    with pytest.raises(ValueError, match="square"):
+        smallest_eigenpairs(np.ones((3, 4)))
 
 
 def test_indefinite_mass_detected():
@@ -296,17 +302,17 @@ def test_nonconvergence_reports_flags():
     assert res.iterations == 2
 
 
-class CountingOp(LinOp):
-    """Wraps an operator and counts its block applies."""
+class CountingOp:
+    """Wraps a pencil operand and counts its block applies."""
 
     def __init__(self, op):
-        self.op = as_operator(op)
-        self.n = self.op.n
+        self.op = op
+        self.shape = (op.n, op.n) if isinstance(op, KronOp) else op.shape
         self.calls = 0
 
-    def matmat(self, X):
+    def __matmul__(self, X):
         self.calls += 1
-        return self.op.matmat(X)
+        return self.op @ X
 
     def diagonal(self):
         return self.op.diagonal()
@@ -464,6 +470,42 @@ def test_inertia_count_flags_the_band():
     r = count_below(form.A, form.M, clear, 1e-6 * clear)
     assert (r.count, r.inertia, r.boundary) == (3, (3, 3), False)
     assert r.reliable and r.clearance == math.inf
+
+
+def reduced_pencil(beta, rect, L, grid):
+    """A reduced2d pencil with its planar count threshold."""
+    return (assemble_reduced2d(beta, rect, L, grid),
+            ess_threshold(beta, rect) - (math.pi / rect.width1)**2)
+
+
+def lmask_pencil():
+    """A half_DN L-mask pencil with its section ground value."""
+    form = assemble_waveguide(1.0, l_shaped_mask(12), 4.0, 20)
+    return form, float(form.section_pairs[0][0])
+
+
+# the strip's top rung and the beta = 0.5 and 3 unit-square top rungs of
+# the benchmark, and an L-mask pencil: each holds one bound state
+@pytest.mark.parametrize("build", [
+    lambda: reduced_pencil(1.0, Rect(0.0, 1.0, 0.0, math.pi * math.sqrt(2)),
+                           42.4, (320, 32)),
+    lambda: reduced_pencil(0.5, Rect(0.0, 1.0, 0.0, 1.0), 8.0, (64, 32)),
+    lambda: reduced_pencil(3.0, Rect(0.0, 1.0, 0.0, 1.0), 8.0, (64, 32)),
+    lmask_pencil,
+], ids=["strip", "square_b0.5", "square_b3", "lmask"])
+def test_inertia_counts_match_block_cg_counts(monkeypatch, build):
+    # the same pencil counted both ways: exactly by inertia, and by the
+    # block-CG growth loop once the fit rule sends no pencil to a factor
+    form, T = build()
+    assert form.n > eigcore.DENSE_N
+    opts = EigOptions(k=4, tol=1e-9)
+    exact = count_below(form.A, form.M, T, 1e-6 * T, opts)
+    monkeypatch.setattr(eigcore, "_CG_ARRAYS", 0)
+    cg = count_below(form.A, form.M, T, 1e-6 * T, opts, form.preconditioner())
+    assert exact.result is None and exact.inertia == (1, 1)
+    assert cg.result.solver == "block_cg"
+    assert exact.reliable and cg.reliable
+    assert cg.count == exact.count == 1
 
 
 def test_factored_shift_above_the_spectrum_falls_back(monkeypatch):
