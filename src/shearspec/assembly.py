@@ -107,25 +107,31 @@ def fem1d(n: int, length: float, bc_left: str = "dirichlet",
             raise ValueError(f"unknown boundary condition {bc!r}")
     h = length / n
     m = n + 1
-    K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)).tolil() / h
-    M = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(m, m)).tolil() * (h / 6)
-    D = sp.diags([0.5, 0.0, -0.5], [-1, 0, 1], shape=(m, m)).tolil()
-    K[0, 0] = K[-1, -1] = 1.0 / h
-    M[0, 0] = M[-1, -1] = 2 * h / 6
-    D[0, 0] = -0.5
-    D[-1, -1] = 0.5
-    keep = np.ones(m, dtype=bool)
-    if bc_left == "dirichlet":
-        keep[0] = False
-    if bc_right == "dirichlet":
-        keep[-1] = False
-    idx = np.flatnonzero(keep)
-    nodes = start + idx * h
+    # a Dirichlet end drops its node: the kept nodes are lo:hi
+    lo = int(bc_left == "dirichlet")
+    hi = m - int(bc_right == "dirichlet")
+    cols = np.arange(lo, hi)[:, None] + np.array([-1, 0, 1])
+
+    def tridiag(lower, diag, upper, ends):
+        """CSR of the kept block of a tridiagonal matrix, without its
+        zero entries."""
+        vals = np.empty((m, 3))
+        vals[:] = lower, diag, upper
+        vals[0, 1], vals[-1, 1] = ends
+        vals = vals[lo:hi]
+        keep = (cols >= lo) & (cols < hi) & (vals != 0.0)
+        indptr = np.zeros(hi - lo + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix(
+            (vals[keep], (cols[keep] - lo).astype(np.int32), indptr),
+            shape=(hi - lo, hi - lo))
+
     return Fem1D(n=n, length=length, start=start, bc=(bc_left, bc_right),
-                 K=K.tocsr()[idx][:, idx].tocsr(),
-                 M=M.tocsr()[idx][:, idx].tocsr(),
-                 D=D.tocsr()[idx][:, idx].tocsr(),
-                 nodes=nodes)
+                 K=tridiag(-1.0 / h, 2.0 / h, -1.0 / h, (1.0 / h,) * 2),
+                 M=tridiag(h / 6, 4.0 * (h / 6), h / 6,
+                           (2 * h / 6,) * 2),
+                 D=tridiag(0.5, 0.0, -0.5, (-0.5, 0.5)),
+                 nodes=start + np.arange(lo, hi) * h)
 
 
 def signed_skew(fem: Fem1D) -> sp.csr_matrix:

@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .certificates import existence_certificate
-from .cross_section import numeric_modes, rectangle_modes
+from .cross_section import numeric_modes, rectangle_modes, refine_mask
 from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
 from .thresholds import BRANCH_POINT, beta_star, bound_factor
 from .waveguide import (CSV_COLUMNS, DiscretizationSpec, SweepResult,
@@ -266,7 +266,12 @@ def cmd_thresholds(args) -> int:
     if isinstance(section, Rect):
         modes = rectangle_modes(beta, section, 2)
     else:
-        modes = numeric_modes(beta, section, args.grid_factor, 2)
+        if args.grid_factor is not None:
+            try:
+                section = refine_mask(section, args.grid_factor)
+            except ValueError as e:
+                raise ConfigError(f"--grid-factor: {e}") from None
+        modes = numeric_modes(beta, section, None, 2)
     out = {
         "beta": beta,
         "E1": modes[0].E,

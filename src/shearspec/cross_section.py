@@ -143,9 +143,19 @@ def section_constants(chi: SectionMode) -> SectionConstants:
     return SectionConstants(kappa=float(v @ (K2 @ v)), moment=-0.5)
 
 
+# the most vertices a refined mask may have: up to 255 x 255 cells, whose
+# section pencil factors in a band of about 65536 x 257 doubles (134 MB)
+_MAX_VERTICES = 2 ** 16
+
+
 def refine_mask(section: MaskSection, factor: int) -> MaskSection:
     if factor < 1:
         raise ValueError(f"refinement factor must be >= 1, got {factor}")
+    rows, cols = (int(s) * factor for s in section.inside.shape)
+    if (rows + 1) * (cols + 1) > _MAX_VERTICES:
+        raise ValueError(f"refinement factor {factor} makes a {rows} x {cols}"
+                         f"-cell mask, over the limit of {_MAX_VERTICES} "
+                         f"vertices")
     inside = np.kron(section.inside,
                      np.ones((factor, factor), dtype=bool))
     return MaskSection(inside=inside, cell=section.cell / factor,

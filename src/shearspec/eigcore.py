@@ -18,8 +18,10 @@ Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
 are solved by dense ``eigh``.  Above that order a KronOp form whose band
 Cholesky fits in the memory block CG would hold, and every bare sparse
-(section or triangle) pencil, is factored: shift-invert Lanczos
-(``eigsh``) runs on the band Cholesky of A - sigma M.  ``count_below``
+(section or triangle) pencil, is factored: with L L^T = A - sigma M,
+standard-form Lanczos (``eigsh``) finds the largest eigenvalues
+1 / (theta - sigma) of L^-1 M L^-T (Ericsson & Ruhe 1980), one M product
+and two band triangular solves per step.  ``count_below``
 counts every such pencil, at any order, by the inertia of a block LDL^T
 (Sylvester's law with Haynsworth additivity).  Every other pencil goes to
 block CG.  For x-major half-guide forms the half-bandwidth is about the
@@ -58,9 +60,15 @@ __all__ = [
     "count_below",
 ]
 
-# pencils up to this order are solved by dense eigh: below it a dense
-# solve is cheaper than iterating
-DENSE_N = 700
+# pencils up to this order are solved by dense eigh, above it a banded
+# pencil is factored: the crossover against the factored branch.  Lowest
+# 4 pairs of reduced2d unit-square pencils at beta 0.5 and 3, median of 7
+# (2 cores, OpenBLAS), dense against factored at a shift 3% below the
+# spectrum: order 112, 1.4-1.6 against 2.7-3.1 ms; 168, 3.6-5.2 against
+# 2.4-3.7 ms; 224, 8.2-12.9 against 3.3-4.8 ms; 480, 24-38 against
+# 3.3-6.2 ms; 560 (the strip's r0s1, beta 1), 50 against 3.7 ms (7.4 ms
+# at sigma = 0, where a ladder's first rung is factored)
+DENSE_N = 200
 
 # the largest block the count's growth loop solves for
 _KMAX = 48
@@ -389,6 +397,8 @@ class EigResult:
     theta: np.ndarray          # k requested Ritz values, ascending
     vectors: np.ndarray        # (n, k), M-orthonormal
     converged: np.ndarray      # per-pair flags for the requested k
+    # block-CG iterations; for a factored solve the Lanczos operator
+    # applies, each one M product and two band triangular solves
     iterations: int
     # A block applies, each paired with one M apply: the start block,
     # one per iteration, one per convergence confirmation
@@ -642,6 +652,15 @@ def _band_cholesky(A, M, kd: int, sigma: float) -> np.ndarray | None:
         return None
 
 
+def _band_solve(chol: np.ndarray, B: np.ndarray, trans: str) -> np.ndarray:
+    """L^-1 B (``trans='N'``) or L^-T B (``'T'``) for the lower band
+    Cholesky factor L of ``_band_cholesky``."""
+    X, info = sla.lapack.dtbtrs(chol, B, uplo="L", trans=trans)
+    if info:
+        raise SolverError(f"dtbtrs failed with info {info}")
+    return X
+
+
 def _negative_count(S: sp.csr_matrix, kd: int) -> int:
     """Negative eigenvalues of the symmetric S of half-bandwidth kd, by a
     block LDL^T whose positive definite stretches are band Cholesky.
@@ -707,14 +726,18 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
 
     Order up to DENSE_N, or ``k=None`` (the full eigenbasis): dense
     ``eigh``.  Above it, a pencil that ``_band_pencil`` selects is
-    factored at ``sigma``: a Cholesky
-    that succeeds proves sigma lies below the spectrum, and shift-invert
-    ``eigsh`` on it from a start vector seeded by ``opts.seed`` returns
-    the lowest k.  A sigma that is not below the spectrum costs one more
-    factorization, at sigma = 0.  Any other pencil, or one whose A is not
-    positive definite, goes to ``smallest_eigenpairs`` with ``precond``.
-    Direct solves report residuals from fresh applies; ``solver`` records
-    the branch taken and ``shift`` the certified sigma.
+    factored at ``sigma``: a Cholesky L L^T = A - sigma M that succeeds
+    proves sigma lies below the spectrum.  A sigma that is not below it
+    backs off to sigma (1 - 2^-j), j = 4, 3, 2, 1, and then to 0, each
+    step certified by its own factorization.  Lanczos in standard form
+    on C = L^-1 M L^-T, from a start vector seeded by ``opts.seed`` and
+    at ARPACK's default (machine precision) tolerance, returns the
+    largest eigenvalues mu of C: theta = shift + 1 / mu are the lowest
+    k, and x = L^-T y, M-normalized, their vectors; ``iterations`` counts
+    the applies of C.  Any other pencil, or one whose A is not positive
+    definite, goes to ``smallest_eigenpairs`` with ``precond``.  Direct
+    solves report residuals from fresh applies; ``solver`` records the
+    branch taken and ``shift`` the certified sigma.
     """
     opts = opts or EigOptions()
     n = _order(A)
@@ -723,6 +746,7 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     shift = None
+    applies = 0
     if k is None or n <= DENSE_N:
         solver = "dense"
         theta, V = sla.eigh(materialize(A), materialize(M),
@@ -732,7 +756,10 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
         chol = None
         if band is not None:
             Ac, Mc, kd = band
-            for shift in ([0.0] if sigma == 0.0 else [float(sigma), 0.0]):
+            # back off from a sigma that is not below the spectrum by
+            # sigma (1 - 2^-j), j = 4, 3, 2, 1, down to 0 at j = 0
+            for shift in dict.fromkeys([float(sigma)] + [
+                    sigma * (1.0 - 0.5 ** j) for j in (4, 3, 2, 1, 0)]):
                 chol = _band_cholesky(Ac, Mc, kd, shift)
                 if chol is not None:
                     break
@@ -740,20 +767,27 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
             return smallest_eigenpairs(A, M, dataclasses.replace(opts, k=k),
                                        precond)
         solver = "shift_invert"
-        OPinv = LinearOperator(
-            (n, n), dtype=float,
-            matvec=lambda b: sla.cho_solve_banded((chol, True), b,
-                                                  check_finite=False))
+
+        def op(y):
+            """C y for C = L^-1 M L^-T, whose largest eigenvalues are
+            1 / (theta - shift) for the lowest theta."""
+            nonlocal applies
+            applies += 1
+            y = y.reshape(n, -1)
+            return _band_solve(chol, Mc @ _band_solve(chol, y, "T"), "N")
+
         v0 = np.random.default_rng(opts.seed).standard_normal(n)
-        theta, V = eigsh(Ac, k=k, M=Mc, sigma=shift, which="LM",
-                         OPinv=OPinv, v0=v0)
+        mu, Y = eigsh(LinearOperator((n, n), matvec=op, dtype=float), k=k,
+                      which="LA", v0=v0)
+        theta = shift + 1.0 / mu
         order = np.argsort(theta)
-        theta, V = theta[order], V[:, order]
+        theta = theta[order]
+        V = _band_solve(chol, Y[:, order], "T")
         V = V / np.sqrt(np.einsum("ij,ij->j", V, M @ V))
     MV = M @ V
     res = np.linalg.norm(A @ V - MV * theta, axis=0)
-    return EigResult(theta, V, np.ones(theta.size, dtype=bool), 0, 0, res,
-                     solver, shift)
+    return EigResult(theta, V, np.ones(theta.size, dtype=bool), applies, 0,
+                     res, solver, shift)
 
 
 @dataclass

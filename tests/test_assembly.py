@@ -113,6 +113,44 @@ def test_fem1d_convergence_rate():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
 
+def lil_fem1d(n, length, bc_left, bc_right, start=0.0):
+    """The LIL builder ``fem1d`` replaced, verbatim: K, M, D and nodes."""
+    h = length / n
+    m = n + 1
+    K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)).tolil() / h
+    M = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(m, m)).tolil() * (h / 6)
+    D = sp.diags([0.5, 0.0, -0.5], [-1, 0, 1], shape=(m, m)).tolil()
+    K[0, 0] = K[-1, -1] = 1.0 / h
+    M[0, 0] = M[-1, -1] = 2 * h / 6
+    D[0, 0] = -0.5
+    D[-1, -1] = 0.5
+    keep = np.ones(m, dtype=bool)
+    if bc_left == "dirichlet":
+        keep[0] = False
+    if bc_right == "dirichlet":
+        keep[-1] = False
+    idx = np.flatnonzero(keep)
+    nodes = start + idx * h
+    return (K.tocsr()[idx][:, idx].tocsr(), M.tocsr()[idx][:, idx].tocsr(),
+            D.tocsr()[idx][:, idx].tocsr(), nodes)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 256])
+@pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"),
+                                ("neumann", "dirichlet"),
+                                ("dirichlet", "neumann"),
+                                ("neumann", "neumann")])
+def test_fem1d_matches_the_lil_builder_bit_for_bit(n, bc):
+    f = fem1d(n, 21.2, *bc, start=-0.3)
+    *old, nodes = lil_fem1d(n, 21.2, *bc, start=-0.3)
+    for new, want in zip((f.K, f.M, f.D), old):
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(new, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.all(a == b), part
+    assert np.all(f.nodes == nodes)
+
+
 # ---------------------------------------------------------- signed skew
 
 def test_signed_skew_requires_symmetric_even_grid():
@@ -312,6 +350,7 @@ def test_mask_waveguide_symmetry_and_separability():
 def test_section_eigenpairs_sparse_path_matches_dense(monkeypatch):
     K1, K2, _, M = section_fem(l_shaped_mask(24))
     K = (K1 + 2.0 * K2).tocsr()
+    monkeypatch.setattr(eigcore, "DENSE_N", K.shape[0])
     dense = lowest_eigenpairs(K, M, 3)
     monkeypatch.setattr(eigcore, "DENSE_N", 100)
     sparse = lowest_eigenpairs(K, M, 3)

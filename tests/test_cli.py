@@ -6,12 +6,13 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearspec import cli
+from shearspec import cli, eigcore
 from shearspec.cli import ConfigError, load_config, load_mask, main
 from shearspec.waveguide import CSV_COLUMNS
 
@@ -94,6 +95,22 @@ class TestThresholds:
                            "--mask", str(mask), "--grid-factor", factor)
         assert code == 2
         assert "refinement factor" in err
+
+    def test_oversized_grid_factor_exits_2_unallocated(self, capsys,
+                                                      tmp_path):
+        # 12 x 12 cells refined 100000-fold would be a 9.3 GiB mask
+        mask = tmp_path / "m.txt"
+        mask.write_text(MASK_TEXT)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "thresholds", "--beta", "1", "--mask",
+                               str(mask), "--grid-factor", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --grid-factor: refinement factor")
 
     def test_mask_grid_factor_threshold_is_e1(self, capsys, tmp_path):
         # one section solve: the threshold field is the refined E1
@@ -211,7 +228,10 @@ class TestSpectrum:
         with pytest.raises(ConfigError, match="beta"):
             load_config(str(write_config(tmp_path, beta=2.0 ** 26 * 1.01)))
 
-    def test_report_traces_shifts_not_csv(self, capsys, tmp_path):
+    def test_report_traces_shifts_not_csv(self, capsys, monkeypatch,
+                                          tmp_path):
+        # r0s1 (order 48 * 7 = 336) on the dense side, which records no shift
+        monkeypatch.setattr(eigcore, "DENSE_N", 48 * 7)
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(capsys, "spectrum", str(cfg), "--out", str(a))[0] == 0

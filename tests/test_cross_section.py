@@ -202,6 +202,11 @@ def test_validation_errors():
         l_shaped_mask(7)
     with pytest.raises(ValueError):
         refine_mask(l_shaped_mask(8), 0)
+    # up to 2^16 vertices: 255 x 255 cells pass, 256 x 256 do not
+    one = MaskSection(np.ones((1, 1), bool), 1.0)
+    assert refine_mask(one, 255).inside.shape == (255, 255)
+    with pytest.raises(ValueError, match="limit of 65536 vertices"):
+        refine_mask(one, 256)
     # a refinement factor below 1 is refused, not read as the mask as given
     for factor in (0, -3):
         with pytest.raises(ValueError, match="refinement factor"):

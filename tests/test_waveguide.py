@@ -9,6 +9,7 @@ solver against itself.
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearspec import eigcore, waveguide
+from shearspec.cli import load_config
 from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import EigOptions, lowest_eigenpairs, smallest_eigenpairs
 from shearspec.geometry import Rect, WaveguideSpec
@@ -394,7 +396,10 @@ class TestSweep:
 
 
 class TestReportSerialization:
-    def test_json_and_rows(self):
+    def test_json_and_rows(self, monkeypatch):
+        # r0s1 has order 48 * 7 = 336: at DENSE_N here, so dense; the
+        # others are above it, with half-bandwidth n2 = 16: factored
+        monkeypatch.setattr(eigcore, "DENSE_N", 48 * 7)
         rep = compute_spectrum(WaveguideSpec(1.0, SQUARE), small_reduced())
         d = json.loads(json.dumps(rep.as_dict()))
         assert d["count"] == rep.count
@@ -402,8 +407,6 @@ class TestReportSerialization:
         assert d["section"] == {"kind": "rect", "a": 0.0, "b": 1.0,
                                 "c": 0.0, "d": 1.0}
         assert set(d["counts_by_rung"]) == {"r0s1", "r1s0", "r1s1"}
-        # r0s1 has order 48 * 7 = 336, at or below DENSE_N; the others
-        # are above it, with half-bandwidth n2 = 16: factored
         assert [r["solver"] for r in d["rungs"]] == ["dense", "shift_invert",
                                                      "shift_invert"]
         assert [r["shift"] is None for r in d["rungs"]] == [True, False,
@@ -471,7 +474,9 @@ class TestFactoredRungs:
     def test_ladder_shifts_sit_below_each_rung(self):
         rep = compute_spectrum(WaveguideSpec(1.0, STRIP), self.STRIP_LADDER)
         by = {(rr.grid.r, rr.grid.s): rr for rr in rep.rungs}
-        assert by[(0, 1)].solver == "dense" and by[(0, 1)].shift is None
+        # r0s1 (order 80 * 7 = 560) is factored at sigma = 0: no rung
+        # precedes it
+        assert by[(0, 1)].solver == "shift_invert" and by[(0, 1)].shift == 0.0
         for p in ((1, 1), (2, 1), (2, 0)):
             rr = by[p]
             assert rr.solver == "shift_invert"
@@ -479,6 +484,38 @@ class TestFactoredRungs:
             # replaced by the sigma = 0 fallback
             assert 0.0 < rr.shift < rr.planar[0]
         assert by[(2, 1)].inertia == (1, 1)
+
+    def test_factored_rungs_report_their_lanczos_applies(self):
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), self.STRIP_LADDER)
+        rungs = json.loads(json.dumps(rep.as_dict()))["rungs"]
+        for rr, row in zip(rep.rungs, rungs):
+            assert rr.solver == "shift_invert"
+            assert row["iterations"] == rr.iterations > 0
+
+    @staticmethod
+    def assert_guessed_shifts(rep, disc):
+        """Every factored rung after the first mesh rung is shifted by a
+        certified guess or its back-off, never at sigma = 0."""
+        factored = [rr for rr in rep.rungs if rr.solver == "shift_invert"
+                    and (rr.grid.r, rr.grid.s) != (0, disc.l_steps - 1)]
+        assert factored
+        for rr in factored:
+            assert 0.0 < rr.shift < rr.planar[0], (rr.grid, rr.shift)
+
+    @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
+    def test_sweep_shifts_back_off_above_the_spectrum(self, beta):
+        # r2s1's guess lands above its lowest value at these shears
+        rep = compute_spectrum(WaveguideSpec(beta, SQUARE), self.SWEEP_LADDER)
+        self.assert_guessed_shifts(rep, self.SWEEP_LADDER)
+
+    def test_demo_sweep_shifts_back_off(self):
+        # at beta 0.5 the coarse value sits above the threshold, so the
+        # first drop is negative and r1s1's guess lies above its spectrum
+        path = Path(__file__).parents[1] / "demos" / "configs" / "sweep.json"
+        _, section, betas, disc, opts = load_config(str(path), sweep=True)
+        for beta in betas:
+            rep = compute_spectrum(WaveguideSpec(beta, section), disc, opts)
+            self.assert_guessed_shifts(rep, disc)
 
 
 def _channel_sums_seed(planar, rect, e1, band):
