@@ -18,7 +18,6 @@ from .cross_section import (
     numeric_modes,
     rectangle_modes,
     refine_mask,
-    section_constants,
 )
 from .certificates import (
     bform_count,
@@ -30,9 +29,7 @@ from .geometry import (
     Rect,
     ShearParam,
     WaveguideSpec,
-    map_point,
     metric,
-    prism_region,
 )
 from .thresholds import (
     beta_star,
@@ -62,15 +59,12 @@ __all__ = [
     "SpectrumReport",
     "SweepResult",
     "metric",
-    "map_point",
-    "prism_region",
     "ess_threshold",
     "beta_star",
     "bound_factor",
     "uniqueness_condition",
     "rectangle_modes",
     "numeric_modes",
-    "section_constants",
     "refine_mask",
     "l_shaped_mask",
     "existence_certificate",

@@ -12,10 +12,9 @@ against the mass Mx(x)M, written once in ``_half_guide``.  The forms
 differ only in the triple: Kronecker products of the 1-D y1 and y2
 factors for rectangles, the y2 factors for reduced2d, ``section_fem``
 for masks.  The stiffness terms are summed once into one CSR matrix
-(``KronOp``), and the mass, a ``MassKron``, is assembled the same way
-but keeps its factors for an exact slot-wise solve.  Consistent
-mass everywhere: discrete eigenvalues are variational upper bounds,
-which the ladder logic and the counting rely on.  The x interval is
+(``KronOp``), and the mass, a ``MassKron``, is assembled the same way.
+Consistent mass everywhere: discrete eigenvalues are variational upper
+bounds, which the ladder logic and the counting rely on.  The x interval is
 capped at L with a Dirichlet end (upper bounds again, decreasing in L);
 x = 0 is natural Neumann, or the kink node of the full guide on (-L, L).
 """

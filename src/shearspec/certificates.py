@@ -6,7 +6,7 @@ driven strictly negative, which places spectrum below the threshold.
 The comparison form b is a 1-D square well whose bound states dominate
 the count of discrete eigenvalues; it is counted by piecewise-exact
 shooting.  The prism checks evaluate the auxiliary anisotropic problem
-on the triangular prism and the closed forms available at unit shear.
+on the triangular prism against its closed-form levels at unit shear.
 """
 
 from __future__ import annotations
@@ -19,19 +19,17 @@ import numpy as np
 
 from .assembly import assemble_prism
 from .eigcore import lowest_eigenpairs
-from .geometry import Rect, beta_value, prism_region
-from .thresholds import BRANCH_POINT, bound_factor, ess_threshold, prism_mu_unit
+from .geometry import Rect, beta_value
+from .thresholds import bound_factor, ess_threshold, prism_mu_unit
 
 __all__ = [
     "CutoffProfile",
     "CertificateResult",
     "BForm",
-    "PrismMode",
     "PrismReport",
     "default_profile",
     "existence_certificate",
     "bform_count",
-    "prism_mode",
     "prism_eigen_check",
 ]
 
@@ -238,7 +236,6 @@ class BForm:
     kappa: float
     nu: float
     E1: float
-    E2: float | None = None
 
     def __post_init__(self):
         if self.nu <= 0.0:
@@ -258,22 +255,8 @@ class BForm:
     def width(self) -> float:
         return math.sqrt(self.nu)
 
-    @property
-    def depth(self) -> float:
-        return 1.0
 
-    @property
-    def zeta(self) -> float | None:
-        """Diagnostic combination attached to the transverse remainder;
-        no claim is made about which parameter sets keep it above E1."""
-        if self.E2 is None:
-            return None
-        b, e = self.beta, self.eps
-        return (((b * b - e * b + 1.0) / (1.0 + b * b)) * self.E2
-                - 2.0 * e * b - 1.0)
-
-
-def bform_count(beta, eps, kappa, nu, E1, E2=None) -> int:
+def bform_count(beta, eps, kappa, nu, E1) -> int:
     """Bound states of the comparison well below its background level.
 
     Shifting by E1 leaves -c0 f'' - 1_[0,w] f on (0, infinity) with
@@ -284,7 +267,7 @@ def bform_count(beta, eps, kappa, nu, E1, E2=None) -> int:
     b = beta_value(beta)
     if eps < b:
         raise ValueError(f"eps = {eps:g} must be at least beta = {b:g}")
-    form = BForm(beta=b, eps=eps, kappa=kappa, nu=nu, E1=E1, E2=E2)
+    form = BForm(beta=b, eps=eps, kappa=kappa, nu=nu, E1=E1)
     c0 = form.c0
     w = form.width
     root = math.sqrt(c0)
@@ -308,58 +291,6 @@ def bform_count(beta, eps, kappa, nu, E1, E2=None) -> int:
 
 
 # ---------------------------------------------------------------- prism
-
-@dataclass(frozen=True)
-class PrismMode:
-    """Closed-form eigenfunction of the unit-shear prism problem."""
-
-    mu: float
-    A: float
-    B: float
-    ky1: float
-    amp: float
-
-    def value(self, x, y1, y2):
-        x = np.asarray(x, dtype=float)
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        return (self.amp * np.cos(np.pi * x / (2 * self.A))
-                * np.sin(self.ky1 * y1) * np.sin(np.pi * y2 / (2 * self.A)))
-
-    def gradient(self, x, y1, y2):
-        x = np.asarray(x, dtype=float)
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        kx = np.pi / (2 * self.A)
-        gx = -self.amp * kx * np.sin(kx * x) * np.sin(self.ky1 * y1) \
-            * np.sin(kx * y2)
-        g1 = self.amp * self.ky1 * np.cos(kx * x) * np.cos(self.ky1 * y1) \
-            * np.sin(kx * y2)
-        g2 = self.amp * kx * np.cos(kx * x) * np.sin(self.ky1 * y1) \
-            * np.cos(kx * y2)
-        return gx, g1, g2
-
-
-def prism_mode(rect: Rect, index: int) -> PrismMode:
-    """First two closed-form modes at unit shear.
-
-    The second mode doubles the y1 frequency, which is the lower of the
-    excited levels only while the aspect stays below 2/sqrt(3); past
-    that point no closed-form eigenfunction is available here.
-    """
-    region = prism_region(rect)
-    A, B = region.A, region.B
-    amp = 2.0 / (A * math.sqrt(B))
-    mu1, mu2 = prism_mu_unit(rect)
-    if index == 1:
-        return PrismMode(mu=mu1, A=A, B=B, ky1=math.pi / (2 * B), amp=amp)
-    if index == 2:
-        if rect.aspect > BRANCH_POINT:
-            raise ValueError("second closed-form mode requires aspect "
-                             "<= 2/sqrt(3)")
-        return PrismMode(mu=mu2, A=A, B=B, ky1=math.pi / B, amp=amp)
-    raise ValueError(f"closed forms cover modes 1 and 2, not {index}")
-
 
 @dataclass(frozen=True)
 class PrismReport:

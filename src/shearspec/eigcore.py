@@ -67,7 +67,7 @@ __all__ = [
 # spectrum: order 112, 1.4-1.6 against 2.7-3.1 ms; 168, 3.6-5.2 against
 # 2.4-3.7 ms; 224, 8.2-12.9 against 3.3-4.8 ms; 480, 24-38 against
 # 3.3-6.2 ms; 560 (the strip's r0s1, beta 1), 50 against 3.7 ms (7.4 ms
-# at sigma = 0, where a ladder's first rung is factored)
+# at sigma = 0)
 DENSE_N = 200
 
 # the largest block the count's growth loop solves for
@@ -211,28 +211,12 @@ class KronOp:
 
 
 class MassKron(KronOp):
-    """Single Kronecker product of mass factors, with an exact solve.
-
-    A one-term KronOp: applied, densified and banded through the same
-    assembled CSR matrix as the stiffness.  The factors are factorized
-    (sparse LU) on the first solve, so a form that is never solved
-    against never pays for it; the solve applies the inverses slot by
-    slot, giving ||r||_{M^-1} residual norms cheaply.
-    """
+    """Single Kronecker product of mass factors: a one-term KronOp,
+    applied, densified and banded through the same assembled CSR matrix
+    as the stiffness."""
 
     def __init__(self, mats, shape):
         super().__init__([(1.0, mats)], shape)
-
-    @functools.cached_property
-    def _lu(self):
-        return [splu(sp.csc_matrix(m)) for m in self.terms[0][1]]
-
-    def solve(self, X):
-        X = np.asarray(X, dtype=float)
-        T = X.reshape(*self.shape, -1)
-        for axis, lu in enumerate(self._lu):
-            T = _along(lu.solve, T, axis)
-        return T.reshape(X.shape)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,7 @@ __all__ = [
     "MaskSection",
     "WaveguideSpec",
     "MetricTensor",
-    "PrismRegion",
     "metric",
-    "map_point",
-    "prism_region",
     "section_diameter",
 ]
 
@@ -161,34 +158,3 @@ def metric(beta: float | ShearParam) -> MetricTensor:
         [b, 0.0, 1.0],
     ])
     return MetricTensor(beta=b, matrix=g)
-
-
-def map_point(beta: float | ShearParam, x, y1, y2):
-    """Shear map L_beta(x, y1, y2) = (x, y1, beta*|x| + y2), vectorized."""
-    b = beta_value(beta, allow_zero=True)
-    x = np.asarray(x, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    return x, y1, b * np.abs(x) + y2
-
-
-@dataclass(frozen=True)
-class PrismRegion:
-    """Triangular prism used by the two-sided eigenvalue comparison.
-
-    Coordinates (x, y1, y2) with x in (-A, 0), y1 in (0, depth) and
-    0 < y2 < x + A; A = (d-c)/sqrt(2), depth = b-a, B = depth/2.
-    Dirichlet on the y1 faces and on y2 = 0, Neumann on x = 0 and on
-    the slant.
-    """
-
-    A: float
-    B: float
-    depth: float
-
-
-def prism_region(rect: Rect) -> PrismRegion:
-    """Comparison prism attached to a rectangle section."""
-    depth = rect.width1
-    return PrismRegion(A=rect.width2 / math.sqrt(2.0), B=depth / 2.0,
-                       depth=depth)

@@ -324,10 +324,10 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     are then solved from coarse to fine, box steps last.  Nested spaces
     make the lowest value fall along the mesh series at about a quarter of
     the last drop per step, so each factored solve is shifted to the
-    previous mesh rung's lowest value minus that rung's drop (the first,
-    minus its drop from the threshold): close below its spectrum, and
-    certified below it by the factorization.  A block-CG top rung reuses
-    the values of its count.
+    previous mesh rung's lowest value minus that rung's drop, and the
+    first mesh rung to its threshold, from which its drop is measured:
+    close below its spectrum, and certified below it by the factorization
+    or its back-off.  A block-CG top rung reuses the values of its count.
     """
     t_start = time.perf_counter()
     base = opts or EigOptions(k=4, tol=1e-9)
@@ -382,7 +382,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
             e1_r, warnings = _rung_threshold(beta, form), form.warnings
             sol, seconds = None, 0.0
         if sol is None:
-            sigma = 0.0 if theta1 is None else theta1 - drop
+            sigma = e1_r - offset if theta1 is None else theta1 - drop
             sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre,
                                     sigma=sigma)
         form = pre = None   # one pencil alive at a time
@@ -539,10 +539,6 @@ class SymmetryReport:
     matches: list[int]
     odd_fraction: np.ndarray
     seconds: float
-
-    @property
-    def max_gap(self) -> float:
-        return float(self.gaps.max())
 
 
 def symmetry_check(spec: WaveguideSpec, disc: DiscretizationSpec,

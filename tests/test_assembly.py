@@ -491,8 +491,7 @@ def test_triangle_matrices_match_loop_bitwise(n):
 
 
 def test_assembly_factorizes_no_mass(monkeypatch):
-    # the MassKron factors are factorized on the first solve, not when
-    # a form is assembled
+    # assembling a form factorizes nothing, the mass included
     def no_splu(*args, **kwargs):
         raise AssertionError("splu called during assembly")
 

@@ -13,11 +13,9 @@ from shearspec.certificates import (
     default_profile,
     existence_certificate,
     prism_eigen_check,
-    prism_mode,
 )
-from shearspec.cross_section import rectangle_modes
 from shearspec.geometry import Rect
-from shearspec.thresholds import ess_threshold
+from shearspec.thresholds import BRANCH_POINT, ess_threshold, prism_mu_unit
 
 PI2 = math.pi**2
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
@@ -243,26 +241,63 @@ def test_bform_validation():
         BForm(beta=1.0, eps=2.0, kappa=-0.1, nu=1.0, E1=10.0)
 
 
-def test_bform_zeta_diagnostic():
+def test_bform_coefficients():
     beta, eps = 1.0, 2.0
-    E2 = rectangle_modes(beta, UNIT, 2)[1].E
     form = BForm(beta=beta, eps=eps, kappa=0.2, nu=1.0,
-                 E1=ess_threshold(beta, UNIT), E2=E2)
-    expect = ((beta**2 - eps * beta + 1.0) / (1.0 + beta**2)) * E2 \
-        - 2.0 * eps * beta - 1.0
-    assert form.zeta == pytest.approx(expect, rel=1e-14)
-    assert BForm(beta=beta, eps=eps, kappa=0.2, nu=1.0, E1=1.0).zeta is None
+                 E1=ess_threshold(beta, UNIT))
     assert form.c0 == pytest.approx(1.0 - 2.0 * 0.2 * beta / eps)
     assert form.width == pytest.approx(1.0)
-    assert form.depth == 1.0
 
 
 # ---------------------------------------------------------------- prism
 
+class _PrismMode:
+    """Closed-form eigenfunction of the unit-shear prism problem on
+    x in (-A, 0), y1 in (0, 2B), 0 < y2 < x + A, with A = (d-c)/sqrt(2)
+    and B = (b-a)/2: Dirichlet on the y1 faces and on y2 = 0, Neumann on
+    x = 0 and on the slant."""
+
+    def __init__(self, mu, A, B, ky1):
+        self.mu, self.A, self.B, self.ky1 = mu, A, B, ky1
+        self.amp = 2.0 / (A * math.sqrt(B))
+
+    def value(self, x, y1, y2):
+        x, y1, y2 = (np.asarray(v, dtype=float) for v in (x, y1, y2))
+        kx = np.pi / (2 * self.A)
+        return (self.amp * np.cos(kx * x) * np.sin(self.ky1 * y1)
+                * np.sin(kx * y2))
+
+    def gradient(self, x, y1, y2):
+        x, y1, y2 = (np.asarray(v, dtype=float) for v in (x, y1, y2))
+        kx = np.pi / (2 * self.A)
+        gx = -self.amp * kx * np.sin(kx * x) * np.sin(self.ky1 * y1) \
+            * np.sin(kx * y2)
+        g1 = self.amp * self.ky1 * np.cos(kx * x) * np.cos(self.ky1 * y1) \
+            * np.sin(kx * y2)
+        g2 = self.amp * kx * np.cos(kx * x) * np.sin(self.ky1 * y1) \
+            * np.cos(kx * y2)
+        return gx, g1, g2
+
+
+def _prism_mode(rect, index):
+    """First two closed-form modes at unit shear; the second doubles the
+    y1 frequency, the lower excited level only up to aspect 2/sqrt(3)."""
+    A, B = rect.width2 / math.sqrt(2.0), rect.width1 / 2.0
+    mu1, mu2 = prism_mu_unit(rect)
+    if index == 1:
+        return _PrismMode(mu1, A, B, math.pi / (2 * B))
+    if index == 2:
+        if rect.aspect > BRANCH_POINT:
+            raise ValueError("second closed-form mode requires aspect "
+                             "<= 2/sqrt(3)")
+        return _PrismMode(mu2, A, B, math.pi / B)
+    raise ValueError(f"closed forms cover modes 1 and 2, not {index}")
+
+
 def test_prism_mode_boundary_conditions():
     for rect in (UNIT, Rect(0, 2, 0, 1)):
         for index in (1, 2):
-            m = prism_mode(rect, index)
+            m = _prism_mode(rect, index)
             A, depth = m.A, 2.0 * m.B
             t = np.linspace(1e-3, A - 1e-3, 9)
             y1 = np.linspace(1e-3, depth - 1e-3, 9)
@@ -279,14 +314,14 @@ def test_prism_mode_boundary_conditions():
 
 
 def test_prism_mode_levels_and_errors():
-    m1 = prism_mode(UNIT, 1)
-    m2 = prism_mode(UNIT, 2)
+    m1 = _prism_mode(UNIT, 1)
+    m2 = _prism_mode(UNIT, 2)
     assert m1.mu == pytest.approx(2.0 * PI2, rel=1e-14)
     assert m2.mu == pytest.approx(5.0 * PI2, rel=1e-14)
     with pytest.raises(ValueError):
-        prism_mode(Rect(0, 1, 0, 2), 2)  # aspect past the branch point
+        _prism_mode(Rect(0, 1, 0, 2), 2)  # aspect past the branch point
     with pytest.raises(ValueError):
-        prism_mode(UNIT, 3)
+        _prism_mode(UNIT, 3)
 
 
 def test_prism_check_unit_square():

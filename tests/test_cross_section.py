@@ -9,9 +9,9 @@ from shearspec.cross_section import (
     rect_mode_value,
     rectangle_modes,
     refine_mask,
-    section_constants,
 )
 from shearspec.assembly import section_fem
+from shearspec.eigcore import lowest_eigenpairs
 from shearspec.geometry import MaskSection, Rect
 
 PI2 = math.pi**2
@@ -67,20 +67,6 @@ def test_rectangle_mode_list_is_sorted_and_complete():
     assert np.allclose(E, brute, rtol=1e-14)
 
 
-def test_closed_form_mode_is_normalized_and_vanishes_on_boundary():
-    mode = rectangle_modes(1.0, Rect(0.0, 2.0, -1.0, 1.0), 1)[0]
-    y1, y2 = np.meshgrid(np.linspace(0, 2, 401), np.linspace(-1, 1, 401),
-                         indexing="ij")
-    vals = mode.evaluate(y1, y2)
-    norm2 = np.trapezoid(np.trapezoid(vals**2, y2[0], axis=1), y1[:, 0])
-    assert norm2 == pytest.approx(1.0, rel=1e-4)
-    # boundary traces vanish to sine roundoff
-    edges = np.concatenate([vals[0], vals[-1], vals[:, 0], vals[:, -1]])
-    assert np.allclose(edges, 0.0, atol=1e-12)
-    # outside points are clamped to zero exactly
-    assert mode.evaluate(-1.0, 0.0) == 0.0
-
-
 def test_e1_strictly_increasing_in_beta():
     rect = Rect(0.0, 1.5, 0.0, 0.7)
     betas = np.linspace(0.0, 4.0, 17)
@@ -123,9 +109,11 @@ def test_numeric_anisotropic_rectangle_grid_pair():
 
 
 def test_numeric_mode_nodal_normalization():
-    mode = numeric_modes(1.0, full_mask(UNIT, 32), None, 1)[0]
-    M = section_fem(mode.section)[3]
-    assert mode.values @ (M @ mode.values) == pytest.approx(1.0, abs=1e-10)
+    # the section pencil numeric_modes solves returns Q1-mass-normalized
+    # vectors
+    K1, K2, _, M = section_fem(full_mask(UNIT, 32))
+    v = lowest_eigenpairs((K1 + 2.0 * K2).tocsr(), M, 1).vectors[:, 0]
+    assert v @ (M @ v) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_numeric_modes_reject_rectangles():
@@ -147,46 +135,6 @@ def test_mask_refinement_is_exact_subdivision():
     got = numeric_modes(1.0, l_shaped_mask(64), 2, 1)[0].E
     ref = numeric_modes(1.0, l_shaped_mask(128), None, 1)[0].E
     assert got == pytest.approx(ref, rel=1e-12)
-
-
-# -------------------------------------------------------------- constants
-
-def test_kappa_closed_forms():
-    chi = rectangle_modes(1.0, UNIT, 1)[0]
-    assert section_constants(chi).kappa == pytest.approx(PI2)
-    chi2 = rectangle_modes(1.0, Rect(0, 1, 0, 2), 1)[0]
-    assert section_constants(chi2).kappa == pytest.approx(PI2 / 4)
-
-
-def test_moment_is_minus_half_closed_form():
-    for beta in (0.0, 0.5, 2.0):
-        for rect in (UNIT, Rect(0, 1, -3, -1)):
-            chi = rectangle_modes(beta, rect, 1)[0]
-            assert section_constants(chi).moment == pytest.approx(-0.5,
-                                                                  abs=1e-8)
-
-
-def test_moment_is_minus_half_on_masks():
-    chi = numeric_modes(1.0, l_shaped_mask(256), None, 1)[0]
-    const = section_constants(chi)
-    assert const.moment == pytest.approx(-0.5, abs=1e-4)
-    assert const.kappa > 0
-
-
-def test_moment_on_numeric_rectangle():
-    chi = numeric_modes(1.0, full_mask(UNIT, 96), None, 1)[0]
-    const = section_constants(chi)
-    assert const.moment == pytest.approx(-0.5, abs=1e-3)
-    assert const.kappa == pytest.approx(PI2, rel=1e-2)
-
-
-def test_unnormalized_mode_rejected():
-    mode = numeric_modes(1.0, full_mask(UNIT, 32), None, 1)[0]
-    bad = type(mode)(kind=mode.kind, E=mode.E, beta=mode.beta,
-                     index=mode.index, section=mode.section,
-                     values=2.0 * mode.values)
-    with pytest.raises(ValueError):
-        section_constants(bad)
 
 
 # ------------------------------------------------------------- validation

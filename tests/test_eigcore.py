@@ -98,16 +98,6 @@ def test_operator_linearity_and_symmetry_probes():
     assert op.matmat(x) @ y == pytest.approx(x @ op.matmat(y), rel=1e-12)
 
 
-def test_mass_kron_solve_inverts_matmat():
-    rng = np.random.default_rng(3)
-    M1 = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(7, 7)).tocsr() / 6.0
-    M2 = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(5, 5)).tocsr() / 6.0
-    M = MassKron((M1, M2), (7, 5))
-    X = rng.standard_normal((35, 4))
-    assert np.allclose(M.solve(M.matmat(X)), X, rtol=1e-12, atol=1e-12)
-    assert np.allclose(M.matmat(M.solve(X)), X, rtol=1e-12, atol=1e-12)
-
-
 # ------------------------------------------------------- factor eigenbases
 
 def p1_factors(n, length, bc):

@@ -9,9 +9,7 @@ from shearspec.geometry import (
     Rect,
     ShearParam,
     WaveguideSpec,
-    map_point,
     metric,
-    prism_region,
     section_diameter,
 )
 
@@ -49,20 +47,6 @@ def test_shear_param_validation():
     assert ShearParam(0.5).beta == 0.5
 
 
-def test_map_point_even_in_x():
-    beta = 0.7
-    x = np.linspace(-3, 3, 13)
-    _, _, z_pos = map_point(beta, x, 0.2, 0.3)
-    _, _, z_neg = map_point(beta, -x, 0.2, 0.3)
-    assert np.array_equal(z_pos, z_neg)
-    assert np.allclose(z_pos, beta * np.abs(x) + 0.3)
-
-
-def test_map_point_accepts_shear_param():
-    x, y1, z = map_point(ShearParam(2.0), 1.5, 0.0, 0.25)
-    assert z == 2.0 * 1.5 + 0.25
-
-
 def test_rect_validation_and_aspect():
     with pytest.raises(ValueError):
         Rect(0.0, 0.0, 0.0, 1.0)
@@ -87,14 +71,6 @@ def test_section_diameter():
     inside[2:5, 1:7] = True  # 3 x 6 block of 0.5-cells
     assert section_diameter(MaskSection(inside, cell=0.5)) == pytest.approx(
         math.hypot(1.5, 3.0))
-
-
-def test_prism_region_dimensions():
-    rect = Rect(0.0, 1.0, 0.0, 1.0)
-    prism = prism_region(rect)
-    assert prism.A == pytest.approx(1.0 / math.sqrt(2.0))
-    assert prism.B == pytest.approx(0.5)
-    assert prism.depth == 1.0
 
 
 def test_metric_tensor_repr_hides_matrix():
