@@ -8,11 +8,13 @@ so the half-guide form
 
 becomes  A = Kx(x)M + Mx(x)K - beta (Dx(x)D2' + Dx'(x)D2)
 
-against the mass Mx(x)M, written once in ``_half_guide``.  The forms
-differ only in the triple: Kronecker products of the 1-D y1 and y2
-factors for rectangles, the y2 factors for reduced2d, ``section_fem``
-for masks.  The stiffness terms are summed once into one CSR matrix
-(``KronOp``), and the mass, a ``MassKron``, is assembled the same way.
+against the mass Mx(x)M, written once in ``_half_guide``.  Every matrix
+comes from 1-D P1 factors without an element loop.  The forms differ
+only in the triple: Kronecker products of the y1 and y2 factors for
+rectangles, the same products restricted to the interior vertices for
+masks (``section_fem``), the y2 factors for reduced2d.  The x (x) section
+terms are summed once into one CSR matrix (``KronOp``), and the mass, a
+``MassKron``, is assembled the same way.
 Consistent mass everywhere: discrete eigenvalues are variational upper
 bounds, which the ladder logic and the counting rely on.  The x interval is
 capped at L with a Dirichlet end (upper bounds again, decreasing in L);
@@ -138,71 +140,43 @@ def signed_skew(fem: Fem1D) -> sp.csr_matrix:
 
     The kink at x = 0 must be a grid node, so the element count is even
     and the interval symmetric.  Used by the full-domain mode, where the
-    shear coefficient flips sign across the kink.
+    shear coefficient flips sign across the kink: ``fem.D`` minus twice
+    the skew of the left half (Neumann at the kink), padded to full size.
     """
     if fem.n % 2 or abs(fem.start + fem.length / 2) > 1e-12 * fem.length:
         raise ValueError("signed skew needs a symmetric interval with "
                          "a node at x = 0")
-    h = fem.h
-    m = fem.n + 1
-    rows, cols, vals = [], [], []
-    dl = 0.5 * np.array([[-1.0, -1.0], [1.0, 1.0]])
-    for e in range(fem.n):
-        s = math.copysign(1.0, fem.start + (e + 0.5) * h)
-        for a in range(2):
-            for b in range(2):
-                rows.append(e + a)
-                cols.append(e + b)
-                vals.append(s * dl[a, b])
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    keep = np.ones(m, dtype=bool)
-    keep[0] = fem.bc[0] != "dirichlet"
-    keep[-1] = fem.bc[1] != "dirichlet"
-    idx = np.flatnonzero(keep)
-    return D[idx][:, idx].tocsr()
+    left = fem1d(fem.n // 2, fem.length / 2, fem.bc[0], "neumann",
+                 fem.start).D
+    left.resize(fem.D.shape)
+    return fem.D - 2.0 * left
+
+
+def _q1(f1: Fem1D, f2: Fem1D, keep=slice(None)):
+    """Q1 section matrices (K1, K2, D2, M): Kronecker products of the y1
+    and y2 factors, d2 fastest, restricted to the vertices ``keep``."""
+    return tuple(sp.kron(a, b, "csr")[keep][:, keep]
+                 for a, b in ((f1.K, f2.M), (f1.M, f2.K), (f1.M, f2.D),
+                              (f1.M, f2.M)))
 
 
 def section_fem(section: MaskSection):
     """Q1 element matrices on the union of inside cells.
 
     Degrees of freedom are cell vertices whose four surrounding cells
-    are all inside (Dirichlet on the union boundary).  Returns sparse
-    (K1, K2, D2, M) on those vertices.
+    are all inside (Dirichlet on the union boundary).  Every cell touching
+    one is inside, so (K1, K2, D2, M) are the bounding grid's Kronecker
+    products of Neumann 1-D factors, restricted to these vertices.
     """
-    inside = section.inside
-    h = section.cell
-    n1, n2 = inside.shape
-    pad = np.zeros((n1 + 2, n2 + 2), dtype=bool)
-    pad[1:-1, 1:-1] = inside
+    (n1, n2), h = section.inside.shape, section.cell
+    pad = np.pad(section.inside, 1)
     # vertex (i, j), i in 0..n1, j in 0..n2: interior iff all 4 cells in
     interior = (pad[:-1, :-1] & pad[1:, :-1] & pad[:-1, 1:] & pad[1:, 1:])
-    idx = -np.ones(interior.shape, dtype=int)
-    verts = np.argwhere(interior)
-    if len(verts) == 0:
+    keep = np.flatnonzero(interior)
+    if keep.size == 0:
         raise ValueError("mask has no interior vertices; refine it")
-    idx[interior] = np.arange(len(verts))
-    k1e = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    m1e = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    d1e = 0.5 * np.array([[-1.0, -1.0], [1.0, 1.0]])
-    # local order (d1, d2) with d2 fastest
-    K1l = np.kron(k1e, m1e)
-    K2l = np.kron(m1e, k1e)
-    D2l = np.kron(m1e, d1e)
-    Ml = np.kron(m1e, m1e)
-    cells = np.argwhere(inside)
-    offs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    glob = np.stack([idx[cells[:, 0] + a, cells[:, 1] + b] for a, b in offs],
-                    axis=1)
-    rows = np.repeat(glob, 4, axis=1).ravel()
-    cols = np.tile(glob, (1, 4)).ravel()
-    ok = (rows >= 0) & (cols >= 0)
-    nv = len(verts)
-
-    def asm(local):
-        vals = np.tile(local.reshape(1, 16), (len(cells), 1)).ravel()
-        return sp.csr_matrix((vals[ok], (rows[ok], cols[ok])), shape=(nv, nv))
-
-    return asm(K1l), asm(K2l), asm(D2l), asm(Ml)
+    return _q1(fem1d(n1, n1 * h, "neumann", "neumann"),
+               fem1d(n2, n2 * h, "neumann", "neumann"), keep)
 
 
 @dataclass
@@ -309,22 +283,18 @@ def assemble_waveguide(beta, section: Section, L: float, grid,
     if np.ndim(grid) == 0:
         grid = (grid, grid, grid)
     fx, Dx = _x_factor(L, grid[0], mode)
-    if isinstance(section, Rect):
-        _, n1, n2 = grid
-        f1 = fem1d(n1, section.width1)
-        f2 = fem1d(n2, section.width2)
-        triple = (sp.kron(f1.M, f2.M, "csr"),
-                  (sp.kron(f1.K, f2.M) + (1.0 + b * b)
-                   * sp.kron(f1.M, f2.K)).tocsr(),
-                  sp.kron(f1.M, f2.D, "csr"))
-        separable = [(1.0, fx), (1.0, f1), (1.0 + b * b, f2)]
+    rect = isinstance(section, Rect)
+    if rect:
+        f1 = fem1d(grid[1], section.width1)
+        f2 = fem1d(grid[2], section.width2)
+        K1, K2, D2, Msec = _q1(f1, f2)
     else:
         K1, K2, D2, Msec = section_fem(section)
-        Ksec = (K1 + (1.0 + b * b) * K2).tocsr()
-        triple = (Msec, Ksec, D2)
-        separable = [(1.0, fx), (1.0, (Ksec, Msec))]
-    return _half_guide(mode, b, fx, Dx, triple, separable, section, L,
-                       section_diameter(section))
+    Ksec = (K1 + (1.0 + b * b) * K2).tocsr()
+    separable = [(1.0, fx)] + ([(1.0, f1), (1.0 + b * b, f2)] if rect
+                               else [(1.0, (Ksec, Msec))])
+    return _half_guide(mode, b, fx, Dx, (Msec, Ksec, D2), separable,
+                       section, L, section_diameter(section))
 
 
 def assemble_reduced2d(beta, rect: Rect, L: float, grid) -> ShearForm:

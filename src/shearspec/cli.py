@@ -88,12 +88,16 @@ def load_mask(path: str) -> MaskSection:
     except OSError as e:
         raise ConfigError(f"cannot read mask file {path}: {e}")
     with f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("//"):
                 continue
             if line.startswith("cell"):
-                cell = float(line[4:])
+                try:
+                    cell = float(line[4:])
+                except ValueError:
+                    raise ConfigError(f"mask file {path} line {lineno}: bad "
+                                      f"cell size in {line!r}") from None
                 continue
             trans = {"#": True, "1": True, ".": False, "0": False}
             try:
@@ -263,15 +267,15 @@ def _report_exit(flags) -> int:
 def cmd_thresholds(args) -> int:
     section = _section_arg(args)
     beta = _beta_arg(args)
-    if isinstance(section, Rect):
-        modes = rectangle_modes(beta, section, 2)
-    else:
-        if args.grid_factor is not None:
-            try:
-                section = refine_mask(section, args.grid_factor)
-            except ValueError as e:
-                raise ConfigError(f"--grid-factor: {e}") from None
-        modes = numeric_modes(beta, section, None, 2)
+    if args.grid_factor is not None:
+        if isinstance(section, Rect):
+            raise ConfigError("--grid-factor refines masks only")
+        try:
+            section = refine_mask(section, args.grid_factor)
+        except ValueError as e:
+            raise ConfigError(f"--grid-factor: {e}") from None
+    modes = (rectangle_modes(beta, section, 2) if isinstance(section, Rect)
+             else numeric_modes(beta, section, None, 2))
     out = {
         "beta": beta,
         "E1": modes[0].E,

@@ -84,6 +84,9 @@ def numeric_modes(beta, section: MaskSection, grid,
     if grid is not None:
         section = refine_mask(section, int(grid))
     K1, K2, _, M = section_fem(section)
+    if M.shape[0] < count:
+        raise ValueError(f"mask has {M.shape[0]} interior vertices, fewer "
+                         f"than the {count} modes asked for; refine it")
     res = lowest_eigenpairs((K1 + (1.0 + b * b) * K2).tocsr(), M, count)
     return [SectionMode(E=float(res.theta[j]), beta=b, index=j)
             for j in range(count)]

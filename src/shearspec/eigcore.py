@@ -4,8 +4,8 @@ Everything downstream reduces to the generalized pencil (A, M) with A
 symmetric and M symmetric positive definite; an absent M is the sparse
 identity.  A pencil operand is a scipy sparse matrix, a ``KronOp`` or a
 dense ndarray, applied with ``@``, with no wrapper around it.  A
-waveguide form's A is a sum of Kronecker products of 1-D (or section)
-factor matrices and its M a single one (``MassKron``, a one-term
+waveguide form's A is a sum of Kronecker products of an x factor and a
+section factor, and its M a single one (``MassKron``, a one-term
 ``KronOp``); each is assembled once into one CSR matrix, so that an
 apply is a single sparse product.  The solver is a locally optimal block
 preconditioned CG iteration with a [X, W, P] Rayleigh-Ritz space that
@@ -84,17 +84,16 @@ _CG_ARRAYS = 18
 
 
 def _kron_terms(terms, shape):
-    """Validated ``(shape, terms)`` with one square CSR factor per slot."""
+    """Validated ``(shape, terms)`` with one square CSR factor in each of
+    the two slots, x and section."""
     shape = tuple(int(s) for s in shape)
-    out = []
-    for coeff, mats in terms:
-        mats = tuple(sp.csr_matrix(m) for m in mats)
-        if len(mats) != len(shape):
-            raise ValueError("one factor per tensor slot required")
-        for m, s in zip(mats, shape):
-            if m.shape != (s, s):
-                raise ValueError(f"factor shape {m.shape} != slot size {s}")
-        out.append((float(coeff), mats))
+    out = [(float(c), tuple(sp.csr_matrix(m) for m in mats))
+           for c, mats in terms]
+    for _, mats in out:
+        sizes = [m.shape for m in mats]
+        if len(shape) != 2 or sizes != [(s, s) for s in shape]:
+            raise ValueError(f"a KronOp has two slots, x and section: "
+                             f"factor shapes {sizes} do not fit {shape}")
     return shape, out
 
 
@@ -126,26 +125,20 @@ def _union(mats):
 
 
 def _assemble(terms, shape, n) -> sp.csr_matrix:
-    """CSR matrix of sum_t c_t F0_t (x) R_t, R_t the Kronecker product of
-    the remaining factors of term t.
+    """CSR matrix of sum_t c_t X_t (x) S_t, X_t the x factor and S_t the
+    section factor of term t.
 
     The pattern is the Kronecker product of the per-slot union patterns.
-    Block row i of slot 0 is filled at once: its x-entries e combine the
-    terms into p = nnz(row i) blocks V_e = sum_t c_t F0_t[e] R_t on the
-    union pattern of the R_t, which one precomputed gather per p
+    Block row i of the x slot is filled at once: its x-entries e combine
+    the terms into p = nnz(row i) blocks V_e = sum_t c_t X_t[e] S_t on the
+    union pattern of the S_t, which one precomputed gather per p
     interleaves into CSR row order.  No full-size temporary beyond the
     output arrays is made.
     """
     xptr, xcol, xval = _union([mats[0] for _, mats in terms])
     xval = xval * np.array([c for c, _ in terms])[:, None]
-    rest = []
-    for _, mats in terms:
-        r = sp.csr_matrix(np.ones((1, 1)))
-        for f in mats[1:]:
-            r = sp.kron(r, f, format="csr")
-        rest.append(r)
-    uptr, ucol, uval = _union(rest)
-    m = n // shape[0]
+    uptr, ucol, uval = _union([mats[1] for _, mats in terms])
+    m = shape[1]
     nnz_u = ucol.size
     ulen = np.diff(uptr)
     plen = np.diff(xptr)
@@ -179,13 +172,13 @@ def _assemble(terms, shape, n) -> sp.csr_matrix:
 
 
 class KronOp:
-    """Sum of Kronecker-product terms over a tensor grid, assembled once.
+    """Sum of x (x) section Kronecker terms, assembled once.
 
-    ``terms`` is a list of ``(coeff, mats)`` where ``mats`` holds one
-    square factor per tensor slot (row index runs over slot 0 slowest);
-    ``shape`` is the slot tuple and ``n`` the order.  The terms are kept
-    as given; ``matrix`` is their sum as one CSR matrix, so an apply
-    (``op @ X``) is a single sparse product.
+    ``terms`` is a list of ``(coeff, (X, S))`` with X the square factor of
+    the x slot and S that of the section slot (row index runs over x
+    slowest); ``shape`` is the slot pair and ``n`` the order.  The terms
+    are kept as given; ``matrix`` is their sum as one CSR matrix, so an
+    apply (``op @ X``) is a single sparse product.
     """
 
     def __init__(self, terms, shape):
@@ -708,10 +701,10 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
                       precond=None, *, sigma: float = 0.0) -> EigResult:
     """Lowest ``k`` generalized eigenpairs of (A, M), by the one rule.
 
-    Order up to DENSE_N, or ``k=None`` (the full eigenbasis): dense
-    ``eigh``.  Above it, a pencil that ``_band_pencil`` selects is
-    factored at ``sigma``: a Cholesky L L^T = A - sigma M that succeeds
-    proves sigma lies below the spectrum.  A sigma that is not below it
+    Order up to DENSE_N, or the full eigenbasis (``k`` None or the
+    order): dense ``eigh``.  Above it, a pencil that ``_band_pencil``
+    selects is factored at ``sigma``: a Cholesky L L^T = A - sigma M
+    that succeeds proves sigma lies below the spectrum.  A sigma that is not below it
     backs off to sigma (1 - 2^-j), j = 4, 3, 2, 1, and then to 0, each
     step certified by its own factorization.  Lanczos in standard form
     on C = L^-1 M L^-T, from a start vector seeded by ``opts.seed`` and
@@ -731,7 +724,7 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     shift = None
     applies = 0
-    if k is None or n <= DENSE_N:
+    if k is None or k == n or n <= DENSE_N:
         solver = "dense"
         theta, V = sla.eigh(materialize(A), materialize(M),
                             subset_by_index=None if k is None else [0, k - 1])

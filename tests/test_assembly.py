@@ -160,6 +160,41 @@ def test_signed_skew_requires_symmetric_even_grid():
         signed_skew(fem1d(6, 3.0))
 
 
+def loop_signed_skew(fem):
+    """The element loop ``signed_skew`` replaced, verbatim."""
+    h = fem.h
+    m = fem.n + 1
+    rows, cols, vals = [], [], []
+    dl = 0.5 * np.array([[-1.0, -1.0], [1.0, 1.0]])
+    for e in range(fem.n):
+        s = math.copysign(1.0, fem.start + (e + 0.5) * h)
+        for a in range(2):
+            for b in range(2):
+                rows.append(e + a)
+                cols.append(e + b)
+                vals.append(s * dl[a, b])
+    D = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    keep = np.ones(m, dtype=bool)
+    keep[0] = fem.bc[0] != "dirichlet"
+    keep[-1] = fem.bc[1] != "dirichlet"
+    idx = np.flatnonzero(keep)
+    return D[idx][:, idx].tocsr()
+
+
+@pytest.mark.parametrize("n", [4, 8, 40, 64])
+@pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"),
+                                ("neumann", "dirichlet"),
+                                ("dirichlet", "neumann"),
+                                ("neumann", "neumann")])
+def test_signed_skew_matches_the_element_loop_bit_for_bit(n, bc):
+    for L in (1.0, 3.0, 21.2):
+        fem = fem1d(n, 2 * L, *bc, start=-L)
+        got = signed_skew(fem).toarray()
+        want = loop_signed_skew(fem).toarray()
+        assert got.shape == want.shape
+        assert np.all(got == want)
+
+
 def test_even_projection_reduces_full_to_half():
     # folding the symmetric interval onto (0, L) must reproduce the
     # half factors exactly, boundary rows included
@@ -326,6 +361,64 @@ def test_section_fem_matches_tensor_on_full_square():
                   - np.kron(f1.M.toarray(), f2.D.toarray())).max() < 1e-12
     assert np.abs(M.toarray()
                   - np.kron(f1.M.toarray(), f2.M.toarray())).max() < 1e-12
+
+
+def scatter_section_fem(section):
+    """The Q1 element scatter ``section_fem`` replaced, verbatim."""
+    inside = section.inside
+    h = section.cell
+    n1, n2 = inside.shape
+    pad = np.zeros((n1 + 2, n2 + 2), dtype=bool)
+    pad[1:-1, 1:-1] = inside
+    # vertex (i, j), i in 0..n1, j in 0..n2: interior iff all 4 cells in
+    interior = (pad[:-1, :-1] & pad[1:, :-1] & pad[:-1, 1:] & pad[1:, 1:])
+    idx = -np.ones(interior.shape, dtype=int)
+    verts = np.argwhere(interior)
+    if len(verts) == 0:
+        raise ValueError("mask has no interior vertices; refine it")
+    idx[interior] = np.arange(len(verts))
+    k1e = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    m1e = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    d1e = 0.5 * np.array([[-1.0, -1.0], [1.0, 1.0]])
+    # local order (d1, d2) with d2 fastest
+    K1l = np.kron(k1e, m1e)
+    K2l = np.kron(m1e, k1e)
+    D2l = np.kron(m1e, d1e)
+    Ml = np.kron(m1e, m1e)
+    cells = np.argwhere(inside)
+    offs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    glob = np.stack([idx[cells[:, 0] + a, cells[:, 1] + b] for a, b in offs],
+                    axis=1)
+    rows = np.repeat(glob, 4, axis=1).ravel()
+    cols = np.tile(glob, (1, 4)).ravel()
+    ok = (rows >= 0) & (cols >= 0)
+    nv = len(verts)
+
+    def asm(local):
+        vals = np.tile(local.reshape(1, 16), (len(cells), 1)).ravel()
+        return sp.csr_matrix((vals[ok], (rows[ok], cols[ok])), shape=(nv, nv))
+
+    return asm(K1l), asm(K2l), asm(D2l), asm(Ml)
+
+
+DEMO_MASK = Path(__file__).parents[1] / "demos" / "configs" / "l_mask.txt"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: l_shaped_mask(12),
+    lambda: l_shaped_mask(64),
+    lambda: load_mask(str(DEMO_MASK)),
+    lambda: refine_mask(load_mask(str(DEMO_MASK)), 2),
+    lambda: MaskSection(np.random.default_rng(5).random((17, 23)) < 0.8,
+                        0.137),
+    lambda: MaskSection(np.ones((6, 4), dtype=bool), 0.25),
+], ids=["l12", "l64", "demo", "demo2", "random17x23", "full6x4"])
+def test_section_fem_matches_the_element_scatter_bit_for_bit(build):
+    section = build()
+    for got, want in zip(section_fem(section), scatter_section_fem(section)):
+        got, want = got.toarray(), want.toarray()
+        assert got.shape == want.shape
+        assert np.all(got == want)
 
 
 def test_mask_waveguide_symmetry_and_separability():
@@ -648,18 +741,18 @@ def test_rect_pencil_matches_three_slot_sum(mode, beta):
         fx = fem1d(nx, L, "neumann", "dirichlet")
         Dx = fx.D
     f1, f2 = fem1d(n1, rect.width1), fem1d(n2, rect.width2)
-    shape = (fx.dim, f1.dim, f2.dim)
-    ref = KronOp([(1.0, (fx.K, f1.M, f2.M)),
-                  (1.0, (fx.M, f1.K, f2.M)),
-                  (1.0 + beta * beta, (fx.M, f1.M, f2.K)),
-                  (-beta, (Dx, f1.M, f2.D.T)),
-                  (-beta, (Dx.T, f1.M, f2.D))], shape).matrix
+    shape = (fx.dim, f1.dim * f2.dim)
+    ref = KronOp([(1.0, (fx.K, sp.kron(f1.M, f2.M))),
+                  (1.0, (fx.M, sp.kron(f1.K, f2.M))),
+                  (1.0 + beta * beta, (fx.M, sp.kron(f1.M, f2.K))),
+                  (-beta, (Dx, sp.kron(f1.M, f2.D.T))),
+                  (-beta, (Dx.T, sp.kron(f1.M, f2.D)))], shape).matrix
     got = form.A.matrix
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
     X = np.random.default_rng(2).standard_normal((form.n, 3))
-    want = MassKron((fx.M, f1.M, f2.M), shape).matmat(X)
+    want = MassKron((fx.M, sp.kron(f1.M, f2.M)), shape).matmat(X)
     assert np.abs(form.M.matmat(X) - want).max() <= 1e-14 * np.abs(want).max()
 
 

@@ -112,6 +112,23 @@ class TestThresholds:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: --grid-factor: refinement factor")
 
+    def test_grid_factor_on_a_rectangle_exits_2(self, capsys):
+        code, _, err = run(capsys, "thresholds", "--beta", "1",
+                           "--rect", "0,1,0,1", "--grid-factor", "5")
+        assert code == 2
+        assert "--grid-factor" in err and "mask" in err
+
+    def test_mask_with_fewer_vertices_than_modes_exits_2(self, capsys,
+                                                         tmp_path):
+        # a 2 x 2-cell mask has one interior vertex, and thresholds
+        # reports two modes
+        mask = tmp_path / "m.txt"
+        mask.write_text("cell 0.5\n11\n11\n")
+        code, _, err = run(capsys, "thresholds", "--beta", "1",
+                           "--mask", str(mask))
+        assert code == 2
+        assert "1 interior vertices" in err and "2 modes" in err
+
     def test_mask_grid_factor_threshold_is_e1(self, capsys, tmp_path):
         # one section solve: the threshold field is the refined E1
         mask = tmp_path / "m.txt"
@@ -381,6 +398,14 @@ class TestMaskFiles:
         p.write_text("cell 1.0\n1x1\n")
         with pytest.raises(ConfigError, match="mask character"):
             load_mask(str(p))
+
+    def test_bad_cell_size_names_file_and_line(self, capsys, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("// L mask\ncell abc\n11\n11\n")
+        code, _, err = run(capsys, "thresholds", "--beta", "1",
+                           "--mask", str(p))
+        assert code == 2
+        assert f"{p} line 2" in err and "'cell abc'" in err
 
     def test_missing_cell_line(self, tmp_path):
         p = tmp_path / "m.txt"

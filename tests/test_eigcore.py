@@ -67,14 +67,7 @@ def test_kron_op_matches_dense_kron_two_slots():
     assert np.allclose(materialize(op), dense)
     assert np.array_equal(materialize(dense), dense)
     assert np.allclose(op.diagonal(), np.diag(dense))
-
-
-def test_kron_op_three_slots_and_vector_apply():
-    rng = np.random.default_rng(1)
-    mats = [rng.standard_normal((m, m)) for m in (3, 4, 2)]
-    op = KronOp([(1.0, tuple(mats))], (3, 4, 2))
-    dense = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    x = rng.standard_normal(24)
+    x = rng.standard_normal(20)
     assert np.allclose(op.matmat(x), dense @ x)
 
 
@@ -83,6 +76,11 @@ def test_kron_op_validates_shapes():
         KronOp([(1.0, (np.eye(3), np.eye(4)))], (3, 3))
     with pytest.raises(ValueError):
         KronOp([(1.0, (np.eye(3),))], (3, 3))
+    # two slots, x and section, and no other count
+    with pytest.raises(ValueError, match="two slots"):
+        KronOp([(1.0, (np.eye(3), np.eye(4), np.eye(2)))], (3, 4, 2))
+    with pytest.raises(ValueError, match="two slots"):
+        KronOp([(1.0, (np.eye(3),))], (3,))
 
 
 def test_operator_linearity_and_symmetry_probes():
@@ -512,6 +510,19 @@ def test_factored_shift_above_the_spectrum_falls_back(monkeypatch):
         assert res.theta == pytest.approx(lam, rel=1e-10)
         assert res.theta == pytest.approx(below.theta, rel=1e-12)
         assert np.all(res.residuals <= 1e-10 * res.theta)
+
+
+def test_k_equal_to_the_order_is_the_dense_eigenbasis():
+    # above DENSE_N, k = n asks for every pair: the dense branch, like
+    # k=None, since Lanczos cannot return all n
+    form = assemble_reduced2d(1.0, Rect(0.0, 1.0, 0.0, 1.0), 3.0, (24, 12))
+    n = form.n
+    assert n == 264 > eigcore.DENSE_N
+    res = lowest_eigenpairs(form.A, form.M, n)
+    lam = dense_spectrum(form)
+    assert res.solver == "dense" and res.theta.size == n
+    assert res.theta == pytest.approx(lam, rel=1e-12)
+    assert np.all(res.residuals <= 1e-8 * np.abs(res.theta).max())
 
 
 def test_indefinite_sparse_pencil_iterates():
