@@ -66,7 +66,6 @@ class Fem1D:
     K: sp.csr_matrix = field(repr=False)
     M: sp.csr_matrix = field(repr=False)
     D: sp.csr_matrix = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
 
     @property
     def h(self) -> float:
@@ -131,8 +130,7 @@ def fem1d(n: int, length: float, bc_left: str = "dirichlet",
                  K=tridiag(-1.0 / h, 2.0 / h, -1.0 / h, (1.0 / h,) * 2),
                  M=tridiag(h / 6, 4.0 * (h / 6), h / 6,
                            (2 * h / 6,) * 2),
-                 D=tridiag(0.5, 0.0, -0.5, (-0.5, 0.5)),
-                 nodes=start + np.arange(lo, hi) * h)
+                 D=tridiag(0.5, 0.0, -0.5, (-0.5, 0.5)))
 
 
 def signed_skew(fem: Fem1D) -> sp.csr_matrix:

@@ -8,11 +8,13 @@ waveguide form's A is a sum of Kronecker products of an x factor and a
 section factor, and its M a single one (``MassKron``, a one-term
 ``KronOp``); each is assembled once into one CSR matrix, so that an
 apply is a single sparse product.  The solver is a locally optimal block
-preconditioned CG iteration with a [X, W, P] Rayleigh-Ritz space that
+preconditioned CG iteration with an [X P W] Rayleigh-Ritz space that
 applies A and M once each per iteration and carries the products of X
-and P; preconditioning inverts the separable part of A exactly through
-per-factor eigenbases, which for uniform grids are plain sine/cosine
-transforms.
+and P.  The space and its products live in two alternating sets of
+column-major n x 3 bs workspaces, so that each Gram matrix and each
+basis change is one matrix product.  Preconditioning inverts the
+separable part of A exactly through per-factor eigenbases, which for
+uniform grids are plain sine/cosine transforms.
 
 Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
@@ -73,13 +75,11 @@ DENSE_N = 200
 # the largest block the count's growth loop solves for
 _KMAX = 48
 
-# n x bs arrays block CG holds at its peak, the basis change at the end of
-# an iteration: the nine of [X W P] with their A and M products, the
-# residual R, the next X and P with their products at width 2 bs (six),
-# and the 2 bs product temporary of ``_combine`` (two).  A pencil is
-# factored when its band Cholesky takes no more.  (tracemalloc reads about
-# 21 on the strip, square and L-mask forms: the preconditioner's transform
-# buffers come on top.)
+# n x bs arrays block CG holds: two sets of [X P W] workspaces with their
+# A and M products, 3 bs columns each.  A pencil is factored when its band
+# Cholesky takes no more.  (tracemalloc reads a peak of 22, 19.0 MB, on
+# the L-mask top rung at n 15400 and bs 7, inside the preconditioner: the
+# residual and three transform buffers come on top.)
 _CG_ARRAYS = 18
 
 
@@ -103,6 +103,12 @@ def _along(fn, T: np.ndarray, axis: int) -> np.ndarray:
     lead = T.shape[0]
     out = fn(T.reshape(lead, -1)).reshape(T.shape)
     return np.moveaxis(out, 0, axis)
+
+
+def _csr_bandwidth(m: sp.csr_matrix) -> int:
+    """Largest |i - j| over the stored entries of a CSR matrix."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return int(np.abs(m.indices - rows).max(initial=0))
 
 
 def _union(mats):
@@ -189,6 +195,15 @@ class KronOp:
     def matrix(self) -> sp.csr_matrix:
         """The terms summed into one CSR matrix, built on first use."""
         return _assemble(self.terms, self.shape, self.n)
+
+    @functools.cached_property
+    def half_bandwidth(self) -> int:
+        """Largest |i - j| over the stored entries of ``matrix``, read
+        from the factors: an x offset moves the row index by the section
+        order m, so the term X (x) S reaches bw(X) m + bw(S)."""
+        m = self.shape[1]
+        return max(_csr_bandwidth(X) * m + _csr_bandwidth(S)
+                   for _, (X, S) in self.terms)
 
     def matmat(self, X):
         return self.matrix @ np.asarray(X, dtype=float)
@@ -439,21 +454,6 @@ def _rayleigh_ritz(GA: np.ndarray, GM: np.ndarray, bs: int):
     return theta, T @ Z
 
 
-def _gram(S: list, T: list) -> np.ndarray:
-    """[S_1 S_2 ...]^T [T_1 T_2 ...] without stacking the column blocks."""
-    return np.block([[s.T @ t for t in T] for s in S])
-
-
-def _combine(S: list, C: np.ndarray) -> np.ndarray:
-    """[S_1 S_2 ...] @ C without stacking the column blocks."""
-    out = S[0] @ C[:S[0].shape[1]]
-    r = S[0].shape[1]
-    for s in S[1:]:
-        out += s @ C[r:r + s.shape[1]]
-        r += s.shape[1]
-    return out
-
-
 def _settled(theta: np.ndarray, rn: np.ndarray, k: int, tol: float) -> bool:
     """Whether the lowest k pairs meet ||Ax - theta Mx|| <= tol |theta|.
 
@@ -475,11 +475,18 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
     Each iteration applies A and M once, to the preconditioned residual
     block W only.  The products AX, MX, AP and MP are carried through
     every change of basis (Hetmaniuk & Lehoucq 2006; Duersch et al.
-    2018), and the Rayleigh-Ritz problem on [X W P] is built from the
+    2018), and the Rayleigh-Ritz problem on [X P W] is built from the
     Gram matrices against the carried products, so a rounding drift in
     them is seen by the next projection instead of accumulating in an
     assumed orthonormality.  Convergence is only ever certified on
     freshly applied AX and MX.
+
+    [X P W] and its A and M products live in column-major n x 3 bs
+    workspaces, X in the first bs columns, P (from 0 to bs columns) after
+    it and W after P.  Each Gram matrix is then one product of contiguous
+    column blocks, W is M-orthogonalized against [X P] in two, and the
+    basis change writes the next X and P into the second set of
+    workspaces; the two sets alternate.
 
     Deterministic for a fixed seed.  Ritz values are always upper bounds
     for the corresponding exact eigenvalues (min-max over the current
@@ -502,25 +509,34 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         except ValueError:
             precond = lambda R, sigma: R
 
-    def ritz(X):
-        """Fresh products of X and its Rayleigh-Ritz rotation."""
-        AX, MX = A @ X, M @ X
-        theta, C = _rayleigh_ritz(X.T @ AX, X.T @ MX, bs)
+    def ritz(X, AX, MX):
+        """Ritz values of X on fresh products; X and the products are
+        overwritten with its Rayleigh-Ritz rotation."""
+        AXf, MXf = A @ X, M @ X
+        theta, C = _rayleigh_ritz(X.T @ AXf, X.T @ MXf, bs)
         C = C[:, :bs]
-        return theta[:bs], X @ C, AX @ C, MX @ C
+        X[:] = X @ C
+        AX[:] = AXf @ C
+        MX[:] = MXf @ C
+        return theta[:bs]
 
-    rng = np.random.default_rng(opts.seed)
-    theta, X, AX, MX = ritz(rng.standard_normal((n, bs)))
+    # two sets of [X P W], [AX AP AW], [MX MP MW]
+    sets = [[np.empty((n, 3 * bs), order="F") for _ in range(3)]
+            for _ in range(2)]
+    S, AS, MS = sets[0]
+    S[:, :bs] = np.random.default_rng(opts.seed).standard_normal((n, bs))
+    theta = ritz(S[:, :bs], AS[:, :bs], MS[:, :bs])
     nmat = 1
-    P = AP = MP = None
+    p = 0   # the width of P
     it = 0
     while True:
+        X, AX, MX = S[:, :bs], AS[:, :bs], MS[:, :bs]
         R = AX - MX * theta
         rn = np.linalg.norm(R, axis=0)
         if it == opts.maxit or _settled(theta, rn, k, opts.tol):
             # the carried products drift by rounding; only fresh ones
             # may certify convergence
-            theta, X, AX, MX = ritz(X)
+            theta = ritz(X, AX, MX)
             nmat += 1
             R = AX - MX * theta
             rn = np.linalg.norm(R, axis=0)
@@ -529,20 +545,19 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
                                                        1e-300)
                 return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
                                  it, nmat, rn[:k].copy(), "block_cg")
+        xp, m = bs + p, 2 * bs + p
         W = precond(R, float(theta[0]))
-        # M-orthogonal to X and P before the apply: the Gram matrix of
-        # [X W P] stays near the identity, so the basis change below
+        # M-orthogonal to [X P] before the apply: the Gram matrix of
+        # [X P W] stays near the identity, so the basis change below
         # amplifies no rounding in the carried products
-        W -= X @ (MX.T @ W)
-        if P is not None:
-            W -= P @ (MP.T @ W)
-        AW, MW = A @ W, M @ W
+        W -= S[:, :xp] @ (MS[:, :xp].T @ W)
+        AS[:, xp:m] = A @ W
+        MS[:, xp:m] = M @ W
+        S[:, xp:m] = W
+        del W   # not alive beside the next residual
         nmat += 1
-        S, AS, MS = [X, W], [AX, AW], [MX, MW]
-        if P is not None:
-            S, AS, MS = S + [P], AS + [AP], MS + [MP]
-        GM = _gram(S, MS)
-        ths, C = _rayleigh_ritz(_gram(S, AS), GM, bs)
+        GM = S[:, :m].T @ MS[:, :m]
+        ths, C = _rayleigh_ritz(S[:, :m].T @ AS[:, :m], GM, bs)
         theta = ths[:bs]
         Cx = C[:, :bs]
         Cp = Cx.copy()
@@ -552,35 +567,31 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
             Cp = Cp @ _whiten(Cp.T @ GM @ Cp)
         except SolverError:
             Cp = Cp[:, :0]
-        # one product per carried array gives both the new X and P
+        # one product per carried array gives both the new X and P,
+        # written into the other set
         Cxp = np.hstack([Cx, Cp])
-        XP, AXP, MXP = _combine(S, Cxp), _combine(AS, Cxp), _combine(MS, Cxp)
-        X, AX, MX = XP[:, :bs], AXP[:, :bs], MXP[:, :bs]
-        if Cp.shape[1]:
-            P, AP, MP = XP[:, bs:], AXP[:, bs:], MXP[:, bs:]
-        else:
-            P = AP = MP = None
+        p = Cp.shape[1]
+        for cur, nxt in zip(*sets):
+            np.matmul(cur[:, :m], Cxp, out=nxt[:, :bs + p])
+        sets.reverse()
+        S, AS, MS = sets[0]
         it += 1
 
 
-def _csr(op) -> sp.csr_matrix | None:
-    """The CSR matrix behind a pencil operand; None for a dense or
-    matrix-free one."""
-    if sp.issparse(op):
-        return sp.csr_matrix(op)
-    if isinstance(op, KronOp):
-        return op.matrix
-    return None
+def _csr(op) -> sp.csr_matrix:
+    """The CSR matrix behind a sparse or KronOp pencil operand."""
+    return op.matrix if isinstance(op, KronOp) else sp.csr_matrix(op)
 
 
 def _half_bandwidth(op) -> int | None:
-    """Largest |i - j| over the nonzeros of a pencil operand; None for an
+    """Largest |i - j| over the nonzeros of a pencil operand: a KronOp's
+    from its factors, a bare sparse matrix's by a scan; None for an
     operand with no sparse matrix."""
-    m = _csr(op)
-    if m is None:
-        return None
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return int(np.abs(m.indices - rows).max(initial=0))
+    if isinstance(op, KronOp):
+        return op.half_bandwidth
+    if sp.issparse(op):
+        return _csr_bandwidth(sp.csr_matrix(op))
+    return None
 
 
 def _band_pencil(A, M, bs: int):

@@ -134,6 +134,9 @@ class RungResult:
     warnings: list[str] = field(default_factory=list)
     planar: np.ndarray | None = None
     iterations: int = 0
+    # A block applies (each paired with an M apply) of a block-CG solve;
+    # 0 for a dense or factored one
+    matmats: int = 0
     # raw below-band count; kept separately because in reduced mode the
     # displayed value list is truncated while the count is not
     below: int = 0
@@ -202,6 +205,7 @@ class SpectrumReport:
                 "warnings": list(rr.warnings),
                 "seconds": rr.seconds,
                 "iterations": rr.iterations,
+                "matmats": rr.matmats,
                 "solver": rr.solver,
                 "shift": rr.shift,
                 "inertia": None if rr.inertia is None else list(rr.inertia),
@@ -327,7 +331,8 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     previous mesh rung's lowest value minus that rung's drop, and the
     first mesh rung to its threshold, from which its drop is measured:
     close below its spectrum, and certified below it by the factorization
-    or its back-off.  A block-CG top rung reuses the values of its count.
+    or its back-off.  A block-CG top rung reuses the values of its count,
+    and the box steps of a mask ladder reuse its section eigenpairs.
     """
     t_start = time.perf_counter()
     base = opts or EigOptions(k=4, tol=1e-9)
@@ -351,6 +356,10 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     t0 = time.perf_counter()
     top_form = _build(beta, section, disc, _grid_for(disc, section, *top))
     e1_top = _rung_threshold(beta, top_form)
+    # the box steps share the top rung's refined mask and beta, so its
+    # section decomposition serves their thresholds and preconditioners
+    top_pairs = (top_form.section_pairs if isinstance(section, MaskSection)
+                 else None)
     band0 = 1e-6 * abs(e1_top)
     top_pre = top_form.preconditioner()
     top_warnings = top_form.warnings
@@ -378,6 +387,8 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
             sol, seconds = top_sol, top_seconds
         else:
             form = _build(beta, section, disc, g)
+            if p[0] == tr and top_pairs is not None:
+                form.section_pairs = top_pairs
             pre = form.preconditioner()
             e1_r, warnings = _rung_threshold(beta, form), form.warnings
             sol, seconds = None, 0.0
@@ -497,11 +508,13 @@ def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int, reduced: bool,
         cc = np.array([conv[m] for _, m, _ in take])
         return RungResult(g, e1, vals, rr, cc, seconds, warn,
                           planar=theta.copy(), iterations=sol.iterations,
-                          below=below, solver=sol.solver, shift=sol.shift)
+                          matmats=sol.matmats, below=below,
+                          solver=sol.solver, shift=sol.shift)
     below = int(np.sum(theta < e1 - band))
     return RungResult(g, e1, theta.copy(), res.copy(), conv.copy(),
-                      seconds, warn, iterations=sol.iterations, below=below,
-                      solver=sol.solver, shift=sol.shift)
+                      seconds, warn, iterations=sol.iterations,
+                      matmats=sol.matmats, below=below, solver=sol.solver,
+                      shift=sol.shift)
 
 
 def _flag_monotone(results, disc: DiscretizationSpec, reduced: bool,

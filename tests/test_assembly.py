@@ -114,7 +114,7 @@ def test_fem1d_convergence_rate():
 
 
 def lil_fem1d(n, length, bc_left, bc_right, start=0.0):
-    """The LIL builder ``fem1d`` replaced, verbatim: K, M, D and nodes."""
+    """The LIL builder ``fem1d`` replaced, verbatim: K, M and D."""
     h = length / n
     m = n + 1
     K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)).tolil() / h
@@ -130,9 +130,8 @@ def lil_fem1d(n, length, bc_left, bc_right, start=0.0):
     if bc_right == "dirichlet":
         keep[-1] = False
     idx = np.flatnonzero(keep)
-    nodes = start + idx * h
     return (K.tocsr()[idx][:, idx].tocsr(), M.tocsr()[idx][:, idx].tocsr(),
-            D.tocsr()[idx][:, idx].tocsr(), nodes)
+            D.tocsr()[idx][:, idx].tocsr())
 
 
 @pytest.mark.parametrize("n", [2, 8, 64, 256])
@@ -142,13 +141,12 @@ def lil_fem1d(n, length, bc_left, bc_right, start=0.0):
                                 ("neumann", "neumann")])
 def test_fem1d_matches_the_lil_builder_bit_for_bit(n, bc):
     f = fem1d(n, 21.2, *bc, start=-0.3)
-    *old, nodes = lil_fem1d(n, 21.2, *bc, start=-0.3)
+    old = lil_fem1d(n, 21.2, *bc, start=-0.3)
     for new, want in zip((f.K, f.M, f.D), old):
         for part in ("data", "indices", "indptr"):
             a, b = getattr(new, part), getattr(want, part)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.all(a == b), part
-    assert np.all(f.nodes == nodes)
 
 
 # ---------------------------------------------------------- signed skew

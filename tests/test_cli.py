@@ -310,6 +310,32 @@ class TestSpectrum:
         assert code == 4
         assert "inconclusive" in out
 
+    def test_report_counts_block_applies_not_csv(self, capsys, tmp_path):
+        # the finest rungs of a 24 x 24-cell section are too wide to
+        # factor and run block CG: A applies are the start block, one per
+        # iteration and the confirmations; r0s1 is factored and has none
+        (tmp_path / "m.txt").write_text(MASK_TEXT)
+        cfg = tmp_path / "mask.json"
+        cfg.write_text(json.dumps({
+            "beta": 1.0, "mask": "m.txt",
+            "disc": {"nx": 10, "n1": 8, "n2": 8, "L": 4.0, "mode": "half",
+                     "refine": 2, "l_steps": 2},
+        }))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(capsys, "spectrum", str(cfg), "--out", str(a))[0] == 4
+        assert run(capsys, "spectrum", str(cfg), "--out", str(b))[0] == 4
+        rungs = json.loads((a / "report.json").read_text())["rungs"]
+        assert [r["solver"] for r in rungs] == ["shift_invert", "block_cg",
+                                                "block_cg"]
+        assert rungs[0]["matmats"] == 0 and rungs[0]["iterations"] > 0
+        for r in rungs[1:]:
+            assert r["matmats"] >= r["iterations"] + 2 > 2
+        text = (a / "eigenvalues.csv").read_text()
+        assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert "matmats" not in text
+        assert (a / "eigenvalues.csv").read_bytes() == \
+               (b / "eigenvalues.csv").read_bytes()
+
 
 class TestSweep:
     def test_rows_and_exit(self, capsys, tmp_path):

@@ -388,6 +388,137 @@ def test_lowest_eigenpairs_branches_agree(monkeypatch, kind, iterative):
     assert got[iterative] == pytest.approx(got["dense"], rel=1e-10)
 
 
+# ------------------------------------------------- the list-based loop
+
+def _gram(S: list, T: list) -> np.ndarray:
+    """[S_1 S_2 ...]^T [T_1 T_2 ...] without stacking the column blocks."""
+    return np.block([[s.T @ t for t in T] for s in S])
+
+
+def _combine(S: list, C: np.ndarray) -> np.ndarray:
+    """[S_1 S_2 ...] @ C without stacking the column blocks."""
+    out = S[0] @ C[:S[0].shape[1]]
+    r = S[0].shape[1]
+    for s in S[1:]:
+        out += s @ C[r:r + s.shape[1]]
+        r += s.shape[1]
+    return out
+
+
+def list_block_cg(A, M=None, opts=None, precond=None):
+    """Block CG on [X W P] held as lists of separate n x bs arrays, with
+    Gram matrices and basis changes block by block: the reference the
+    workspace loop of ``smallest_eigenpairs`` must reproduce."""
+    from shearspec.eigcore import (EigResult, SolverError, _order,
+                                   _rayleigh_ritz, _settled, _whiten)
+    opts = opts or EigOptions()
+    n = _order(A)
+    if M is None:
+        M = sp.identity(n, format="csr")
+    if _order(M) != n:
+        raise ValueError(f"operator sizes differ: A is {n}, M is {_order(M)}")
+    k = opts.k
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    bs = min(k + 3, n)
+    if precond is None:
+        try:
+            precond = JacobiPrecond(A.diagonal())
+        except ValueError:
+            precond = lambda R, sigma: R
+
+    def ritz(X):
+        """Fresh products of X and its Rayleigh-Ritz rotation."""
+        AX, MX = A @ X, M @ X
+        theta, C = _rayleigh_ritz(X.T @ AX, X.T @ MX, bs)
+        C = C[:, :bs]
+        return theta[:bs], X @ C, AX @ C, MX @ C
+
+    rng = np.random.default_rng(opts.seed)
+    theta, X, AX, MX = ritz(rng.standard_normal((n, bs)))
+    nmat = 1
+    P = AP = MP = None
+    it = 0
+    while True:
+        R = AX - MX * theta
+        rn = np.linalg.norm(R, axis=0)
+        if it == opts.maxit or _settled(theta, rn, k, opts.tol):
+            # the carried products drift by rounding; only fresh ones
+            # may certify convergence
+            theta, X, AX, MX = ritz(X)
+            nmat += 1
+            R = AX - MX * theta
+            rn = np.linalg.norm(R, axis=0)
+            if it == opts.maxit or _settled(theta, rn, k, opts.tol):
+                conv = rn[:k] <= opts.tol * np.maximum(np.abs(theta[:k]),
+                                                       1e-300)
+                return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
+                                 it, nmat, rn[:k].copy(), "block_cg")
+        W = precond(R, float(theta[0]))
+        # M-orthogonal to X and P before the apply: the Gram matrix of
+        # [X W P] stays near the identity, so the basis change below
+        # amplifies no rounding in the carried products
+        W -= X @ (MX.T @ W)
+        if P is not None:
+            W -= P @ (MP.T @ W)
+        AW, MW = A @ W, M @ W
+        nmat += 1
+        S, AS, MS = [X, W], [AX, AW], [MX, MW]
+        if P is not None:
+            S, AS, MS = S + [P], AS + [AP], MS + [MP]
+        GM = _gram(S, MS)
+        ths, C = _rayleigh_ritz(_gram(S, AS), GM, bs)
+        theta = ths[:bs]
+        Cx = C[:, :bs]
+        Cp = Cx.copy()
+        Cp[:bs] = 0.0   # new directions only, M-orthogonal to the new X
+        Cp -= Cx @ (Cx.T @ GM @ Cp)
+        try:
+            Cp = Cp @ _whiten(Cp.T @ GM @ Cp)
+        except SolverError:
+            Cp = Cp[:, :0]
+        # one product per carried array gives both the new X and P
+        Cxp = np.hstack([Cx, Cp])
+        XP, AXP, MXP = _combine(S, Cxp), _combine(AS, Cxp), _combine(MS, Cxp)
+        X, AX, MX = XP[:, :bs], AXP[:, :bs], MXP[:, :bs]
+        if Cp.shape[1]:
+            P, AP, MP = XP[:, bs:], AXP[:, bs:], MXP[:, bs:]
+        else:
+            P = AP = MP = None
+        it += 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lmask_pencil()[0],
+    lambda: wide_pencils()["half_DN"],
+], ids=["lmask", "rect3d"])
+def test_workspace_loop_matches_the_list_loop(build):
+    # the same iteration on one layout or the other: equal iteration and
+    # apply counts, values equal to rounding
+    form = build()
+    opts = EigOptions(k=4, tol=1e-9)
+    pre = form.preconditioner()
+    new = smallest_eigenpairs(form.A, form.M, opts, pre)
+    ref = list_block_cg(form.A, form.M, opts, pre)
+    assert new.ok and ref.ok
+    assert (new.iterations, new.matmats) == (ref.iterations, ref.matmats)
+    assert new.theta == pytest.approx(ref.theta, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_rank_deficient_blocks_match_dense_eigh(n):
+    # bs = 7 and n < 3 bs: [X P W] has more columns than the space, so the
+    # Rayleigh-Ritz step drops dependent directions
+    A, M = rand_spd_pencil(n, seed=n)
+    A = A @ A.T + np.eye(n)
+    res = smallest_eigenpairs(A, M, EigOptions(k=4, tol=1e-10))
+    assert res.ok
+    assert res.theta == pytest.approx(sla.eigh(A, M, eigvals_only=True)[:4],
+                                      rel=1e-10)
+    G = res.vectors.T @ (M @ res.vectors)
+    assert np.allclose(G, np.eye(4), atol=1e-8)
+
+
 # -------------------------------------------------------- factored pencils
 
 def test_fit_rule_sends_pencils_by_band_against_block_memory():
@@ -423,6 +554,15 @@ def test_fit_rule_sends_pencils_by_band_against_block_memory():
     res = lowest_eigenpairs(K, Msec, 1, opts)
     assert res.solver == "shift_invert"
     assert res.residuals[0] <= 1e-10 * res.theta[0]
+
+
+@pytest.mark.parametrize("mode", ["reduced2d", "half_DN", "mask",
+                                  "full_sign"])
+def test_kron_half_bandwidth_from_factors_matches_the_scan(mode):
+    form = shear_pencils()[mode]
+    for op in (form.A, form.M):
+        assert op.half_bandwidth == eigcore._csr_bandwidth(op.matrix)
+        assert eigcore._half_bandwidth(op) == op.half_bandwidth
 
 
 def dense_spectrum(form):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearspec import eigcore, waveguide
+from shearspec import assembly, eigcore, waveguide
 from shearspec.cli import load_config
 from shearspec.cross_section import l_shaped_mask
 from shearspec.eigcore import EigOptions, lowest_eigenpairs, smallest_eigenpairs
@@ -280,6 +280,24 @@ class TestMaskLadder:
         for rr in lmask_report.rungs:
             want = ess_threshold(1.0, mask, 2 ** rr.grid.r)
             assert rr.threshold == pytest.approx(want, rel=1e-12)
+
+    def test_box_steps_reuse_the_top_section(self, monkeypatch):
+        # the box step at the finest mesh has the top rung's refined mask
+        # and beta: three rungs, two section eigensolves
+        orders = []
+
+        def counted(A, *args, **kwargs):
+            orders.append(A.shape[0])
+            return lowest_eigenpairs(A, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "lowest_eigenpairs", counted)
+        disc = DiscretizationSpec(nx=10, n1=8, n2=8, L=4.0, mode="half_DN",
+                                  refine=2, l_steps=2)
+        rep = compute_spectrum(WaveguideSpec(1.0, l_shaped_mask(12)), disc)
+        rungs = {(rr.grid.r, rr.grid.s): rr for rr in rep.rungs}
+        assert sorted(rungs) == [(0, 1), (1, 0), (1, 1)]
+        assert len(orders) == 2 and orders[0] > orders[1]
+        assert rungs[(1, 0)].threshold == rungs[(1, 1)].threshold
 
     def test_reduced_rejects_masks(self):
         disc = DiscretizationSpec(nx=8, n1=8, n2=8, L=2.0, mode="reduced2d")
