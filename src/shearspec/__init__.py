@@ -27,7 +27,6 @@ from .certificates import (
 from .geometry import (
     MaskSection,
     Rect,
-    ShearParam,
     WaveguideSpec,
     metric,
 )
@@ -51,7 +50,6 @@ from .waveguide import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ShearParam",
     "Rect",
     "MaskSection",
     "WaveguideSpec",

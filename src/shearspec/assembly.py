@@ -179,27 +179,21 @@ def section_fem(section: MaskSection):
 
 @dataclass
 class ShearForm:
-    """An assembled waveguide pencil (A, M) with its provenance.
+    """An assembled waveguide pencil (A, M).
 
-    The form keeps its x factor, its skew and its section triple;
-    ``separable`` pairs a coefficient with each factor the
-    preconditioner inverts, a ``Fem1D`` or a section pencil (K, M).
-    ``warnings`` records advisory notes such as a truncation length
-    that is short relative to the section.
+    ``A.terms`` holds each (coefficient, (x block, section block)) of
+    the form and ``A.shape`` its (x, section) grid.  ``separable`` pairs
+    a coefficient with each factor the preconditioner inverts, a
+    ``Fem1D`` or a section pencil (K, M).  ``warnings`` records advisory
+    notes such as a truncation length that is short relative to the
+    section.
     """
 
-    mode: str
-    beta: float
     A: KronOp
     M: MassKron
-    shape: tuple[int, ...]
     separable: list[tuple[float, Fem1D | tuple]]
     section: Section | None = None
-    L: float | None = None
     warnings: list[str] = field(default_factory=list)
-    x_factor: Fem1D | None = None
-    x_skew: sp.csr_matrix | None = field(default=None, repr=False)
-    triple: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -246,7 +240,7 @@ def _x_factor(L: float, nx: int, mode: str):
     return fem, fem.D
 
 
-def _half_guide(mode: str, b: float, fx: Fem1D, Dx, triple, separable,
+def _half_guide(b: float, fx: Fem1D, Dx, triple, separable,
                 section: Section, L: float, diam: float) -> ShearForm:
     """The pencil Kx(x)M + Mx(x)K - b (Dx(x)D2' + Dx'(x)D2) against
     Mx(x)M, from the x factor and the section triple (M, K, D2)."""
@@ -259,11 +253,8 @@ def _half_guide(mode: str, b: float, fx: Fem1D, Dx, triple, separable,
     if L <= diam:
         warnings.append(f"truncation L={L:g} does not exceed the section "
                         f"diameter {diam:g}; expect strong confinement bias")
-    return ShearForm(mode=mode, beta=b, A=KronOp(terms, shape),
-                     M=MassKron((fx.M, Msec), shape), shape=shape,
-                     separable=separable, section=section, L=L,
-                     warnings=warnings, x_factor=fx, x_skew=Dx,
-                     triple=triple)
+    return ShearForm(A=KronOp(terms, shape), M=MassKron((fx.M, Msec), shape),
+                     separable=separable, section=section, warnings=warnings)
 
 
 def assemble_waveguide(beta, section: Section, L: float, grid,
@@ -291,7 +282,7 @@ def assemble_waveguide(beta, section: Section, L: float, grid,
     Ksec = (K1 + (1.0 + b * b) * K2).tocsr()
     separable = [(1.0, fx)] + ([(1.0, f1), (1.0 + b * b, f2)] if rect
                                else [(1.0, (Ksec, Msec))])
-    return _half_guide(mode, b, fx, Dx, (Msec, Ksec, D2), separable,
+    return _half_guide(b, fx, Dx, (Msec, Ksec, D2), separable,
                        section, L, section_diameter(section))
 
 
@@ -308,7 +299,7 @@ def assemble_reduced2d(beta, rect: Rect, L: float, grid) -> ShearForm:
     nx, n2 = (grid, grid) if isinstance(grid, int) else grid
     fx, Dx = _x_factor(L, nx, "half_DN")
     f2 = fem1d(n2, rect.width2)
-    return _half_guide("reduced2d", b, fx, Dx,
+    return _half_guide(b, fx, Dx,
                        (f2.M, (1.0 + b * b) * f2.K, f2.D),
                        [(1.0, fx), (1.0 + b * b, f2)], rect, L, rect.width2)
 

@@ -4,9 +4,10 @@ Three independent devices live here.  The existence certificate builds
 the two-piece trial family psi_n + eps*phi whose shifted energy can be
 driven strictly negative, which places spectrum below the threshold.
 The comparison form b is a 1-D square well whose bound states dominate
-the count of discrete eigenvalues; it is counted by piecewise-exact
-shooting.  The prism checks evaluate the auxiliary anisotropic problem
-on the triangular prism against its closed-form levels at unit shear.
+the count of discrete eigenvalues; it is counted in closed form from
+the phase of its zero-energy solution.  The prism checks evaluate the
+auxiliary anisotropic problem on the triangular prism against its
+closed-form levels at unit shear.
 """
 
 from __future__ import annotations
@@ -261,33 +262,16 @@ def bform_count(beta, eps, kappa, nu, E1) -> int:
 
     Shifting by E1 leaves -c0 f'' - 1_[0,w] f on (0, infinity) with
     w = sqrt(nu) and Dirichlet at 0.  The threshold-energy solution is
-    propagated piecewise exactly (trig inside the well, linear tail);
-    its sign changes count the eigenvalues.
+    sin(x / sqrt(c0)) in the well and affine beyond it; its zeros count
+    the eigenvalues.  With theta = w / sqrt(c0) the sine has
+    ceil(theta/pi) - 1 zeros in (0, w), and the tangent line adds one
+    more exactly when theta mod pi exceeds pi/2: floor(theta/pi + 1/2).
     """
     b = beta_value(beta)
     if eps < b:
         raise ValueError(f"eps = {eps:g} must be at least beta = {b:g}")
     form = BForm(beta=b, eps=eps, kappa=kappa, nu=nu, E1=E1)
-    c0 = form.c0
-    w = form.width
-    root = math.sqrt(c0)
-    steps = max(32, int(8.0 * w / (math.pi * root)) + 1)
-    h = w / steps
-    ch, sh = math.cos(h / root), math.sin(h / root)
-    f, fp = 0.0, 1.0
-    count = 0
-    prev = 0.0
-    for _ in range(steps):
-        f, fp = ch * f + root * sh * fp, -sh / root * f + ch * fp
-        if prev != 0.0 and f != 0.0 and math.copysign(1.0, f) != math.copysign(1.0, prev):
-            count += 1
-        if f != 0.0:
-            prev = f
-    # beyond the well the solution is affine; one more crossing iff it
-    # still heads toward the axis
-    if f != 0.0 and fp != 0.0 and math.copysign(1.0, f) != math.copysign(1.0, fp):
-        count += 1
-    return count
+    return math.floor(form.width / math.sqrt(form.c0) / math.pi + 0.5)
 
 
 # ---------------------------------------------------------------- prism

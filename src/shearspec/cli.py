@@ -172,7 +172,6 @@ def _check_betas(betas: list) -> None:
 
 
 TOP_KEYS = {"beta": NUM, "betas": (list, "a list"),
-            "straight": (bool, "true or false"),
             "rect": ((str, list), "a list a,b,c,d"), "mask": STR,
             "disc": (dict, "a JSON object"), "eig": (dict, "a JSON object"),
             "out": STR}
@@ -203,8 +202,7 @@ def load_config(path: str, sweep: bool = False):
     if "beta" not in cfg:
         raise ConfigError("config needs 'beta'")
     _check_betas([cfg["beta"]])
-    spec = WaveguideSpec(float(cfg["beta"]), section,
-                         straight=cfg.get("straight", False))
+    spec = WaveguideSpec(float(cfg["beta"]), section)
     return cfg, spec, disc, opts
 
 
@@ -275,7 +273,7 @@ def cmd_thresholds(args) -> int:
         except ValueError as e:
             raise ConfigError(f"--grid-factor: {e}") from None
     modes = (rectangle_modes(beta, section, 2) if isinstance(section, Rect)
-             else numeric_modes(beta, section, None, 2))
+             else numeric_modes(beta, section, 2))
     out = {
         "beta": beta,
         "E1": modes[0].E,
@@ -337,9 +335,7 @@ def cmd_sweep(args) -> int:
         cpath = os.path.join(out_dir, "sweep.csv")
         jpath = os.path.join(out_dir, "reports.json")
         sweep.to_csv(cpath)
-        with open(jpath, "w") as f:
-            f.write(json.dumps(_round12([r.as_dict() for r in sweep.reports]),
-                               indent=2) + "\n")
+        _emit([r.as_dict() for r in sweep.reports], jpath)
         _manifest("sweep", cfg, opts.seed, [cpath, jpath], out_dir)
     worst = EXIT_OK
     for rep in sweep.reports:

@@ -44,7 +44,6 @@ class SectionMode:
     """
 
     E: float
-    beta: float
     index: tuple[int, int] | int
 
     def __post_init__(self):
@@ -65,30 +64,28 @@ def rectangle_modes(beta, rect: Rect, count: int) -> list[SectionMode]:
     cand = [(rect_mode_value(m, n, b, rect), m, n)
             for m in range(1, count + 1) for n in range(1, nmax + 1)]
     cand.sort()
-    return [SectionMode(E=E, beta=b, index=(m, n))
+    return [SectionMode(E=E, index=(m, n))
             for E, m, n in cand[:count]]
 
 
-def numeric_modes(beta, section: MaskSection, grid,
+def numeric_modes(beta, section: MaskSection,
                   count: int) -> list[SectionMode]:
     """Lowest ``count`` eigenvalues of the Q1 section pencil of T(beta).
 
-    The unknowns are the interior vertices of the mask, refined by the
-    integer factor ``grid`` (None for the mask as given; at least 1).
-    Rectangles have closed forms: use ``rectangle_modes``.
+    The unknowns are the interior vertices of the mask as given; refine
+    it with ``refine_mask`` first for a finer grid.  Rectangles have
+    closed forms: use ``rectangle_modes``.
     """
     if isinstance(section, Rect):
         raise ValueError("rectangle sections have closed-form modes; "
                          "use rectangle_modes")
     b = beta_value(beta, allow_zero=True)
-    if grid is not None:
-        section = refine_mask(section, int(grid))
     K1, K2, _, M = section_fem(section)
     if M.shape[0] < count:
         raise ValueError(f"mask has {M.shape[0]} interior vertices, fewer "
                          f"than the {count} modes asked for; refine it")
     res = lowest_eigenpairs((K1 + (1.0 + b * b) * K2).tocsr(), M, count)
-    return [SectionMode(E=float(res.theta[j]), beta=b, index=j)
+    return [SectionMode(E=float(res.theta[j]), index=j)
             for j in range(count)]
 
 

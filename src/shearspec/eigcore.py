@@ -369,7 +369,7 @@ def materialize(op) -> np.ndarray:
 @dataclass(frozen=True)
 class EigOptions:
     k: int = 1
-    tol: float = 1e-8
+    tol: float = 1e-9
     maxit: int = 5000
     seed: int = 0
 
@@ -785,8 +785,6 @@ class CountResult:
     # smallest converged value above T, minus T; inf for an inertia
     # count, which sees every eigenvalue
     clearance: float
-    threshold: float
-    safety: float
     result: EigResult | None   # the block solve; None for an inertia count
     # negative eigenvalues of A - (T -/+ safety) M, for an inertia count
     inertia: tuple[int, int] | None = None
@@ -823,8 +821,8 @@ def count_below(A, M, threshold: float, safety: float,
         below = _negative_count(_shifted(Ac, Mc, threshold - safety), kd)
         above = below if safety == 0 else _negative_count(
             _shifted(Ac, Mc, threshold + safety), kd)
-        return CountResult(below, above != below, math.inf, threshold,
-                           safety, None, (below, above))
+        return CountResult(below, above != below, math.inf, None,
+                           (below, above))
     while True:
         k = min(k, n)
         res = lowest_eigenpairs(A, M, k, base, precond)
@@ -837,4 +835,4 @@ def count_below(A, M, threshold: float, safety: float,
     boundary = bool(np.any(np.abs(res.theta - threshold) <= safety)
                     or not res.ok)
     clearance = float(above.min() - threshold) if above.size else -np.inf
-    return CountResult(count, boundary, clearance, threshold, safety, res)
+    return CountResult(count, boundary, clearance, res)

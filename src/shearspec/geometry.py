@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ShearParam",
     "Rect",
     "MaskSection",
     "WaveguideSpec",
@@ -34,21 +33,9 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class ShearParam:
-    """Slope beta > 0 of the reference broken line x |-> (x, 0, beta*|x|)."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        _require_finite("beta", self.beta)
-        if self.beta <= 0.0:
-            raise ValueError(f"shear slope must be positive, got {self.beta}")
-
-
-def beta_value(beta: float | ShearParam, *, allow_zero: bool = False) -> float:
+def beta_value(beta: float, *, allow_zero: bool = False) -> float:
     """Coerce a shear argument to a float, validating its sign."""
-    b = beta.beta if isinstance(beta, ShearParam) else float(beta)
+    b = float(beta)
     _require_finite("beta", b)
     if b < 0.0 or (b == 0.0 and not allow_zero):
         raise ValueError(f"shear slope out of range: {b}")
@@ -120,21 +107,14 @@ def section_diameter(section: Section) -> float:
 
 @dataclass(frozen=True)
 class WaveguideSpec:
-    """A broken sheared waveguide: shear slope plus cross-section.
-
-    ``straight`` flags the unbroken reference tube; it is the only way
-    to get beta = 0 past validation, and it demands beta = 0 so a run
-    cannot be half-flagged.
-    """
+    """A broken sheared waveguide: shear slope beta >= 0 plus
+    cross-section; beta = 0 is the straight tube."""
 
     beta: float
     section: Section
-    straight: bool = False
 
     def __post_init__(self) -> None:
-        b = beta_value(self.beta, allow_zero=self.straight)
-        if self.straight and b != 0.0:
-            raise ValueError(f"straight reference runs take beta = 0, got {b}")
+        beta_value(self.beta, allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -149,7 +129,7 @@ class MetricTensor:
         return float(np.linalg.det(self.matrix))
 
 
-def metric(beta: float | ShearParam) -> MetricTensor:
+def metric(beta: float) -> MetricTensor:
     """Flat metric G_beta of the transformed half-guide; det G_beta = 1."""
     b = beta_value(beta)
     g = np.array([

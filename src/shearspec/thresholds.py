@@ -30,18 +30,18 @@ __all__ = [
 BRANCH_POINT = 2.0 / math.sqrt(3.0)  # aspect ratio where beta_star switches
 
 
-def ess_threshold(beta, section: Section, grid: int | None = None) -> float:
+def ess_threshold(beta, section: Section) -> float:
     """Bottom of the essential spectrum, E1(beta).
 
     Analytic for rectangles.  Masks get the ground value of the Q1
-    section pencil on their cell grid, refined by the integer ``grid``
-    factor if given; it is the rung threshold ``compute_spectrum`` uses
-    on the same grid, and carries that grid's discretization error.
+    section pencil on their cell grid; it is the rung threshold
+    ``compute_spectrum`` uses on the same grid (``refine_mask`` gives
+    the finer rungs'), and carries that grid's discretization error.
     """
     b = beta_value(beta, allow_zero=True)
     if isinstance(section, Rect):
         return rectangle_modes(b, section, 1)[0].E
-    return numeric_modes(b, section, grid, 1)[0].E
+    return numeric_modes(b, section, 1)[0].E
 
 
 def beta_star(R: float) -> float:

@@ -335,7 +335,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     and the box steps of a mask ladder reuse its section eigenpairs.
     """
     t_start = time.perf_counter()
-    base = opts or EigOptions(k=4, tol=1e-9)
+    base = opts or EigOptions()
     beta = spec.beta
     section = spec.section
     reduced = disc.mode == "reduced2d"
@@ -568,7 +568,7 @@ def symmetry_check(spec: WaveguideSpec, disc: DiscretizationSpec,
     t0 = time.perf_counter()
     beta = beta_value(spec.beta)
     section = spec.section
-    base = opts or EigOptions(k=3, tol=1e-9)
+    base = opts or EigOptions()
     k = max(base.k, 3)
     g = disc.rung(0, 0)
     grid = (g.nx, g.n1, g.n2)
@@ -588,7 +588,7 @@ def symmetry_check(spec: WaveguideSpec, disc: DiscretizationSpec,
     # odd-part fraction in the mass norm; axis 0 of the full tensor grid
     # is x and its node row is symmetric about the bend
     V = sf.vectors
-    shp = full.shape + (V.shape[1],)
+    shp = full.A.shape + (V.shape[1],)
     flipped = V.reshape(shp)[::-1].reshape(V.shape)
     odd = 0.5 * (V - flipped)
     m_odd = np.einsum("ij,ij->j", odd, full.M.matmat(odd))
@@ -683,7 +683,7 @@ def _cell(v) -> str:
 def sweep_beta(section: Section, betas, disc: DiscretizationSpec,
                opts: EigOptions | None = None) -> SweepResult:
     """One SpectrumReport per shear value, rows sorted by beta."""
-    bs = sorted(beta_value(b) for b in betas)
+    bs = sorted(beta_value(b, allow_zero=True) for b in betas)
     if not bs:
         raise ValueError("sweep needs at least one beta")
     reports = [compute_spectrum(WaveguideSpec(b, section), disc, opts)

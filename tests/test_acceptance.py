@@ -98,7 +98,7 @@ def uniqueness_reports(benchmark_report):
 @pytest.fixture(scope="module")
 def all_reports(square_ladders, uniqueness_reports, benchmark_report):
     straight = compute_spectrum(
-        WaveguideSpec(0.0, SQUARE, straight=True),
+        WaveguideSpec(0.0, SQUARE),
         DiscretizationSpec(nx=48, n1=8, n2=16, L=6.0, mode="reduced2d",
                            refine=3, l_steps=2))
     reports = list(square_ladders.values())
@@ -123,7 +123,7 @@ def test_c02_cross_section_agreement():
     def square(n):  # the unit square as a mask of n x n cells
         return MaskSection(np.ones((n, n), dtype=bool), 1.0 / n)
 
-    errs = {n: abs(numeric_modes(1.0, square(n), None, 1)[0].E - closed)
+    errs = {n: abs(numeric_modes(1.0, square(n), 1)[0].E - closed)
             for n in (32, 64, 128)}
     rel = errs[128] / closed
     r1 = errs[32] / errs[64]

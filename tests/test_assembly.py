@@ -279,7 +279,7 @@ def test_waveguide_symmetry_probe():
 
 def test_waveguide_straight_mode_separates():
     form = assemble_waveguide(0.0, UNIT, 4.0, (8, 5, 6))
-    assert form.beta == 0.0
+    assert len(form.A.terms) == 2   # no shear terms
     lam = pencil_eigs(form, 4)
     parts = []
     for f in (fem1d(8, 4.0, "neumann", "dirichlet"), fem1d(5, 1.0),
@@ -326,11 +326,11 @@ def test_full_sign_spectrum_contains_half_spectrum():
 def test_waveguide_grid_int_shorthand():
     a = assemble_waveguide(1.0, UNIT, 3.0, 5)
     b = assemble_waveguide(1.0, UNIT, 3.0, (5, 5, 5))
-    assert a.shape == b.shape
+    assert a.A.shape == b.A.shape
     # a numpy integer, as DiscretizationSpec allows, is a scalar grid too
     mask = l_shaped_mask(6)
-    assert assemble_waveguide(1.0, mask, 3.0, np.int64(5)).shape == \
-        assemble_waveguide(1.0, mask, 3.0, 5).shape
+    assert assemble_waveguide(1.0, mask, 3.0, np.int64(5)).A.shape == \
+        assemble_waveguide(1.0, mask, 3.0, 5).A.shape
 
 
 def test_waveguide_mode_validation():
@@ -474,7 +474,7 @@ def test_mask_form_decomposes_its_section_once(monkeypatch):
     lam, V = form.section_pairs
     assert calls == [V.shape[0]]
     assert V.shape == (V.shape[0], V.shape[0])
-    Ms, Ks, _ = form.triple
+    Ms, Ks = (S for _, (_, S) in form.A.terms[:2])
     want = eigh(Ks.toarray(), Ms.toarray(), eigvals_only=True)
     assert lam == pytest.approx(want, rel=1e-12)
 
@@ -688,7 +688,7 @@ def test_csr_assembly_peak_memory_stays_near_output_size():
     form = assemble_waveguide(1.0, mask, 4.0, 40)
     tracemalloc.start()
     try:
-        A = KronOp(form.A.terms, form.shape).matrix
+        A = KronOp(form.A.terms, form.A.shape).matrix
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -707,7 +707,7 @@ def test_full_rectangle_mask_matches_rect_triple():
     rect = Rect(0.0, n1 * h, 0.0, n2 * h)
     fm = assemble_waveguide(0.9, mask, 3.0, 8)
     fr = assemble_waveguide(0.9, rect, 3.0, (8, n1, n2))
-    for got, want in zip(fm.triple, fr.triple):
+    for (_, (_, got)), (_, (_, want)) in zip(fm.A.terms, fr.A.terms):
         want = want.toarray()
         assert got.shape == want.shape
         assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()

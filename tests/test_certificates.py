@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearspec.assembly import assemble_prism, fem1d
 from shearspec.certificates import (
@@ -228,6 +230,52 @@ def test_bform_matches_phase_formula():
             kappa = 1.0 - c0  # with beta = 1, eps = 2
             got = bform_count(1.0, 2.0, kappa, w * w, 5.0)
             assert got == math.floor(theta), (c0, w)
+
+
+def shooting_count(c0, w):
+    """Reference count by shooting: the zero-energy solution of
+    -c0 f'' - f = 0 on (0, w), f(0) = 0, propagated step by step with
+    the exact rotation; its sign changes in the well, plus one if the
+    affine tail beyond it still heads toward the axis."""
+    root = math.sqrt(c0)
+    steps = max(32, int(8.0 * w / (math.pi * root)) + 1)
+    h = w / steps
+    ch, sh = math.cos(h / root), math.sin(h / root)
+    f, fp = 0.0, 1.0
+    count = 0
+    prev = 0.0
+    for _ in range(steps):
+        f, fp = ch * f + root * sh * fp, -sh / root * f + ch * fp
+        if prev != 0.0 and f != 0.0 and math.copysign(1.0, f) != math.copysign(1.0, prev):
+            count += 1
+        if f != 0.0:
+            prev = f
+    # beyond the well the solution is affine; one more crossing iff it
+    # still heads toward the axis
+    if f != 0.0 and fp != 0.0 and math.copysign(1.0, f) != math.copysign(1.0, fp):
+        count += 1
+    return count
+
+
+@st.composite
+def wells(draw):
+    """(beta, eps >= beta, kappa, nu) with c0 = 1 - 2 kappa beta / eps
+    in [1e-4, 1] and nu up to 1e4."""
+    beta = draw(st.floats(1e-3, 10.0))
+    eps = beta * draw(st.floats(1.0, 10.0))
+    c0 = draw(st.floats(1e-4, 1.0))
+    kappa = (1.0 - c0) * eps / (2.0 * beta)
+    nu = draw(st.floats(1e-6, 1e4))
+    return beta, eps, kappa, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(wells())
+def test_bform_closed_form_matches_shooting(well):
+    beta, eps, kappa, nu = well
+    form = BForm(beta=beta, eps=eps, kappa=kappa, nu=nu, E1=7.0)
+    want = shooting_count(form.c0, form.width)
+    assert bform_count(beta, eps, kappa, nu, 7.0) == want
 
 
 def test_bform_validation():

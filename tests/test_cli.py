@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from shearspec import cli, eigcore
 from shearspec.cli import ConfigError, load_config, load_mask, main
-from shearspec.waveguide import CSV_COLUMNS
+from shearspec.waveguide import CSV_COLUMNS, compute_spectrum
 
 PI2 = math.pi ** 2
+DEMO_CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 
 
 def run(capsys, *argv):
@@ -276,15 +278,53 @@ class TestSpectrum:
         assert err.strip() == "solver failure: MemoryError"
 
     def test_straight_run_has_no_bound_rows(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, beta=0.0, straight=True)
+        # beta = 0 is the straight tube, which binds nothing
+        cfg = write_config(tmp_path, beta=0)
         out_dir = tmp_path / "out"
-        code, _, _ = run(capsys, "spectrum", str(cfg), "--out", str(out_dir))
+        code, out, _ = run(capsys, "spectrum", str(cfg), "--out", str(out_dir))
         assert code == 0
+        assert out.startswith("count 0 ")
+        assert json.loads((out_dir / "report.json").read_text())["count"] == 0
         import csv as csvmod
         rows = list(csvmod.DictReader(
             (out_dir / "eigenvalues.csv").read_text().splitlines()))
         assert rows
         assert all(r["below_threshold"] == "0" for r in rows)
+
+    def test_straight_key_exits_2(self, capsys, tmp_path):
+        # beta alone says whether the guide is straight
+        cfg = write_config(tmp_path, beta=0, straight=True)
+        code, _, err = run(capsys, "spectrum", str(cfg))
+        assert code == 2
+        assert err.startswith("error: ") and "straight" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_config_without_eig_solves_as_the_library(self, capsys,
+                                                      monkeypatch, tmp_path):
+        # a config with no eig block runs the same solver options as
+        # compute_spectrum(spec, disc): the L-mask's block-CG rungs give
+        # the same values to the last bit
+        cfg = tmp_path / "lmask.json"
+        cfg.write_text(json.dumps({
+            "beta": 1.0, "mask": str(DEMO_CONFIGS / "l_mask.txt"),
+            "disc": {"nx": 10, "n1": 12, "n2": 12, "L": 4.0, "mode": "half",
+                     "refine": 2, "l_steps": 2}}))
+        reports = []
+
+        def recorded(*args):
+            reports.append(compute_spectrum(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "compute_spectrum", recorded)
+        run(capsys, "spectrum", str(cfg))
+        _, spec, disc, _ = load_config(str(cfg))
+        want = compute_spectrum(spec, disc)
+        got, = reports
+        assert "block_cg" in [rr.solver for rr in got.rungs]
+        assert got.threshold == want.threshold
+        assert got.eigenvalues.tolist() == want.eigenvalues.tolist()
+        assert got.safety.tolist() == want.safety.tolist()
+        assert (got.count, got.flags) == (want.count, want.flags)
 
     def test_nonconvergence_exits_3(self, capsys, tmp_path):
         # sections of 11 x 11 and up are too wide to factor: block CG

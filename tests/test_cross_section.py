@@ -84,18 +84,18 @@ def test_e1_simple_on_rectangles():
 # ------------------------------------------------------------ numeric path
 
 def test_numeric_matches_trivial_laplacian():
-    got = numeric_modes(0.0, full_mask(UNIT, 128), None, 1)[0].E
+    got = numeric_modes(0.0, full_mask(UNIT, 128), 1)[0].E
     assert got == pytest.approx(2 * PI2, rel=5e-3)
 
 
 def test_numeric_matches_closed_form_at_128():
-    got = numeric_modes(1.0, full_mask(UNIT, 128), None, 1)[0].E
+    got = numeric_modes(1.0, full_mask(UNIT, 128), 1)[0].E
     assert got == pytest.approx(3 * PI2, rel=1e-3)
 
 
 def test_numeric_second_order_convergence():
     exact = 3 * PI2
-    errs = [abs(numeric_modes(1.0, full_mask(UNIT, n), None, 1)[0].E - exact)
+    errs = [abs(numeric_modes(1.0, full_mask(UNIT, n), 1)[0].E - exact)
             for n in (32, 64, 128)]
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     assert all(3.5 <= r <= 4.5 for r in ratios)
@@ -103,7 +103,7 @@ def test_numeric_second_order_convergence():
 
 def test_numeric_anisotropic_rectangle_grid_pair():
     rect = Rect(0.0, 1.0, 0.0, 2.0)
-    got = numeric_modes(2.0, full_mask(rect, 48, 96), None, 2)
+    got = numeric_modes(2.0, full_mask(rect, 48, 96), 2)
     exact = [m.E for m in rectangle_modes(2.0, rect, 2)]
     assert np.allclose([m.E for m in got], exact, rtol=3e-3)
 
@@ -118,12 +118,12 @@ def test_numeric_mode_nodal_normalization():
 
 def test_numeric_modes_reject_rectangles():
     with pytest.raises(ValueError, match="rectangle_modes"):
-        numeric_modes(1.0, UNIT, 32, 1)
+        numeric_modes(1.0, UNIT, 1)
 
 
 def test_lshape_mask_self_convergence():
-    coarse = numeric_modes(1.0, l_shaped_mask(128), None, 1)[0].E
-    fine = numeric_modes(1.0, l_shaped_mask(256), None, 1)[0].E
+    coarse = numeric_modes(1.0, l_shaped_mask(128), 1)[0].E
+    fine = numeric_modes(1.0, l_shaped_mask(256), 1)[0].E
     assert abs(coarse - fine) / fine < 0.01
     # the L-shape binds tighter than its bounding square
     assert fine > 3 * PI2
@@ -132,8 +132,8 @@ def test_lshape_mask_self_convergence():
 def test_mask_refinement_is_exact_subdivision():
     assert np.array_equal(refine_mask(l_shaped_mask(64), 2).inside,
                           l_shaped_mask(128).inside)
-    got = numeric_modes(1.0, l_shaped_mask(64), 2, 1)[0].E
-    ref = numeric_modes(1.0, l_shaped_mask(128), None, 1)[0].E
+    got = numeric_modes(1.0, refine_mask(l_shaped_mask(64), 2), 1)[0].E
+    ref = numeric_modes(1.0, l_shaped_mask(128), 1)[0].E
     assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -143,9 +143,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         rectangle_modes(1.0, UNIT, 0)
     with pytest.raises(ValueError):
-        numeric_modes(1.0, l_shaped_mask(12), None, 0)
+        numeric_modes(1.0, l_shaped_mask(12), 0)
     with pytest.raises(ValueError):
-        numeric_modes(1.0, l_shaped_mask(2), None, 1)  # no interior vertex
+        numeric_modes(1.0, l_shaped_mask(2), 1)  # no interior vertex
     with pytest.raises(ValueError):
         l_shaped_mask(7)
     with pytest.raises(ValueError):
@@ -158,4 +158,4 @@ def test_validation_errors():
     # a refinement factor below 1 is refused, not read as the mask as given
     for factor in (0, -3):
         with pytest.raises(ValueError, match="refinement factor"):
-            numeric_modes(1.0, l_shaped_mask(12), factor, 1)
+            refine_mask(l_shaped_mask(12), factor)

@@ -7,7 +7,6 @@ from shearspec.geometry import (
     MaskSection,
     MetricTensor,
     Rect,
-    ShearParam,
     WaveguideSpec,
     metric,
     section_diameter,
@@ -35,16 +34,6 @@ def test_metric_symmetric_positive_definite():
     g = metric(3.0).matrix
     assert np.array_equal(g, g.T)
     assert np.linalg.eigvalsh(g).min() > 0
-
-
-def test_shear_param_validation():
-    with pytest.raises(ValueError):
-        ShearParam(0.0)
-    with pytest.raises(ValueError):
-        ShearParam(-1.0)
-    with pytest.raises(ValueError):
-        ShearParam(math.inf)
-    assert ShearParam(0.5).beta == 0.5
 
 
 def test_rect_validation_and_aspect():

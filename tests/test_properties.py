@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearspec.cross_section import rect_mode_value, refine_mask, l_shaped_mask
-from shearspec.geometry import Rect, ShearParam, beta_value, metric
+from shearspec.geometry import Rect, metric
 from shearspec.thresholds import (
     BRANCH_POINT,
     beta_star,
@@ -42,11 +42,6 @@ def rects(draw):
 def test_shear_preserves_volume(b):
     # det cancels beta^2 against itself, so the error scales with 1+beta^2
     assert abs(metric(b).det - 1.0) <= 4 * EPS * (1.0 + b * b)
-
-
-@given(betas)
-def test_shear_param_round_trip(b):
-    assert beta_value(ShearParam(b)) == b
 
 
 @settings(deadline=None)

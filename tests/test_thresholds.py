@@ -35,7 +35,7 @@ def test_ess_threshold_closed_forms():
 
 def test_ess_threshold_mask_delegates_to_numeric():
     mask = l_shaped_mask(64)
-    want = numeric_modes(1.0, mask, None, 1)[0].E
+    want = numeric_modes(1.0, mask, 1)[0].E
     assert ess_threshold(1.0, mask) == pytest.approx(want, rel=1e-12)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from shearspec import assembly, eigcore, waveguide
 from shearspec.cli import load_config
-from shearspec.cross_section import l_shaped_mask
+from shearspec.cross_section import l_shaped_mask, refine_mask
 from shearspec.eigcore import EigOptions, lowest_eigenpairs, smallest_eigenpairs
 from shearspec.geometry import Rect, WaveguideSpec
 from shearspec.thresholds import ess_threshold
@@ -199,7 +199,7 @@ class TestModesAgree:
 
 class TestStraightReference:
     def test_count_zero(self):
-        spec = WaveguideSpec(0.0, SQUARE, straight=True)
+        spec = WaveguideSpec(0.0, SQUARE)
         rep = compute_spectrum(spec, small_reduced())
         assert rep.count == 0
         assert rep.stable
@@ -210,18 +210,12 @@ class TestStraightReference:
     def test_full_sign_assembles_the_full_guide(self):
         # beta = 0 is the straight tube in every mode: a straight
         # full_sign run solves on (-L, L), not on the half guide
-        spec = WaveguideSpec(0.0, SQUARE, straight=True)
+        spec = WaveguideSpec(0.0, SQUARE)
         disc = DiscretizationSpec(nx=8, n1=8, n2=8, L=2.0, mode="full_sign")
         g = disc.rung(0, 0)
         form = waveguide._build(spec.beta, spec.section, disc, g)
-        assert form.mode == "full_sign"
+        assert form.A.shape == (2 * g.nx - 1, (g.n1 - 1) * (g.n2 - 1))
         assert form.n == (2 * g.nx - 1) * (g.n1 - 1) * (g.n2 - 1)
-
-    def test_straight_flag_is_strict(self):
-        with pytest.raises(ValueError, match="shear slope"):
-            WaveguideSpec(0.0, SQUARE)
-        with pytest.raises(ValueError, match="straight"):
-            WaveguideSpec(0.5, SQUARE, straight=True)
 
 
 class TestCountReliability:
@@ -278,7 +272,7 @@ class TestMaskLadder:
         # against is E1 of the same mask refined to that rung
         mask = l_shaped_mask(12)
         for rr in lmask_report.rungs:
-            want = ess_threshold(1.0, mask, 2 ** rr.grid.r)
+            want = ess_threshold(1.0, refine_mask(mask, 2 ** rr.grid.r))
             assert rr.threshold == pytest.approx(want, rel=1e-12)
 
     def test_box_steps_reuse_the_top_section(self, monkeypatch):
@@ -321,7 +315,7 @@ class TestSymmetryCheck:
     def test_rejects_straight(self):
         disc = DiscretizationSpec(nx=8, n1=8, n2=8, L=2.0)
         with pytest.raises(ValueError, match="shear slope"):
-            symmetry_check(WaveguideSpec(0.0, SQUARE, straight=True), disc)
+            symmetry_check(WaveguideSpec(0.0, SQUARE), disc)
 
 
 class TestSeparationCheck:
@@ -407,6 +401,12 @@ class TestSweep:
         assert data[0]["beta"] == 0.5
         assert data[0]["count"] >= 1
         assert data[0]["rungs"][0]["eigenvalues"]
+
+    def test_sweep_through_zero_has_a_straight_row(self):
+        # beta = 0 is the straight tube, which binds nothing
+        sweep = sweep_beta(SQUARE, [1.0, 0.0], small_reduced())
+        assert [r.beta for r in sweep.reports] == [0.0, 1.0]
+        assert [r.count for r in sweep.reports] == [0, 1]
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
