@@ -1,13 +1,13 @@
 """Explicit variational objects behind the spectral statements.
 
 Three independent devices live here.  The existence certificate builds
-the two-piece trial family psi_n + eps*phi whose shifted energy can be
-driven strictly negative, which places spectrum below the threshold.
-The comparison form b is a 1-D square well whose bound states dominate
-the count of discrete eigenvalues; it is counted in closed form from
-the phase of its zero-energy solution.  The prism checks evaluate the
-auxiliary anisotropic problem on the triangular prism against its
-closed-form levels at unit shear.
+the two-piece trial family psi_n + eps*phi whose shifted energy, in
+closed form, can be driven strictly negative, which places spectrum
+below the threshold.  The comparison form b is a 1-D square well whose
+bound states dominate the count of discrete eigenvalues; it is counted
+in closed form from the phase of its zero-energy solution.  The prism
+checks evaluate the auxiliary anisotropic problem on the triangular
+prism against its closed-form levels at unit shear.
 """
 
 from __future__ import annotations
@@ -35,52 +35,32 @@ __all__ = [
 ]
 
 
-def _gauss(f, a, b, panels, order=16):
-    """Composite Gauss-Legendre quadrature of f over [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        total += half * float(w @ np.asarray(f(0.5 * (lo + hi) + half * x)))
-    return total
+# closed-form integrals of the default profiles, each written once
+RAMP_ENERGY = math.pi**2 / 8.0  # int_1^2 |w'|^2
+RAMP_MASS = 3.0 / 2.0  # int_0^2 w^2
+ETA_MASS = 2.0 / 7.0  # int_0^1 eta^2
+ETA_ENERGY = 48.0 / 35.0  # int_0^1 eta'^2
+ETA_MEAN = 2.0 / 5.0  # int_0^1 eta
 
 
 @dataclass(frozen=True)
 class CutoffProfile:
     """Scalar profiles of the trial family.
 
-    w ramps from 1 (on x <= 1) to 0 (on x >= 2); its Dirichlet energy
-    is stored in closed form.  eta lives on [0, 1) with eta(0) = 1 and
-    couples the localized correction to the spreading piece.  panels
-    sets the composite quadrature resolution for the eta integrals.
+    w ramps from 1 (on x <= 1) to 0 (on x >= 2) with Dirichlet energy
+    dirichlet_energy.  eta lives on [0, 1) with eta(0) = 1 and couples
+    the localized correction to the spreading piece.
     """
 
     w: Callable = field(repr=False)
     w_prime: Callable = field(repr=False)
-    dirichlet_energy: float = 0.0
-    eta: Callable = field(repr=False, default=None)
-    eta_prime: Callable = field(repr=False, default=None)
-    panels: int = 4
-
-    def __post_init__(self):
-        if self.eta is None or self.eta_prime is None:
-            raise ValueError("profiles need eta and eta_prime")
-        xs = np.linspace(0.0, 3.0, 301)
-        vals = np.asarray(self.w(xs))
-        if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
-            raise ValueError("w must stay within [0, 1]")
-        if abs(float(self.w(0.5)) - 1.0) > 1e-12 or abs(float(self.w(2.5))) > 1e-12:
-            raise ValueError("w must be 1 on (-inf, 1] and 0 on [2, inf)")
-        if abs(float(self.eta(1.0))) > 1e-12:
-            raise ValueError("eta must vanish at 1")
-        flux = _gauss(self.eta_prime, 0.0, 1.0, self.panels)
-        if abs(flux + float(self.eta(0.0))) > 1e-8:
-            raise ValueError("eta' must integrate to -eta(0)")
+    dirichlet_energy: float
+    eta: Callable = field(repr=False)
+    eta_prime: Callable = field(repr=False)
 
 
 def default_profile() -> CutoffProfile:
-    """Cosine ramp (energy pi^2/8) and cubic bump eta = (1-x)^3(1+3x)."""
+    """Cosine ramp and cubic bump eta = (1-x)^3(1+3x)."""
 
     def w(x):
         x = np.asarray(x, dtype=float)
@@ -105,8 +85,7 @@ def default_profile() -> CutoffProfile:
         return np.where((x >= 0.0) & (x < 1.0),
                         -12.0 * xc * (1.0 - xc) ** 2, 0.0)
 
-    return CutoffProfile(w=w, w_prime=w_prime,
-                         dirichlet_energy=math.pi**2 / 8.0,
+    return CutoffProfile(w=w, w_prime=w_prime, dirichlet_energy=RAMP_ENERGY,
                          eta=eta, eta_prime=eta_prime)
 
 
@@ -115,7 +94,7 @@ class CertificateResult:
     """Outcome of the negative-energy trial construction.
 
     total = piece_ramp + piece_cross + piece_phi; the verdict is
-    certified only when the quadrature error bar cannot flip the sign.
+    certified only when the rounding margin cannot flip the sign.
     rayleigh = total / norm_sq upper-bounds the gap to the threshold.
     """
 
@@ -141,82 +120,36 @@ class CertificateResult:
         return self.total / self.norm_sq
 
 
-def _phi_energy(beta, rect, prof, panels):
-    """q_beta(phi) for phi = eta(x) y2 chi(y) by tensor quadrature.
-
-    Every integral factors: eta pieces over [0,1], the y1 ground mode,
-    and g(y2) = y2 chi_2(y2) over (c, d).
-    """
-    w1, w2 = rect.width1, rect.width2
-    a, c = rect.a, rect.c
-    E1 = ess_threshold(beta, rect)
-
-    def chi2(y):
-        return math.sqrt(2.0 / w2) * np.sin(np.pi * (y - c) / w2)
-
-    def dchi2(y):
-        return math.sqrt(2.0 / w2) * (np.pi / w2) * np.cos(np.pi * (y - c) / w2)
-
-    def g(y):
-        return y * chi2(y)
-
-    def dg(y):
-        return chi2(y) + y * dchi2(y)
-
-    I_eta = _gauss(lambda x: prof.eta(x) ** 2, 0.0, 1.0, panels)
-    I_etap = _gauss(lambda x: prof.eta_prime(x) ** 2, 0.0, 1.0, panels)
-    I_mix = _gauss(lambda x: prof.eta(x) * prof.eta_prime(x), 0.0, 1.0, panels)
-    G0 = _gauss(lambda y: g(y) ** 2, c, c + w2, panels)
-    G1 = _gauss(lambda y: dg(y) ** 2, c, c + w2, panels)
-    Gm = _gauss(lambda y: g(y) * dg(y), c, c + w2, panels)
-    Q1 = _gauss(lambda y: (math.sqrt(2.0 / w1) * (np.pi / w1)
-                           * np.cos(np.pi * (y - a) / w1)) ** 2,
-                a, a + w1, panels)
-    # (eta' g - beta eta g')^2 expands into three separable pieces
-    shear = I_etap * G0 - 2.0 * beta * I_mix * Gm + beta**2 * I_eta * G1
-    trans = I_eta * (Q1 * G0 + G1)
-    shift = -E1 * I_eta * G0
-    q_phi = shear + trans + shift
-    extras = {"I_eta": I_eta, "G0": G0,
-              "I_eta1": _gauss(prof.eta, 0.0, 1.0, panels),
-              "C0": _gauss(lambda y: chi2(y) * g(y), c, c + w2, panels),
-              "I_w2": _gauss(lambda x: np.asarray(prof.w(x)) ** 2,
-                             0.0, 2.0, panels)}
-    return q_phi, extras
-
-
-def existence_certificate(beta, rect: Rect,
-                          profiles: CutoffProfile | None = None
-                          ) -> CertificateResult:
+def existence_certificate(beta, rect: Rect) -> CertificateResult:
     """Pick (n, eps) making the trial energy strictly negative.
 
-    Closed pieces: the spreading term is dirichlet_energy / n, and the
-    cross term is -beta*eta(0)/2 exactly once the profile supports are
-    disjoint (n >= 1).  Only q_beta(phi) needs quadrature; doubling the
-    panel count supplies its error bar.
+    Every piece is closed.  With g(y2) = y2 chi_2(y2), phi = eta(x) g
+    chi_1 has q_beta(phi) = ETA_ENERGY G0 + ETA_MASS (1 + beta^2), where
+    G0 = int g^2; int g g' = 0 and E1 cancels against the transverse
+    energies.  The spreading term is RAMP_ENERGY / n, and the cross term
+    is -beta eta(0)/2 exactly once the profile supports are disjoint
+    (n >= 1).  quad_error is a rounding margin only.
     """
     b = beta_value(beta)
     if not isinstance(rect, Rect):
         raise ValueError("certificate needs a rectangle section")
-    prof = profiles or default_profile()
-    eta0 = float(prof.eta(0.0))
-    q_phi, ex = _phi_energy(b, rect, prof, prof.panels)
-    q_fine, _ = _phi_energy(b, rect, prof, 2 * prof.panels)
-    if q_phi <= 0.0:
-        raise ValueError("phi energy must be positive; bad profiles")
-    eps = b * eta0 / (2.0 * q_phi)
-    depth = b * b * eta0 * eta0 / (4.0 * q_phi)
-    n = int(prof.dirichlet_energy / depth) + 1
-    piece_ramp = prof.dirichlet_energy / n
-    piece_cross = -eps * b * eta0
+    w2, c = rect.width2, rect.c
+    G0 = c * c + c * w2 + w2 * w2 * (1.0 / 3.0 - 1.0 / (2.0 * math.pi**2))
+    q_phi = ETA_ENERGY * G0 + ETA_MASS * (1.0 + b * b)
+    eps = b / (2.0 * q_phi)
+    depth = b * b / (4.0 * q_phi)
+    ratio = RAMP_ENERGY / depth if depth > 0.0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"beta too small: at {b:g} the ramp length "
+                         f"n = (pi^2/8) / (beta^2/4q) overflows")
+    n = int(ratio) + 1
+    piece_ramp = RAMP_ENERGY / n
+    piece_cross = -eps * b
     piece_phi = eps * eps * q_phi
     total = piece_ramp + piece_cross + piece_phi
-    # same (n, eps) against the refined quadrature
-    total_fine = piece_ramp - eps * b * eta0 + eps * eps * q_fine
-    quad_error = abs(total - total_fine) + 1e-13 * (abs(piece_ramp)
-                                                    + abs(piece_phi))
-    norm_sq = (n * ex["I_w2"] + 2.0 * eps * ex["I_eta1"] * ex["C0"]
-               + eps * eps * ex["I_eta"] * ex["G0"])
+    quad_error = 1e-13 * (abs(piece_ramp) + abs(piece_phi))
+    norm_sq = (n * RAMP_MASS + 2.0 * eps * ETA_MEAN * (c + 0.5 * w2)
+               + eps * eps * ETA_MASS * G0)
     verdict = total < 0.0 and quad_error < abs(total)
     return CertificateResult(beta=b, n=n, eps=eps, piece_ramp=piece_ramp,
                              piece_cross=piece_cross, piece_phi=piece_phi,

@@ -161,14 +161,16 @@ def _eig_from(cfg: dict) -> EigOptions:
 BETA_MAX = 2.0 ** 26
 
 
-def _check_betas(betas: list) -> None:
-    """Each beta is a finite, nonnegative number of at most BETA_MAX."""
+def _check_betas(betas: list) -> list[float]:
+    """Each beta as a float: finite, nonnegative and at most BETA_MAX."""
     if not all(_is(b, NUM[0]) for b in betas):
         raise ConfigError(f"beta must be a number, got {betas!r}")
-    b = max(beta_value(v, allow_zero=True) for v in betas)
+    vals = [beta_value(v, allow_zero=True) for v in betas]
+    b = max(vals)
     if b > BETA_MAX:
         raise ConfigError(f"beta {b:g} is too large: above 2^26, 1 + beta^2 "
                           f"rounds to beta^2 in double precision")
+    return vals
 
 
 TOP_KEYS = {"beta": NUM, "betas": (list, "a list"),
@@ -196,13 +198,11 @@ def load_config(path: str, sweep: bool = False):
     if sweep:
         if not cfg.get("betas"):
             raise ConfigError("sweep config needs a nonempty 'betas'")
-        _check_betas(cfg["betas"])
-        betas = [float(b) for b in cfg["betas"]]
+        betas = _check_betas(cfg["betas"])
         return cfg, section, betas, disc, opts
     if "beta" not in cfg:
         raise ConfigError("config needs 'beta'")
-    _check_betas([cfg["beta"]])
-    spec = WaveguideSpec(float(cfg["beta"]), section)
+    spec = WaveguideSpec(_check_betas([cfg["beta"]])[0], section)
     return cfg, spec, disc, opts
 
 
@@ -285,7 +285,8 @@ def cmd_thresholds(args) -> int:
         out["R"] = R
         out["beta_star"] = beta_star(R)
         out["branch"] = "narrow" if R <= BRANCH_POINT else "wide"
-    out["bound_factor"] = bound_factor(beta)
+    # the straight tube (beta = 0) has no shear to bound
+    out["bound_factor"] = bound_factor(beta) if beta > 0.0 else None
     print(_emit(out))
     return EXIT_OK
 
@@ -430,8 +431,7 @@ def cmd_oracle_compare(args) -> int:
 
 def _beta_arg(args) -> float:
     """``--beta``, held to the rule of the configs' beta."""
-    _check_betas([args.beta])
-    return beta_value(args.beta)
+    return _check_betas([args.beta])[0]
 
 
 def _section_arg(args) -> Section:

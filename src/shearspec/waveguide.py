@@ -59,6 +59,9 @@ MODES = ("half_DN", "full_sign", "reduced2d")
 CSV_COLUMNS = ("beta", "mode", "rung", "L", "nx", "n1", "n2", "j",
                "lambda", "residual", "below_threshold", "flags")
 
+# floor of every safety band around E1, relative to |E1|
+BAND_REL = 1e-6
+
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
@@ -360,7 +363,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     # section decomposition serves their thresholds and preconditioners
     top_pairs = (top_form.section_pairs if isinstance(section, MaskSection)
                  else None)
-    band0 = 1e-6 * abs(e1_top)
+    band0 = BAND_REL * abs(e1_top)
     top_pre = top_form.preconditioner()
     top_warnings = top_form.warnings
     cres = count_below(top_form.A, top_form.M, e1_top - offset, band0,
@@ -441,7 +444,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         thr_est = abs(e1_ext - e1_top)
 
     if reduced:
-        safety_planar = np.maximum(1e-6 * abs(e1_ext), est + thr_est)
+        safety_planar = np.maximum(BAND_REL * abs(e1_ext), est + thr_est)
         # the widest band keeps every sum the boundary test below reads
         entries, _ = _channel_sums(ext, section, e1_ext,
                                    float(safety_planar.max()))
@@ -454,7 +457,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         est_out = np.array([est[m] for _, m, _ in take])
         planar_out = ext
     else:
-        safety = np.maximum(1e-6 * abs(e1_ext), est + thr_est)
+        safety = np.maximum(BAND_REL * abs(e1_ext), est + thr_est)
         values = ext
         est_out = est
         count = int(np.sum(values < e1_ext - safety))
@@ -499,7 +502,7 @@ def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int, reduced: bool,
     warn = list(warnings)
     if not conv.all():
         warn.append("nonconverged")
-    band = 1e-6 * abs(e1)
+    band = BAND_REL * abs(e1)
     if reduced:
         entries, below = _channel_sums(theta, section, e1, band)
         take = entries[:k]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 
 from shearspec.assembly import assemble_prism, fem1d
 from shearspec.certificates import (
+    ETA_ENERGY,
+    ETA_MASS,
+    ETA_MEAN,
+    RAMP_ENERGY,
+    RAMP_MASS,
     BForm,
     CertificateResult,
-    CutoffProfile,
     bform_count,
     default_profile,
     existence_certificate,
@@ -27,12 +32,18 @@ SHIFTED = Rect(1.0, 2.0, -0.5, 0.7)
 UNIT_SQUARE_GAP = 2.0 * PI2 * (0.93008579 - 1.0)
 
 
-def gauss(f, a, b, panels=8, order=16):
+def _gauss(f, a, b, panels, order=16):
+    """Composite Gauss-Legendre quadrature of f over [a, b]."""
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
-    return sum(0.5 * (hi - lo) * float(w @ f(0.5 * (lo + hi)
-                                             + 0.5 * (hi - lo) * x))
-               for lo, hi in zip(edges[:-1], edges[1:]))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        total += half * float(w @ np.asarray(f(0.5 * (lo + hi) + half * x)))
+    return total
+
+
+gauss = functools.partial(_gauss, panels=8)
 
 
 # -------------------------------------------------------------- profiles
@@ -46,31 +57,20 @@ def test_default_profile_shapes():
     assert p.w(2.7) == pytest.approx(0.0)
     assert p.eta(0.0) == pytest.approx(1.0)
     assert abs(p.eta(1.0)) < 1e-14
-    # ramp energy quoted in closed form must match its own quadrature;
-    # integrate over the smooth support [1, 2] only
+    assert p.dirichlet_energy == RAMP_ENERGY
+    # each closed-form constant the certificate uses, against quadrature
+    # of the profile callables; w' is integrated over its smooth support
+    assert RAMP_ENERGY == pytest.approx(PI2 / 8.0, abs=1e-15)
     assert gauss(lambda x: p.w_prime(x) ** 2, 1.0, 2.0) \
-        == pytest.approx(PI2 / 8.0, abs=1e-12)
-    # eta integrals have rational closed forms
+        == pytest.approx(RAMP_ENERGY, abs=1e-12)
+    assert gauss(lambda x: p.w(x) ** 2, 0.0, 1.0) \
+        + gauss(lambda x: p.w(x) ** 2, 1.0, 2.0) \
+        == pytest.approx(RAMP_MASS, abs=1e-12)
     assert gauss(lambda x: p.eta(x) ** 2, 0.0, 1.0) \
-        == pytest.approx(2.0 / 7.0, abs=1e-12)
+        == pytest.approx(ETA_MASS, abs=1e-12)
     assert gauss(lambda x: p.eta_prime(x) ** 2, 0.0, 1.0) \
-        == pytest.approx(48.0 / 35.0, abs=1e-12)
-
-
-def test_profile_validation():
-    p = default_profile()
-    with pytest.raises(ValueError):
-        CutoffProfile(w=lambda x: 2.0 * np.asarray(p.w(x)),
-                      w_prime=p.w_prime, dirichlet_energy=1.0,
-                      eta=p.eta, eta_prime=p.eta_prime)
-    with pytest.raises(ValueError):
-        CutoffProfile(w=p.w, w_prime=p.w_prime, dirichlet_energy=1.0,
-                      eta=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                      eta_prime=lambda x: np.zeros_like(
-                          np.asarray(x, dtype=float)))
-    with pytest.raises(ValueError):
-        CutoffProfile(w=p.w, w_prime=p.w_prime, dirichlet_energy=1.0,
-                      eta=None, eta_prime=None)
+        == pytest.approx(ETA_ENERGY, abs=1e-12)
+    assert gauss(p.eta, 0.0, 1.0) == pytest.approx(ETA_MEAN, abs=1e-12)
 
 
 # ---------------------------------------------------- existence certificate
@@ -105,6 +105,103 @@ def test_certificate_closed_phi_energy(beta, rect):
     q_exp, _ = phi_closed_energy(beta, rect)
     assert cert.q_phi == pytest.approx(q_exp, rel=1e-12)
     assert cert.verdict
+
+
+def _phi_energy(beta, rect, prof, panels):
+    """q_beta(phi) for phi = eta(x) y2 chi(y) by tensor quadrature.
+
+    Every integral factors: eta pieces over [0,1], the y1 ground mode,
+    and g(y2) = y2 chi_2(y2) over (c, d).
+    """
+    w1, w2 = rect.width1, rect.width2
+    a, c = rect.a, rect.c
+    E1 = ess_threshold(beta, rect)
+
+    def chi2(y):
+        return math.sqrt(2.0 / w2) * np.sin(np.pi * (y - c) / w2)
+
+    def dchi2(y):
+        return math.sqrt(2.0 / w2) * (np.pi / w2) * np.cos(np.pi * (y - c) / w2)
+
+    def g(y):
+        return y * chi2(y)
+
+    def dg(y):
+        return chi2(y) + y * dchi2(y)
+
+    I_eta = _gauss(lambda x: prof.eta(x) ** 2, 0.0, 1.0, panels)
+    I_etap = _gauss(lambda x: prof.eta_prime(x) ** 2, 0.0, 1.0, panels)
+    I_mix = _gauss(lambda x: prof.eta(x) * prof.eta_prime(x), 0.0, 1.0, panels)
+    G0 = _gauss(lambda y: g(y) ** 2, c, c + w2, panels)
+    G1 = _gauss(lambda y: dg(y) ** 2, c, c + w2, panels)
+    Gm = _gauss(lambda y: g(y) * dg(y), c, c + w2, panels)
+    Q1 = _gauss(lambda y: (math.sqrt(2.0 / w1) * (np.pi / w1)
+                           * np.cos(np.pi * (y - a) / w1)) ** 2,
+                a, a + w1, panels)
+    # (eta' g - beta eta g')^2 expands into three separable pieces
+    shear = I_etap * G0 - 2.0 * beta * I_mix * Gm + beta**2 * I_eta * G1
+    trans = I_eta * (Q1 * G0 + G1)
+    shift = -E1 * I_eta * G0
+    q_phi = shear + trans + shift
+    extras = {"I_eta": I_eta, "G0": G0,
+              "I_eta1": _gauss(prof.eta, 0.0, 1.0, panels),
+              "C0": _gauss(lambda y: chi2(y) * g(y), c, c + w2, panels),
+              "I_w2": _gauss(lambda x: np.asarray(prof.w(x)) ** 2,
+                             0.0, 2.0, panels)}
+    return q_phi, extras
+
+
+def quadrature_certificate(beta, rect):
+    """The certificate as computed before its closed form: every
+    integral of the trial energy and norm by 4-panel quadrature."""
+    prof = default_profile()
+    eta0 = float(prof.eta(0.0))
+    q_phi, ex = _phi_energy(beta, rect, prof, 4)
+    eps = beta * eta0 / (2.0 * q_phi)
+    depth = beta * beta * eta0 * eta0 / (4.0 * q_phi)
+    n = int(prof.dirichlet_energy / depth) + 1
+    piece_ramp = prof.dirichlet_energy / n
+    piece_phi = eps * eps * q_phi
+    total = piece_ramp - eps * beta * eta0 + piece_phi
+    norm_sq = (n * ex["I_w2"] + 2.0 * eps * ex["I_eta1"] * ex["C0"]
+               + eps * eps * ex["I_eta"] * ex["G0"])
+    # q_phi sums E1 I_eta G0 against terms of like size, and its
+    # rounding grows with that cancellation
+    scale = (q_phi + ess_threshold(beta, rect) * ex["I_eta"] * ex["G0"]) / q_phi
+    return dict(n=n, eps=eps, q_phi=q_phi, total=total, norm_sq=norm_sq,
+                piece_ramp=piece_ramp, piece_phi=piece_phi, scale=scale)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """(beta, rect): widths 0.1-10, offsets a, c in [-5, 5]."""
+    a = draw(st.floats(-5.0, 5.0))
+    c = draw(st.floats(-5.0, 5.0))
+    w1 = draw(st.floats(0.1, 10.0))
+    w2 = draw(st.floats(0.1, 10.0))
+    beta = draw(st.floats(1e-3, 1e3))
+    return beta, Rect(a, a + w1, c, c + w2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_inputs())
+def test_closed_form_matches_quadrature_certificate(case):
+    beta, rect = case
+    cert = existence_certificate(beta, rect)
+    old = quadrature_certificate(beta, rect)
+    rel = 1e-12 * old["scale"]
+    ratio = RAMP_ENERGY * 4.0 * cert.q_phi / (beta * beta)
+    # n is a floor: it is decided only away from the integers by more
+    # than the two q_phi may differ
+    if abs(ratio - round(ratio)) > 2.0 * rel * ratio:
+        assert cert.n == old["n"]
+    assert cert.q_phi == pytest.approx(old["q_phi"], rel=rel)
+    assert cert.eps == pytest.approx(old["eps"], rel=rel)
+    if cert.n == old["n"]:
+        assert cert.norm_sq == pytest.approx(old["norm_sq"], rel=rel)
+        assert cert.total == pytest.approx(
+            old["total"],
+            abs=rel * (abs(old["piece_ramp"]) + abs(old["piece_phi"])))
 
 
 def test_cross_term_identity_by_quadrature():

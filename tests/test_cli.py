@@ -154,6 +154,47 @@ class TestCertify:
         assert d["total"] < 0
 
 
+class TestStraightAndTinyBeta:
+    def test_thresholds_straight_rect(self, capsys):
+        # beta = 0 is the straight tube: E1 = 2 pi^2 on the unit square,
+        # and no shear to bound
+        code, out, _ = run(capsys, "thresholds", "--beta", "0",
+                           "--rect", "0,1,0,1")
+        assert code == 0
+        d = json.loads(out)
+        assert d["E1"] == pytest.approx(2.0 * PI2, rel=1e-10)
+        assert d["bound_factor"] is None
+
+    def test_thresholds_straight_mask(self, capsys):
+        code, out, _ = run(capsys, "thresholds", "--beta", "0", "--mask",
+                           str(DEMO_CONFIGS / "l_mask.txt"))
+        assert code == 0
+        assert json.loads(out)["bound_factor"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--beta", "0", "--rect", "0,1,0,1"),
+        ("oracle-compare", "--beta", "0", "--rect", "0,1,0,1"),
+        ("certify", "--beta", "1e-160", "--rect", "0,1,0,1"),
+        ("certify", "--beta", "1e-300", "--rect", "0,1,0,1"),
+    ], ids=["certify_0", "oracle_compare_0", "certify_1e-160",
+            "certify_1e-300"])
+    def test_bad_beta_exits_2(self, capsys, argv):
+        # no trial state certifies the straight tube, and below about
+        # 1e-154 the ramp length n overflows
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_certify_tiny_beta_inconclusive(self, capsys):
+        # at beta = 1e-100 the three pieces cancel to rounding: the
+        # verdict is withheld, not refused
+        code, out, _ = run(capsys, "certify", "--beta", "1e-100",
+                           "--rect", "0,1,0,1")
+        assert code == 4
+        assert json.loads(out)["verdict"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ("thresholds", "--beta", "1e8", "--rect", "0,1,0,1"),
     ("thresholds", "--beta", "1e200", "--rect", "0,1,0,1"),
