@@ -16,6 +16,16 @@ basis change is one matrix product.  Preconditioning inverts the
 separable part of A exactly through per-factor eigenbases, which for
 uniform grids are plain sine/cosine transforms.
 
+Dense kernels run on one BLAS pool, scipy's.  Every n-row product of
+block CG and the dense section transform of the preconditioner are
+``dgemm`` calls (``_gemm``), written in place where they fill a
+workspace, and every dense factorization is scipy's LAPACK; numpy's
+``@`` keeps only the block-sized coefficient algebra.  numpy bundles its
+own OpenBLAS, whose threads busy-wait after a product, and a scipy LAPACK
+call right after numpy GEMMs waits on them: the 385-order section
+``eigh`` of the L-mask took 41-153 ms right after a block-CG solve on
+numpy's GEMMs, and 23-31 ms alone or after one on scipy's (2 cores).
+
 Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
 are solved by dense ``eigh``.  Above that order a KronOp form whose band
@@ -78,8 +88,9 @@ _KMAX = 48
 # n x bs arrays block CG holds: two sets of [X P W] workspaces with their
 # A and M products, 3 bs columns each.  A pencil is factored when its band
 # Cholesky takes no more.  (tracemalloc reads a peak of 22, 19.0 MB, on
-# the L-mask top rung at n 15400 and bs 7, inside the preconditioner: the
-# residual and three transform buffers come on top.)
+# the L-mask top rung at n 15400 and bs 7, with every workspace product
+# written in place: inside the preconditioner, the residual and three
+# transform buffers come on top of the workspaces.)
 _CG_ARRAYS = 18
 
 
@@ -97,12 +108,26 @@ def _kron_terms(terms, shape):
     return shape, out
 
 
-def _along(fn, T: np.ndarray, axis: int) -> np.ndarray:
-    """Apply ``fn`` (a map of 2-D column blocks) along one tensor axis."""
-    T = np.moveaxis(T, axis, 0)
-    lead = T.shape[0]
-    out = fn(T.reshape(lead, -1)).reshape(T.shape)
-    return np.moveaxis(out, 0, axis)
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, *,
+          trans_a: bool = False, alpha: float = 1.0,
+          beta: float = 0.0) -> np.ndarray:
+    """alpha op(a) b + beta out by scipy's BLAS, op(a) = a^T when
+    ``trans_a``; written into ``out`` when given, else a new array.
+
+    ``dgemm`` computes into a copy of a target that is not column-major
+    float64, leaving the target unwritten, and writes through a read-only
+    one; either ``out`` is refused here.  Column-major a and b are read in
+    place, others are copied first.
+    """
+    if out is None:
+        return sla.blas.dgemm(alpha, a, b, trans_a=trans_a)
+    if not (out.dtype == np.float64 and out.flags.f_contiguous
+            and out.flags.writeable):
+        raise ValueError("an in-place GEMM target must be a writeable "
+                         "column-major float64 array")
+    sla.blas.dgemm(alpha, a, b, beta=beta, c=out, trans_a=trans_a,
+                   overwrite_c=1)
+    return out
 
 
 def _csr_bandwidth(m: sp.csr_matrix) -> int:
@@ -266,22 +291,25 @@ class FactorSpectral:
             first = np.take(T, [0], axis=axis)
             out = (dct(T, type=3, axis=axis) + first) * 0.5
         else:
-            out = self._dense(self.V.T, T, axis)
-            return out
+            return self._dense(T, axis, trans=True)
         return out / _expand(self.nrm, T.ndim, axis)
 
     def apply(self, T: np.ndarray, axis: int) -> np.ndarray:
         """V along ``axis`` (synthesis from coefficients)."""
         if self.kind == "dense":
-            return self._dense(self.V, T, axis)
+            return self._dense(T, axis, trans=False)
         T = T / _expand(self.nrm, T.ndim, axis)
         if self.kind == "dst":
             return dst(T, type=1, axis=axis) * 0.5
         return dct(T, type=2, axis=axis) * 0.5
 
-    @staticmethod
-    def _dense(mat, T, axis):
-        return _along(mat.__matmul__, T, axis)
+    def _dense(self, T, axis, trans):
+        """V (V^T when ``trans``) along ``axis`` as one GEMM on the
+        (m, rows) column-major view of T with that axis last: a view when
+        it is the last axis of a row-major T, a copy otherwise."""
+        T = np.moveaxis(T, axis, -1)
+        out = _gemm(self.V, T.reshape(-1, self.m).T, trans_a=trans)
+        return np.moveaxis(out.T.reshape(T.shape), -1, axis)
 
 
 def _expand(v: np.ndarray, ndim: int, axis: int) -> np.ndarray:
@@ -310,15 +338,21 @@ class TensorPrecond:
         self.lam_min = float(lam.min())
 
     def __call__(self, R: np.ndarray, sigma: float) -> np.ndarray:
+        # the grid is read through R^T, batch axis first: a view of block
+        # CG's column-major blocks, on which every transform runs
+        # row-major, a dense section factor (the last slot) as one GEMM,
+        # and the result is column-major again.  The rectangle pencils'
+        # DST/DCT run faster so too: the reduced2d 2448 x 255 apply took
+        # 344-363 ms against 348-501 ms on the x-major grid (2 cores)
         b = R.shape[1]
-        T = R.reshape(*self.shape, b)
-        for axis, (_, f) in enumerate(self.factors):
+        T = R.T.reshape(b, *self.shape)
+        for axis, (_, f) in enumerate(self.factors, start=1):
             T = f.apply_adjoint(T, axis)
         sig = min(sigma, self.lam_min - max(1e-3 * abs(self.lam_min), 1e-12))
-        T = T / (self.lam_grid[..., None] - sig)
-        for axis, (_, f) in enumerate(self.factors):
+        T = T / (self.lam_grid - sig)
+        for axis, (_, f) in enumerate(self.factors, start=1):
             T = f.apply(T, axis)
-        return T.reshape(R.shape)
+        return T.reshape(b, -1).T
 
 
 class JacobiPrecond:
@@ -412,9 +446,9 @@ class SolverError(RuntimeError):
 
 def _syevd(H: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of the symmetric H, by
-    scipy's LAPACK like every dense factorization here: numpy's bundles
-    a second BLAS thread pool, and alternating the two costs ms per call
-    on small blocks."""
+    scipy's LAPACK like every dense factorization here, on the one BLAS
+    pool that ``_gemm`` uses too: numpy's bundles a second pool, and
+    alternating the two costs ms per call on small blocks."""
     w, V, info = sla.lapack.dsyevd(H)
     if info:
         raise SolverError(f"dsyevd failed with info {info}")
@@ -509,20 +543,25 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         except ValueError:
             precond = lambda R, sigma: R
 
-    def ritz(X, AX, MX):
-        """Ritz values of X on fresh products; X and the products are
-        overwritten with its Rayleigh-Ritz rotation."""
-        AXf, MXf = A @ X, M @ X
-        theta, C = _rayleigh_ritz(X.T @ AXf, X.T @ MXf, bs)
-        C = C[:, :bs]
-        X[:] = X @ C
-        AX[:] = AXf @ C
-        MX[:] = MXf @ C
-        return theta[:bs]
-
     # two sets of [X P W], [AX AP AW], [MX MP MW]
     sets = [[np.empty((n, 3 * bs), order="F") for _ in range(3)]
             for _ in range(2)]
+
+    def ritz(X, AX, MX):
+        """Ritz values of X on fresh products; X and the products are
+        overwritten with its Rayleigh-Ritz rotation, read from X and the
+        products in the first bs columns of the other set."""
+        T, AT, MT = (a[:, :bs] for a in sets[1])
+        T[:] = X
+        AT[:] = A @ X
+        MT[:] = M @ X
+        theta, C = _rayleigh_ritz(_gemm(T, AT, trans_a=True),
+                                  _gemm(T, MT, trans_a=True), bs)
+        C = C[:, :bs]
+        for src, dst in ((T, X), (AT, AX), (MT, MX)):
+            _gemm(src, C, out=dst)
+        return theta[:bs]
+
     S, AS, MS = sets[0]
     S[:, :bs] = np.random.default_rng(opts.seed).standard_normal((n, bs))
     theta = ritz(S[:, :bs], AS[:, :bs], MS[:, :bs])
@@ -546,18 +585,19 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
                 return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
                                  it, nmat, rn[:k].copy(), "block_cg")
         xp, m = bs + p, 2 * bs + p
-        W = precond(R, float(theta[0]))
+        W = S[:, xp:m]
+        W[:] = precond(R, float(theta[0]))
         # M-orthogonal to [X P] before the apply: the Gram matrix of
         # [X P W] stays near the identity, so the basis change below
         # amplifies no rounding in the carried products
-        W -= S[:, :xp] @ (MS[:, :xp].T @ W)
+        _gemm(S[:, :xp], _gemm(MS[:, :xp], W, trans_a=True), out=W,
+              alpha=-1.0, beta=1.0)
         AS[:, xp:m] = A @ W
         MS[:, xp:m] = M @ W
-        S[:, xp:m] = W
-        del W   # not alive beside the next residual
         nmat += 1
-        GM = S[:, :m].T @ MS[:, :m]
-        ths, C = _rayleigh_ritz(S[:, :m].T @ AS[:, :m], GM, bs)
+        GM = _gemm(S[:, :m], MS[:, :m], trans_a=True)
+        ths, C = _rayleigh_ritz(_gemm(S[:, :m], AS[:, :m], trans_a=True),
+                                GM, bs)
         theta = ths[:bs]
         Cx = C[:, :bs]
         Cp = Cx.copy()
@@ -572,7 +612,7 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         Cxp = np.hstack([Cx, Cp])
         p = Cp.shape[1]
         for cur, nxt in zip(*sets):
-            np.matmul(cur[:, :m], Cxp, out=nxt[:, :bs + p])
+            _gemm(cur[:, :m], Cxp, out=nxt[:, :bs + p])
         sets.reverse()
         S, AS, MS = sets[0]
         it += 1

@@ -756,13 +756,29 @@ def test_rect_pencil_matches_three_slot_sum(mode, beta):
 
 def test_rect_preconditioner_inverts_straight_pencil():
     # x-major (nx, n1 n2) is the memory layout of (nx, n1, n2), so the
-    # three-factor preconditioner applies to the two-slot pencil
+    # three-factor preconditioner applies to the two-slot pencil, in
+    # either order of R (block CG hands it column-major blocks)
     form = assemble_waveguide(0.0, UNIT, 3.0, (6, 5, 4))
     A = materialize(form.A)
     M = materialize(form.M)
     R = np.random.default_rng(4).standard_normal((form.n, 2))
-    X = form.preconditioner()(R, 5.0)
-    assert A @ X - 5.0 * (M @ X) == pytest.approx(R, abs=1e-9)
+    for order in "CF":
+        X = form.preconditioner()(np.asarray(R, order=order), 5.0)
+        assert A @ X - 5.0 * (M @ X) == pytest.approx(R, abs=1e-9)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mask_preconditioner_inverts_straight_pencil(order):
+    # at beta 0 the mask pencil is Kx (x) M + Mx (x) K, exactly the
+    # separable part the x transform and the dense section basis invert
+    form = assemble_waveguide(0.0, l_shaped_mask(6), 3.0, 5)
+    P = form.preconditioner()
+    A = materialize(form.A)
+    M = materialize(form.M)
+    R = np.random.default_rng(9).standard_normal((form.n, 3))
+    sigma = 0.5 * P.lam_min
+    X = P(np.asarray(R, order=order), sigma)
+    assert np.abs(A @ X - sigma * (M @ X) - R).max() <= 1e-9 * np.abs(R).max()
 
 
 # ------------------------------------------------------- form utilities

@@ -169,6 +169,35 @@ def test_tensor_precond_exactly_inverts_separable_pencil():
                        rtol=1e-10, atol=1e-9)
 
 
+def test_gemm_writes_column_major_targets_in_place():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
+    work = np.zeros((6, 8), order="F")
+    out = work[:, 2:5]   # a column block of a workspace: column-major
+    assert eigcore._gemm(a, b[:4], out) is out
+    assert np.allclose(work[:, 2:5], a @ b[:4])
+    eigcore._gemm(a, b[:4], out, alpha=-1.0, beta=1.0)
+    assert np.allclose(work, 0.0, atol=1e-12)
+    assert np.allclose(eigcore._gemm(a, b, trans_a=True), a.T @ b)
+
+
+@pytest.mark.parametrize("target", ["row_major", "row_slice", "read_only",
+                                    "float32"])
+def test_gemm_refuses_a_target_it_would_copy(target):
+    # dgemm computes into a copy of such a target, leaving it unwritten
+    # (or, read-only, writes it anyway)
+    a, b = np.ones((6, 4)), np.ones((4, 3))
+    out = {"row_major": lambda: np.zeros((6, 3)),
+           "row_slice": lambda: np.zeros((12, 3), order="F")[::2],
+           "read_only": lambda: np.zeros((6, 3), order="F"),
+           "float32": lambda: np.zeros((6, 3), dtype=np.float32,
+                                       order="F")}[target]()
+    out.flags.writeable = target != "read_only"
+    with pytest.raises(ValueError, match="column-major float64"):
+        eigcore._gemm(a, b, out)
+    assert not out.any()
+
+
 def test_tensor_precond_clamps_shift_above_lam_min():
     f = FactorSpectral(lam=np.array([1.0, 4.0]), kind="dense", V=np.eye(2))
     pre = TensorPrecond([(1.0, f)])
