@@ -370,17 +370,14 @@ CONVERGENCE_COLUMNS = ("rung", "L", "nx", "n1", "n2", "j", "lambda", "diff",
 
 
 def _convergence_rows(rep, disc: DiscretizationSpec) -> list[dict]:
-    """Mesh-series table with successive differences and their ratios;
-    a clean second-order run shows ratios near 4."""
+    """Mesh-series table of the solved values with successive differences
+    and their ratios; a clean second-order run shows ratios near 4."""
     ts = disc.l_steps - 1
     series = [rr for rr in rep.rungs if rr.grid.s == ts]
     series.sort(key=lambda rr: rr.grid.r)
-    vals = [rr.planar if rr.planar is not None else rr.eigenvalues
-            for rr in series]
+    vals = [rr.solved for rr in series]
     rows = []
-    k = min(len(v) for v in vals)
-    ext = rep.planar if rep.planar is not None else rep.eigenvalues
-    for j in range(k):
+    for j in range(len(rep.solved)):
         prev_diff = None
         for i, rr in enumerate(series):
             g = rr.grid
@@ -394,9 +391,9 @@ def _convergence_rows(rep, disc: DiscretizationSpec) -> list[dict]:
                 if prev_diff is not None and diff != 0.0:
                     row["ratio"] = f"{prev_diff / diff:.12g}"
                 prev_diff = diff
-            if i == len(series) - 1 and j < len(ext):
-                row["extrapolated"] = f"{ext[j]:.12g}"
-                row["est"] = f"{rep.est[j]:.12g}"
+            if i == len(series) - 1:
+                row["extrapolated"] = f"{rep.solved[j]:.12g}"
+                row["est"] = f"{rep.solved_est[j]:.12g}"
             rows.append(row)
     return rows
 

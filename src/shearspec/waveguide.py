@@ -18,7 +18,7 @@ The reduced2d mode solves the planar factor only and synthesizes full
 eigenvalues by adding the exact transverse channel offsets
 (pi k / w1)^2; the y1 direction is never discretized there, which is how
 the weakly bound benchmark stays affordable at grid 256 and L in the
-hundreds.
+hundreds.  A 3-D guide is the one-channel case, offset 0.
 """
 
 from __future__ import annotations
@@ -122,10 +122,12 @@ class RungGrid:
 class RungResult:
     """One ladder point: its grid, discrete threshold, and Ritz data.
 
-    ``eigenvalues`` are always on the full-guide scale; in reduced mode
-    they are channel sums and ``planar`` keeps the raw planar values
-    they came from.  ``solver`` is the branch of ``lowest_eigenpairs``
-    that produced them and ``shift`` the sigma of a factored solve.
+    ``solved`` and ``solved_residuals`` are the solver's values and
+    residuals in solver order; ``eigenvalues`` (with ``residuals`` and
+    ``converged``) list their lowest channel sums on the full-guide
+    scale, which in 3-D modes are the solved values themselves.
+    ``solver`` is the branch of ``lowest_eigenpairs`` that produced them
+    and ``shift`` the sigma of a factored solve.
     """
 
     grid: RungGrid
@@ -135,13 +137,14 @@ class RungResult:
     converged: np.ndarray
     seconds: float
     warnings: list[str] = field(default_factory=list)
-    planar: np.ndarray | None = None
+    solved: np.ndarray | None = None
+    solved_residuals: np.ndarray | None = None
     iterations: int = 0
     # A block applies (each paired with an M apply) of a block-CG solve;
     # 0 for a dense or factored one
     matmats: int = 0
-    # raw below-band count; kept separately because in reduced mode the
-    # displayed value list is truncated while the count is not
+    # below-band count of all channel sums; the listed values are
+    # truncated, the count is not
     below: int = 0
     solver: str = ""
     shift: float | None = None    # certified sigma of a factored solve
@@ -152,6 +155,11 @@ class RungResult:
 
 @dataclass
 class SpectrumReport:
+    """``solved`` and ``solved_est`` are the extrapolated solved values
+    and their error estimates in solver order; ``eigenvalues``, ``est``
+    and ``safety`` list their lowest channel sums in ascending order, and
+    in reduced2d ``channels`` the (m, k) of each."""
+
     beta: float
     mode: str
     section: Section
@@ -167,7 +175,8 @@ class SpectrumReport:
     stable: bool
     flags: list[str]
     seconds: float
-    planar: np.ndarray | None = None
+    solved: np.ndarray
+    solved_est: np.ndarray
     channels: list[tuple[int, int]] | None = None
 
     @property
@@ -192,7 +201,8 @@ class SpectrumReport:
             "stable": self.stable,
             "flags": list(self.flags),
             "seconds": self.seconds,
-            "planar": None if self.planar is None else self.planar.tolist(),
+            "planar": (self.solved.tolist() if self.mode == "reduced2d"
+                       else None),
             "channels": None if self.channels is None
                         else [list(p) for p in self.channels],
             "rungs": [],
@@ -275,29 +285,34 @@ def _rung_threshold(beta: float, form: ShearForm) -> float:
     return float(form.section_pairs[0][0])
 
 
-def _channel_sums(planar: np.ndarray, rect: Rect, e1: float,
+def _channel_sums(solved: np.ndarray, w1: float | None, e1: float,
                   band: float) -> tuple[list[tuple[float, int, int]], int]:
     """All (value, m, k) channel sums that could sit near or below e1,
-    and the count of those certified below e1 - band.
+    ascending, and the count of those certified below e1 - band.
 
-    Planar values at or above the planar threshold only produce sums at
-    or above e1, so a planar list with clearance above its own threshold
-    makes the sum list complete below e1.  The channel loop stops at the
-    first k > 1 whose offset exceeds e1 + band, or whose lowest sum
-    exceeds both e1 + band and every channel-1 sum: from there on no sum
-    is counted, sits in the band or ranks among the first len(planar).
+    Channel k of a reduced2d rectangle of y1 width w1 adds (pi k / w1)^2;
+    a 3-D guide (w1 None) has one channel, offset 0.  Planar values at
+    or above the planar threshold only produce sums at or above e1, so a
+    planar list with clearance above its own threshold makes the sum list
+    complete below e1.  The channel loop stops at the first k > 1 whose
+    offset exceeds e1 + band, or whose lowest sum exceeds both e1 + band
+    and every channel-1 sum: from there on no sum is counted, sits in the
+    band or ranks among the first len(solved).
     """
-    w1 = rect.width1
-    kmax = max(1, int(math.floor(w1 * math.sqrt(max(e1, 0.0)) / math.pi)) + 1)
-    lowest = min(planar)
-    ceiling = max(e1 + band, max(planar) + (math.pi / w1) ** 2)
+    if w1 is None:
+        kmax, ceiling = 1, math.inf
+    else:
+        kmax = max(1, int(math.floor(w1 * math.sqrt(max(e1, 0.0)) / math.pi))
+                   + 1)
+        ceiling = max(e1 + band, max(solved) + (math.pi / w1) ** 2)
+    lowest = min(solved)
     entries = []
     count = 0
     for k in range(1, kmax + 1):
-        off = (math.pi * k / w1) ** 2
+        off = 0.0 if w1 is None else (math.pi * k / w1) ** 2
         if k > 1 and (off > e1 + band or off + lowest > ceiling):
             break
-        for m, p in enumerate(planar):
+        for m, p in enumerate(solved):
             v = p + off
             entries.append((v, m, k))
             if v < e1 - band:
@@ -353,8 +368,9 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     pairs = disc.ladder()
     top = pairs[-1]
     tr, ts = top
-    # planar values sit one channel offset below the full-guide ones
-    offset = (math.pi / section.width1) ** 2 if reduced else 0.0
+    # solved values sit one channel offset below the full-guide ones
+    w1 = section.width1 if reduced else None
+    offset = (math.pi / w1) ** 2 if reduced else 0.0
 
     t0 = time.perf_counter()
     top_form = _build(beta, section, disc, _grid_for(disc, section, *top))
@@ -400,14 +416,19 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
             sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre,
                                     sigma=sigma)
         form = pre = None   # one pencil alive at a time
-        results[p] = _make_rung(g, e1_r, sol, k_solve, reduced, section,
-                                warnings,
+        results[p] = _make_rung(g, e1_r, sol, k_solve, w1, warnings,
                                 seconds + time.perf_counter() - t0)
         if p in mesh:
             last = e1_r - offset if theta1 is None else theta1
             theta1 = float(sol.theta[0])
             drop = last - theta1
     results[top].inertia = cres.inertia
+    # the inertia counts the solved pencil's values below the band
+    # exactly; a top-rung solve that skipped one counts fewer
+    mismatch = cres.inertia is not None and cres.inertia[0] != int(np.sum(
+        results[top].solved < e1_top - offset - band0))
+    if mismatch:
+        flags.append(f"count_mismatch:r{tr}s{ts}")
 
     for (r, s), rr in sorted(results.items()):
         if not rr.converged.all():
@@ -416,12 +437,10 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
             if w not in flags and not w.startswith("nonconverged"):
                 flags.append(w)
 
-    # two-point Richardson on the mesh series at the longest box; the
-    # scatter between the last two extrapolants is the error estimate
-    def _series(rr: RungResult) -> np.ndarray:
-        return rr.planar if reduced else rr.eigenvalues
-
-    arr = np.vstack([_series(results[(r, ts)]) for r in range(disc.refine)])
+    # two-point Richardson on the solved values of the mesh series at the
+    # longest box; the scatter between the last two extrapolants is the
+    # error estimate
+    arr = np.vstack([results[(r, ts)].solved for r in range(disc.refine)])
     ext = (4.0 * arr[-1] - arr[-2]) / 3.0
     if disc.refine >= 3:
         prev_ext = (4.0 * arr[-2] - arr[-3]) / 3.0
@@ -433,7 +452,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     # the threshold from above as L grows and would flag every run
     est = np.maximum(est, 1e-14 * max(1.0, abs(e1_top)))
 
-    _flag_monotone(results, disc, reduced, e1_top, flags)
+    _flag_monotone(results, disc, e1_top, flags)
 
     if isinstance(section, Rect):
         e1_ext = e1_top
@@ -443,35 +462,21 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         e1_ext = (4.0 * e1_top - e1_prev) / 3.0
         thr_est = abs(e1_ext - e1_top)
 
-    if reduced:
-        safety_planar = np.maximum(BAND_REL * abs(e1_ext), est + thr_est)
-        # the widest band keeps every sum the boundary test below reads
-        entries, _ = _channel_sums(ext, section, e1_ext,
-                                   float(safety_planar.max()))
-        count = sum(1 for v, m, _ in entries
-                    if v < e1_ext - safety_planar[m])
-        take = entries[:k_solve]
-        values = np.array([v for v, _, _ in take])
-        channels = [(m, k) for _, m, k in take]
-        safety = np.array([safety_planar[m] for _, m, _ in take])
-        est_out = np.array([est[m] for _, m, _ in take])
-        planar_out = ext
-    else:
-        safety = np.maximum(BAND_REL * abs(e1_ext), est + thr_est)
-        values = ext
-        est_out = est
-        count = int(np.sum(values < e1_ext - safety))
-        channels = None
-        planar_out = None
+    safety_solved = np.maximum(BAND_REL * abs(e1_ext), est + thr_est)
+    # the widest band keeps every sum the boundary test below reads
+    entries, _ = _channel_sums(ext, w1, e1_ext, float(safety_solved.max()))
+    count = sum(1 for v, m, _ in entries if v < e1_ext - safety_solved[m])
+    take = entries[:k_solve]
+    values = np.array([v for v, _, _ in take])
+    safety = np.array([safety_solved[m] for _, m, _ in take])
+    est_out = np.array([est[m] for _, m, _ in take])
 
     boundary = [int(j) for j in np.nonzero(
         np.abs(values - e1_ext) <= safety)[0]]
-    if reduced and len(entries) > k_solve:
-        # a sum past the displayed list could still sit in the band
-        for v, m, _ in entries[k_solve:]:
-            if abs(v - e1_ext) <= safety_planar[m]:
-                flags.append("boundary_beyond_list")
-                break
+    # a sum past the displayed list could still sit in the band
+    if any(abs(v - e1_ext) <= safety_solved[m]
+           for v, m, _ in entries[k_solve:]):
+        flags.append("boundary_beyond_list")
 
     counts_by_rung = {p: results[p].below for p in pairs}
     if disc.l_steps >= 2:
@@ -479,7 +484,7 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
                   == counts_by_rung[(tr, ts - 1)] == count)
     else:
         stable = False
-    if boundary or not stable or not cres.reliable:
+    if boundary or not stable or not cres.reliable or mismatch:
         flags.append("inconclusive")
 
     return SpectrumReport(
@@ -490,11 +495,12 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         count=count, boundary=boundary, counts_by_rung=counts_by_rung,
         stable=stable, flags=flags,
         seconds=time.perf_counter() - t_start,
-        planar=planar_out, channels=channels)
+        solved=ext, solved_est=est,
+        channels=[(m, k) for _, m, k in take] if reduced else None)
 
 
-def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int, reduced: bool,
-               section: Section, warnings: list[str],
+def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int,
+               w1: float | None, warnings: list[str],
                seconds: float) -> RungResult:
     theta = sol.theta[:k]
     res = sol.residuals[:k]
@@ -502,47 +508,31 @@ def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int, reduced: bool,
     warn = list(warnings)
     if not conv.all():
         warn.append("nonconverged")
-    band = BAND_REL * abs(e1)
-    if reduced:
-        entries, below = _channel_sums(theta, section, e1, band)
-        take = entries[:k]
-        vals = np.array([v for v, _, _ in take])
-        rr = np.array([res[m] for _, m, _ in take])
-        cc = np.array([conv[m] for _, m, _ in take])
-        return RungResult(g, e1, vals, rr, cc, seconds, warn,
-                          planar=theta.copy(), iterations=sol.iterations,
-                          matmats=sol.matmats, below=below,
-                          solver=sol.solver, shift=sol.shift)
-    below = int(np.sum(theta < e1 - band))
-    return RungResult(g, e1, theta.copy(), res.copy(), conv.copy(),
-                      seconds, warn, iterations=sol.iterations,
-                      matmats=sol.matmats, below=below, solver=sol.solver,
-                      shift=sol.shift)
+    entries, below = _channel_sums(theta, w1, e1, BAND_REL * abs(e1))
+    take = entries[:k]
+    return RungResult(g, e1, np.array([v for v, _, _ in take]),
+                      np.array([res[m] for _, m, _ in take]),
+                      np.array([conv[m] for _, m, _ in take]), seconds, warn,
+                      solved=theta.copy(), solved_residuals=res.copy(),
+                      iterations=sol.iterations, matmats=sol.matmats,
+                      below=below, solver=sol.solver, shift=sol.shift)
 
 
-def _flag_monotone(results, disc: DiscretizationSpec, reduced: bool,
-                   scale: float, flags: list[str]) -> None:
+def _flag_monotone(results, disc: DiscretizationSpec, scale: float,
+                   flags: list[str]) -> None:
     """Nested spaces force Ritz values down along both ladder axes; an
     increase beyond solver slack means something is wrong and is worth a
-    flag even though counting would survive it."""
+    flag even though counting would survive it.  Each solved value is
+    compared with its own residual."""
     tr, ts = disc.refine - 1, disc.l_steps - 1
-
-    def vals(p):
-        rr = results[p]
-        return (rr.planar if reduced else rr.eigenvalues), rr.residuals
-
-    for r in range(1, disc.refine):
-        va, ra = vals((r - 1, ts))
-        vb, rb = vals((r, ts))
-        tol = 1e-7 * abs(scale) + 10.0 * (ra + rb)
-        for j in np.nonzero(vb > va + tol)[0]:
-            flags.append(f"monotone_refine:j{j}")
-    for s in range(1, disc.l_steps):
-        va, ra = vals((tr, s - 1))
-        vb, rb = vals((tr, s))
-        tol = 1e-7 * abs(scale) + 10.0 * (ra + rb)
-        for j in np.nonzero(vb > va + tol)[0]:
-            flags.append(f"monotone_L:j{j}")
+    steps = [("refine", (r - 1, ts), (r, ts)) for r in range(1, disc.refine)]
+    steps += [("L", (tr, s - 1), (tr, s)) for s in range(1, disc.l_steps)]
+    for axis, pa, pb in steps:
+        a, b = results[pa], results[pb]
+        tol = 1e-7 * abs(scale) + 10.0 * (a.solved_residuals
+                                          + b.solved_residuals)
+        for j in np.nonzero(b.solved > a.solved + tol)[0]:
+            flags.append(f"monotone_{axis}:j{j}")
 
 
 @dataclass

@@ -465,6 +465,30 @@ class TestConvergence:
         vals = [float(r["lambda"]) for r in ground]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_est_belongs_to_its_solved_value(self, capsys, tmp_path):
+        # a wide section lists planar value 0 in channels 1 to 4, so the
+        # listed estimates are all value 0's; each row's est must be the
+        # scatter of its own value's last two extrapolants
+        cfg = write_config(tmp_path, beta=3.0, rect=[0, 3, 0, 1],
+                           disc={"nx": 24, "n1": 8, "n2": 8, "L": 3.0,
+                                 "mode": "reduced", "refine": 3,
+                                 "l_steps": 2})
+        out_dir = tmp_path / "out"
+        run(capsys, "convergence", str(cfg), "--out", str(out_dir))
+        rep = json.loads(json.dumps(compute_spectrum(
+            *load_config(str(cfg))[1:]).as_dict()))
+        assert rep["channels"] == [[0, 1], [0, 2], [0, 3], [0, 4]]
+        import csv as csvmod
+        rows = list(csvmod.DictReader(
+            (out_dir / "convergence.csv").read_text().splitlines()))
+        assert len(rows) == 12
+        for j in range(4):
+            lam = [float(r["lambda"]) for r in rows if r["j"] == str(j)]
+            ext, prev = (4 * lam[2] - lam[1]) / 3, (4 * lam[1] - lam[0]) / 3
+            top = [r for r in rows if r["j"] == str(j) and r["est"]]
+            assert float(top[0]["est"]) == pytest.approx(abs(ext - prev),
+                                                         rel=1e-6)
+
 
 class TestOracleCompare:
     def test_identity_holds(self, capsys):

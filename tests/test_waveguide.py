@@ -120,13 +120,13 @@ class TestStripOracle:
     def test_rung_values_match_independent_solver(self, strip_report):
         for rr in strip_report.rungs:
             lam1, lam2 = STRIP_RUNGS[(rr.grid.r, rr.grid.s)]
-            assert rr.planar[0] == pytest.approx(lam1, abs=1e-9)
-            assert rr.planar[1] == pytest.approx(lam2, abs=1e-9)
+            assert rr.solved[0] == pytest.approx(lam1, abs=1e-9)
+            assert rr.solved[1] == pytest.approx(lam2, abs=1e-9)
 
     def test_extrapolation_formula(self, strip_report):
         lam1_c = STRIP_RUNGS[(0, 1)][0]
         lam1_f = STRIP_RUNGS[(1, 1)][0]
-        assert strip_report.planar[0] == pytest.approx((4 * lam1_f - lam1_c) / 3,
+        assert strip_report.solved[0] == pytest.approx((4 * lam1_f - lam1_c) / 3,
                                                  abs=1e-9)
         assert strip_report.order == 2
 
@@ -137,11 +137,11 @@ class TestStripOracle:
         assert strip_report.channels[0] == (0, 1)
         # full-guide value is the planar one plus the first channel
         assert strip_report.eigenvalues[0] == pytest.approx(
-            strip_report.planar[0] + PI2, rel=1e-14)
+            strip_report.solved[0] + PI2, rel=1e-14)
         assert strip_report.threshold == pytest.approx(1.0 + PI2, rel=1e-14)
 
     def test_monotone_along_both_axes(self, strip_report):
-        vals = {(rr.grid.r, rr.grid.s): rr.planar[0] for rr in strip_report.rungs}
+        vals = {(rr.grid.r, rr.grid.s): rr.solved[0] for rr in strip_report.rungs}
         assert vals[(1, 1)] < vals[(0, 1)]   # mesh refinement
         assert vals[(1, 1)] < vals[(1, 0)]   # box doubling
         assert not any(f.startswith("monotone") for f in strip_report.flags)
@@ -160,7 +160,7 @@ class TestUnitSquareLadder:
 
     def test_planar_ratio_near_benchmark(self, square_report):
         # the strip ratio 0.93 transfers to any width by scaling
-        assert 0.925 < square_report.planar[0] / (2 * PI2) < 0.936
+        assert 0.925 < square_report.solved[0] / (2 * PI2) < 0.936
 
     def test_values_sorted_with_positive_gap(self, square_report):
         assert np.all(np.diff(square_report.eigenvalues) >= -1e-12)
@@ -169,7 +169,7 @@ class TestUnitSquareLadder:
 
     def test_extrapolated_below_finest_raw(self, square_report):
         finest = square_report.rungs[-1]
-        assert square_report.planar[0] <= finest.planar[0] + 1e-12
+        assert square_report.solved[0] <= finest.solved[0] + 1e-12
 
 
 class TestModesAgree:
@@ -235,6 +235,35 @@ class TestCountReliability:
         monkeypatch.setattr(waveguide, "count_below", uncleared)
         rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
         assert "unreliable_count:r1s1" in rep.flags
+        assert "inconclusive" in rep.flags
+
+    def test_top_count_matches_its_inertia(self, strip_report):
+        top = strip_report.rungs[-1]
+        assert top.inertia == (1, 1)
+        assert top.below == 1
+        assert not any(f.startswith("count_mismatch")
+                       for f in strip_report.flags)
+
+    def test_skipped_top_value_is_a_count_mismatch(self, monkeypatch):
+        # the top rung r1s1 is the second solve; dropping its lowest value
+        # leaves its inertia count of one without a solved value below
+        real = waveguide.lowest_eigenpairs
+        calls = []
+
+        def skip_lowest(A, M, k, *args, **kwargs):
+            calls.append(k)
+            if len(calls) != STRIP_DISC.refine:
+                return real(A, M, k, *args, **kwargs)
+            res = real(A, M, k + 1, *args, **kwargs)
+            return dataclasses.replace(
+                res, theta=res.theta[1:], vectors=res.vectors[:, 1:],
+                converged=res.converged[1:], residuals=res.residuals[1:])
+
+        monkeypatch.setattr(waveguide, "lowest_eigenpairs", skip_lowest)
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
+        assert rep.rungs[-1].inertia == (1, 1)
+        assert rep.rungs[-1].below == 0
+        assert "count_mismatch:r1s1" in rep.flags
         assert "inconclusive" in rep.flags
 
 
@@ -499,7 +528,7 @@ class TestFactoredRungs:
         for p in ((0, 1), (1, 1), (2, 1), (2, 0)):
             rr = by[p]
             assert rr.solver == "shift_invert"
-            assert 0.0 < rr.shift < rr.planar[0]
+            assert 0.0 < rr.shift < rr.solved[0]
         assert by[(2, 1)].inertia == (1, 1)
 
     def test_factored_rungs_report_their_lanczos_applies(self):
@@ -516,7 +545,7 @@ class TestFactoredRungs:
         factored = [rr for rr in rep.rungs if rr.solver == "shift_invert"]
         assert factored
         for rr in factored:
-            assert 0.0 < rr.shift < rr.planar[0], (rr.grid, rr.shift)
+            assert 0.0 < rr.shift < rr.solved[0], (rr.grid, rr.shift)
 
     @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
     def test_sweep_shifts_back_off_above_the_spectrum(self, beta):
@@ -561,7 +590,7 @@ class TestChannelSums:
     def test_same_count_list_and_band_as_unbounded(self, planar, w1, e1,
                                                    band):
         rect = Rect(0.0, w1, 0.0, 1.0)
-        got, count = waveguide._channel_sums(planar, rect, e1, band)
+        got, count = waveguide._channel_sums(planar, w1, e1, band)
         want, want_count = _channel_sums_seed(planar, rect, e1, band)
         assert count == want_count
         k = len(planar)
@@ -579,8 +608,53 @@ class TestChannelSums:
         e1 = ess_threshold(beta, SQUARE)
         thr = e1 - PI2
         planar = np.array([thr - 1.0, thr + 0.5, thr + 2.0, thr + 3.0])
-        entries, count = waveguide._channel_sums(planar, SQUARE, e1, 0.0)
+        entries, count = waveguide._channel_sums(planar, SQUARE.width1, e1,
+                                                 0.0)
         assert count == 1
         assert [(m, k) for _, m, k in entries] == [(0, 1), (1, 1), (2, 1),
                                                    (3, 1)]
         assert len(_channel_sums_seed(planar, SQUARE, e1, 0.0)[0]) == 400_000
+
+    def test_3d_guide_is_one_channel_at_offset_0(self):
+        vals = np.array([5.0, 3.0, 7.0, 4.0])
+        entries, count = waveguide._channel_sums(vals, None, 6.0, 1.5)
+        assert entries == [(3.0, 1, 1), (4.0, 3, 1), (5.0, 0, 1),
+                           (7.0, 2, 1)]
+        assert count == 2
+
+
+def _rung(r, s, theta, residuals, w1, e1):
+    """A ladder rung made by ``_make_rung`` from a synthetic solve."""
+    theta = np.asarray(theta)
+    sol = eigcore.EigResult(theta, np.zeros((1, len(theta))),
+                            np.ones(len(theta), bool), 0, 0,
+                            np.asarray(residuals), "dense")
+    g = waveguide.RungGrid(r, s, 8, 0, 8, 1.0)
+    return waveguide._make_rung(g, e1, sol, len(theta), w1, [], 0.0)
+
+
+class TestFlagMonotone:
+    def test_each_solved_value_keeps_its_own_residual(self):
+        # a wide section: planar value 0 in channel 2 (sum 5.39) ranks
+        # above planar value 1 in channel 1 (6.10), so both listed sums
+        # come from value 0 and carry its tiny residual; value 1 rises by
+        # 1e-4 along the mesh, inside the slack of its own residual 1e-4
+        w1, e1 = 3.0, 10.0
+        disc = DiscretizationSpec(nx=8, n1=8, n2=8, L=1.0, mode="reduced2d",
+                                  refine=2, l_steps=2)
+        results = {
+            (0, 1): _rung(0, 1, [1.0, 5.0], [1e-12, 1e-4], w1, e1),
+            (1, 0): _rung(1, 0, [0.95, 5.0002], [1e-12, 1e-4], w1, e1),
+            (1, 1): _rung(1, 1, [0.9, 5.0001], [1e-12, 1e-4], w1, e1),
+        }
+        listed = results[(1, 1)]
+        assert listed.residuals.tolist() == [1e-12, 1e-12]
+        assert listed.solved_residuals.tolist() == [1e-12, 1e-4]
+        flags = []
+        waveguide._flag_monotone(results, disc, e1, flags)
+        assert flags == []
+        # a rise past that slack along both axes is still flagged, on the
+        # solved index
+        results[(1, 1)] = _rung(1, 1, [0.9, 5.01], [1e-12, 1e-4], w1, e1)
+        waveguide._flag_monotone(results, disc, e1, flags)
+        assert flags == ["monotone_refine:j1", "monotone_L:j1"]
