@@ -39,7 +39,6 @@ from .thresholds import (
 from .waveguide import (
     DiscretizationSpec,
     SpectrumReport,
-    SweepResult,
     benchmark_disc,
     compute_spectrum,
     separation_check,
@@ -55,7 +54,6 @@ __all__ = [
     "WaveguideSpec",
     "DiscretizationSpec",
     "SpectrumReport",
-    "SweepResult",
     "metric",
     "ess_threshold",
     "beta_star",

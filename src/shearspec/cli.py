@@ -4,8 +4,9 @@ Commands print a short summary on stdout and, when an output directory
 is given, write diff-able artifacts next to a manifest recording the
 config hash, seed, and library versions.  Runs are deterministic for a
 fixed config and seed, so rerunning a manifest reproduces its CSVs byte
-for byte.  Exit codes: 0 success, 2 bad arguments or config, 3 solver
-non-convergence, 4 inconclusive result.
+for byte.  Every file is written by ``_write``, every CSV made by
+``_csv``.  Exit codes: 0 success, 2 bad arguments, config or output
+directory, 3 solver non-convergence, 4 inconclusive result.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import platform
@@ -27,8 +29,8 @@ from .certificates import existence_certificate
 from .cross_section import numeric_modes, rectangle_modes, refine_mask
 from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
 from .thresholds import BRANCH_POINT, beta_star, bound_factor
-from .waveguide import (CSV_COLUMNS, DiscretizationSpec, SweepResult,
-                        compute_spectrum, separation_check, sweep_beta)
+from .waveguide import (CSV_COLUMNS, DiscretizationSpec, compute_spectrum,
+                        separation_check, sweep_beta)
 from .eigcore import EigOptions
 
 __all__ = ["main", "ConfigError", "load_config", "load_mask"]
@@ -122,15 +124,14 @@ def _parse_rect(values) -> Rect:
     return Rect(*vals)
 
 
-def _section_from(cfg: dict, base_dir: str) -> Section:
-    if ("rect" in cfg) == ("mask" in cfg):
-        raise ConfigError("give exactly one of 'rect' or 'mask'")
-    if "rect" in cfg:
-        return _parse_rect(cfg["rect"])
-    path = cfg["mask"]
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    return load_mask(path)
+def _section(rect, mask, base_dir: str) -> Section:
+    """The section of a config or of the flags: exactly one of ``rect``
+    and ``mask``, a relative mask path read from ``base_dir``."""
+    if (rect is None) == (mask is None):
+        raise ConfigError("give exactly one of rect or mask")
+    if rect is not None:
+        return _parse_rect(rect)
+    return load_mask(os.path.join(base_dir, mask))
 
 
 def _disc_from(cfg: dict) -> DiscretizationSpec:
@@ -189,8 +190,10 @@ def load_config(path: str, sweep: bool = False):
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     _check_keys(cfg, TOP_KEYS, "config")
-    base = os.path.dirname(os.path.abspath(path))
-    section = _section_from(cfg, base)
+    if "beta" in cfg and "betas" in cfg:
+        raise ConfigError("give one of 'beta' and 'betas', not both")
+    section = _section(cfg.get("rect"), cfg.get("mask"),
+                       os.path.dirname(os.path.abspath(path)))
     if "disc" not in cfg:
         raise ConfigError("config lacks 'disc'")
     disc = _disc_from(cfg["disc"])
@@ -224,16 +227,45 @@ def _round12(obj):
     return obj
 
 
-def _emit(data: dict, path=None) -> str:
-    text = json.dumps(_round12(data), indent=2)
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text + "\n")
-    return text
+def _emit(data) -> str:
+    """JSON text of ``data``, floats to 12 digits, newline-terminated."""
+    return json.dumps(_round12(data), indent=2) + "\n"
 
 
-def _manifest(command: str, cfg: dict, seed: int, outputs: list[str],
-              out_dir: str) -> None:
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def _csv(columns, rows) -> str:
+    """CSV text of ``rows``, dicts keyed by ``columns``, floats to 12
+    digits."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows([_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
+
+
+def _out_dir(path):
+    """Make the output directory ``path``, if one is given, and return
+    it; a path that cannot be one is a bad argument, found before any
+    solve."""
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot write {path}: {e}") from None
+    return path
+
+
+def _write(out_dir, command: str, cfg: dict, seed: int, files: dict) -> None:
+    """Write each ``name: text`` of ``files`` into ``out_dir`` and a
+    manifest.json naming them beside the config hash, seed and library
+    versions; nothing without an ``out_dir``."""
+    if not _out_dir(out_dir):
+        return
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     man = {
         "command": command,
@@ -246,10 +278,16 @@ def _manifest(command: str, cfg: dict, seed: int, outputs: list[str],
             "scipy": scipy.__version__,
             "shearspec": __version__,
         },
-        "outputs": sorted(os.path.basename(p) for p in outputs),
+        "outputs": sorted(files),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        f.write(json.dumps(man, indent=2) + "\n")
+    files = {**files, "manifest.json": json.dumps(man, indent=2) + "\n"}
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {path}: {e}") from None
 
 
 def _report_exit(flags) -> int:
@@ -263,7 +301,7 @@ def _report_exit(flags) -> int:
 # -------------------------------------------------------------- commands
 
 def cmd_thresholds(args) -> int:
-    section = _section_arg(args)
+    section = _section(args.rect, args.mask, "")
     beta = _beta_arg(args)
     if args.grid_factor is not None:
         if isinstance(section, Rect):
@@ -287,81 +325,64 @@ def cmd_thresholds(args) -> int:
         out["branch"] = "narrow" if R <= BRANCH_POINT else "wide"
     # the straight tube (beta = 0) has no shear to bound
     out["bound_factor"] = bound_factor(beta) if beta > 0.0 else None
-    print(_emit(out))
+    print(_emit(out), end="")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     rect = _parse_rect(args.rect)
     beta = _beta_arg(args)
+    out_dir = _out_dir(args.out)
     cert = existence_certificate(beta, rect)
     out = dataclasses.asdict(cert)
     out["cross_term"] = cert.piece_cross / (2.0 * cert.eps)
     out["rayleigh"] = cert.rayleigh
-    text = _emit(out, _opt_path(args, "certificate.json"))
-    print(text)
-    if args.out:
-        _manifest("certify", {"beta": beta, "rect": [rect.a, rect.b, rect.c,
-                                                     rect.d]},
-                  0, [os.path.join(args.out, "certificate.json")], args.out)
+    text = _emit(out)
+    print(text, end="")
+    _write(out_dir, "certify",
+           {"beta": beta, "rect": [rect.a, rect.b, rect.c, rect.d]}, 0,
+           {"certificate.json": text})
     return EXIT_OK if cert.verdict else EXIT_INCONCLUSIVE
 
 
 def cmd_spectrum(args) -> int:
     cfg, spec, disc, opts = load_config(args.config)
-    out_dir = args.out or cfg.get("out")
+    out_dir = _out_dir(args.out or cfg.get("out"))
     rep = compute_spectrum(spec, disc, opts)
     print(f"count {rep.count}  stable {rep.stable}  "
           f"threshold {rep.threshold:.12g}  lam1 {rep.eigenvalues[0]:.12g}  "
           f"flags {rep.flags}")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        jpath = os.path.join(out_dir, "report.json")
-        cpath = os.path.join(out_dir, "eigenvalues.csv")
-        _emit(rep.as_dict(), jpath)
-        SweepResult([rep]).to_csv(cpath)
-        _manifest("spectrum", cfg, opts.seed, [jpath, cpath], out_dir)
+    _write(out_dir, "spectrum", cfg, opts.seed,
+           {"report.json": _emit(rep.as_dict()),
+            "eigenvalues.csv": _csv(CSV_COLUMNS, rep.rows())})
     return _report_exit(rep.flags)
 
 
 def cmd_sweep(args) -> int:
     cfg, section, betas, disc, opts = load_config(args.config, sweep=True)
-    out_dir = args.out or cfg.get("out")
-    sweep = sweep_beta(section, betas, disc, opts)
-    for rep in sweep.reports:
+    out_dir = _out_dir(args.out or cfg.get("out"))
+    reports = sweep_beta(section, betas, disc, opts)
+    for rep in reports:
         print(f"beta {rep.beta:.12g}  count {rep.count}  "
               f"gap {rep.gap:.12g}  flags {rep.flags}")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        cpath = os.path.join(out_dir, "sweep.csv")
-        jpath = os.path.join(out_dir, "reports.json")
-        sweep.to_csv(cpath)
-        _emit([r.as_dict() for r in sweep.reports], jpath)
-        _manifest("sweep", cfg, opts.seed, [cpath, jpath], out_dir)
-    worst = EXIT_OK
-    for rep in sweep.reports:
-        worst = max(worst, _report_exit(rep.flags))
-    return worst
+    _write(out_dir, "sweep", cfg, opts.seed,
+           {"sweep.csv": _csv(CSV_COLUMNS, [row for rep in reports
+                                            for row in rep.rows()]),
+            "reports.json": _emit([rep.as_dict() for rep in reports])})
+    return max(_report_exit(rep.flags) for rep in reports)
 
 
 def cmd_convergence(args) -> int:
     cfg, spec, disc, opts = load_config(args.config)
-    out_dir = args.out or cfg.get("out")
+    out_dir = _out_dir(args.out or cfg.get("out"))
     rep = compute_spectrum(spec, disc, opts)
     rows = _convergence_rows(rep, disc)
     for row in rows:
         if row["j"] == 0:
-            print(f"rung {row['rung']}  lam1 {row['lambda']}  "
-                  f"diff {row['diff']}  ratio {row['ratio']}")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        cpath = os.path.join(out_dir, "convergence.csv")
-        with open(cpath, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=CONVERGENCE_COLUMNS,
-                               lineterminator="\n")
-            w.writeheader()
-            w.writerows(rows)
-        _manifest("convergence", cfg, opts.seed, [cpath], out_dir)
+            print(f"rung {row['rung']}  lam1 {_cell(row['lambda'])}  "
+                  f"diff {_cell(row['diff'])}  ratio {_cell(row['ratio'])}")
+    _write(out_dir, "convergence", cfg, opts.seed,
+           {"convergence.csv": _csv(CONVERGENCE_COLUMNS, rows)})
     return _report_exit(rep.flags)
 
 
@@ -381,19 +402,18 @@ def _convergence_rows(rep, disc: DiscretizationSpec) -> list[dict]:
         prev_diff = None
         for i, rr in enumerate(series):
             g = rr.grid
-            row = {"rung": f"r{g.r}s{g.s}", "L": f"{g.L:.12g}", "nx": g.nx,
-                   "n1": g.n1, "n2": g.n2, "j": j,
-                   "lambda": f"{vals[i][j]:.12g}", "diff": "", "ratio": "",
-                   "extrapolated": "", "est": ""}
+            row = {"rung": f"r{g.r}s{g.s}", "L": g.L, "nx": g.nx,
+                   "n1": g.n1, "n2": g.n2, "j": j, "lambda": vals[i][j],
+                   "diff": "", "ratio": "", "extrapolated": "", "est": ""}
             if i > 0:
                 diff = vals[i - 1][j] - vals[i][j]
-                row["diff"] = f"{diff:.12g}"
+                row["diff"] = diff
                 if prev_diff is not None and diff != 0.0:
-                    row["ratio"] = f"{prev_diff / diff:.12g}"
+                    row["ratio"] = prev_diff / diff
                 prev_diff = diff
             if i == len(series) - 1:
-                row["extrapolated"] = f"{rep.solved[j]:.12g}"
-                row["est"] = f"{rep.solved_est[j]:.12g}"
+                row["extrapolated"] = rep.solved[j]
+                row["est"] = rep.solved_est[j]
             rows.append(row)
     return rows
 
@@ -408,6 +428,7 @@ def cmd_oracle_compare(args) -> int:
                           f"{args.grid!r}") from None
     disc = DiscretizationSpec(nx=nx, n1=n1, n2=n2, L=args.L,
                               refine=2, l_steps=2)
+    out_dir = _out_dir(args.out)
     sep = separation_check(spec, disc, EigOptions(k=args.k))
     out = {
         "beta": sep.beta,
@@ -416,34 +437,18 @@ def cmd_oracle_compare(args) -> int:
         "synthesized": sep.synthesized.tolist(),
         "pairs": [list(p) for p in sep.pairs],
     }
-    text = _emit(out, _opt_path(args, "separation.json"))
-    print(text)
-    if args.out:
-        _manifest("oracle-compare",
-                  {"beta": sep.beta, "rect": [rect.a, rect.b, rect.c, rect.d],
-                   "grid": args.grid, "L": args.L, "k": args.k},
-                  0, [os.path.join(args.out, "separation.json")], args.out)
+    text = _emit(out)
+    print(text, end="")
+    _write(out_dir, "oracle-compare",
+           {"beta": sep.beta, "rect": [rect.a, rect.b, rect.c, rect.d],
+            "grid": args.grid, "L": args.L, "k": args.k}, 0,
+           {"separation.json": text})
     return EXIT_OK
 
 
 def _beta_arg(args) -> float:
     """``--beta``, held to the rule of the configs' beta."""
     return _check_betas([args.beta])[0]
-
-
-def _section_arg(args) -> Section:
-    if (args.rect is None) == (args.mask is None):
-        raise ConfigError("give exactly one of --rect or --mask")
-    if args.rect is not None:
-        return _parse_rect(args.rect)
-    return load_mask(args.mask)
-
-
-def _opt_path(args, name: str):
-    if not getattr(args, "out", None):
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
 
 
 # ---------------------------------------------------------------- parser

@@ -23,9 +23,7 @@ hundreds.  A 3-D guide is the one-channel case, offset 0.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -46,7 +44,6 @@ __all__ = [
     "SpectrumReport",
     "SymmetryReport",
     "SeparationReport",
-    "SweepResult",
     "compute_spectrum",
     "symmetry_check",
     "separation_check",
@@ -644,44 +641,14 @@ def separation_check(spec: WaveguideSpec, disc: DiscretizationSpec,
                             time.perf_counter() - t0)
 
 
-@dataclass
-class SweepResult:
-    reports: list[SpectrumReport]
-
-    def rows(self) -> list[dict]:
-        out = []
-        for rep in self.reports:
-            out.extend(rep.rows())
-        return out
-
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        w.writeheader()
-        for row in self.rows():
-            w.writerow({c: _cell(row[c]) for c in CSV_COLUMNS})
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text)
-        return text
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def sweep_beta(section: Section, betas, disc: DiscretizationSpec,
-               opts: EigOptions | None = None) -> SweepResult:
-    """One SpectrumReport per shear value, rows sorted by beta."""
+               opts: EigOptions | None = None) -> list[SpectrumReport]:
+    """One SpectrumReport per shear value, sorted by beta."""
     bs = sorted(beta_value(b, allow_zero=True) for b in betas)
     if not bs:
         raise ValueError("sweep needs at least one beta")
-    reports = [compute_spectrum(WaveguideSpec(b, section), disc, opts)
-               for b in bs]
-    return SweepResult(reports)
+    return [compute_spectrum(WaveguideSpec(b, section), disc, opts)
+            for b in bs]
 
 
 def benchmark_disc(rect: Rect) -> DiscretizationSpec:

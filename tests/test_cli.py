@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -39,6 +40,13 @@ def write_config(tmp_path, name="run.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def assert_manifest(out_dir, command, outputs):
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == sorted(outputs)
+    assert re.fullmatch("[0-9a-f]{64}", manifest["config_sha256"])
 
 
 MASK_TEXT = "cell 0.08333333333333333\n" + "\n".join(
@@ -152,6 +160,14 @@ class TestCertify:
         assert d["cross_term"] == pytest.approx(-0.5, abs=1e-12)
         assert d["verdict"] is True
         assert d["total"] < 0
+
+    def test_out_writes_the_printed_certificate(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "certify", "--beta", "1",
+                           "--rect", "0,1,0,1", "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads((tmp_path / "certificate.json").read_text()) == \
+            json.loads(out)
+        assert_manifest(tmp_path, "certify", ["certificate.json"])
 
 
 class TestStraightAndTinyBeta:
@@ -445,6 +461,18 @@ class TestSweep:
         assert "betas" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_beta_and_betas_together_exit_2(capsys, tmp_path, command):
+    # neither key may be dropped in silence: the config is refused
+    cfg = write_config(tmp_path, betas=[0.5, 2.0],
+                       disc={"nx": 8, "n1": 8, "n2": 8, "L": 4.0,
+                             "mode": "reduced", "refine": 2, "l_steps": 2})
+    code, _, err = run(capsys, command, str(cfg))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "'beta'" in err and "'betas'" in err
+
+
 class TestConvergence:
     def test_table(self, capsys, tmp_path):
         cfg = write_config(tmp_path, disc={"nx": 24, "n1": 8, "n2": 12,
@@ -499,6 +527,14 @@ class TestOracleCompare:
         assert d["max_rel"] <= 1e-10
         assert d["pairs"][0] == [0, 1]
 
+    def test_out_writes_the_printed_check(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "oracle-compare", "--beta", "1",
+                           "--rect", "0,1,0,1", "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads((tmp_path / "separation.json").read_text()) == \
+            json.loads(out)
+        assert_manifest(tmp_path, "oracle-compare", ["separation.json"])
+
     @pytest.mark.parametrize("grid", ["10,8", "10,8,x", "10,8,8,8"])
     def test_malformed_grid_exits_2(self, capsys, grid):
         code, _, err = run(capsys, "oracle-compare", "--beta", "1",
@@ -507,6 +543,51 @@ class TestOracleCompare:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
         assert "--grid" in err and "nx,n1,n2" in err
+
+
+class TestUnusableOut:
+    # an --out that cannot be a directory is a bad argument: exit 2
+    # before anything is solved, which each case proves by making the
+    # solve raise
+    @pytest.mark.parametrize("command, solve", [
+        ("certify", "existence_certificate"),
+        ("oracle-compare", "separation_check"),
+        ("spectrum", "compute_spectrum"),
+        ("sweep", "sweep_beta"),
+        ("convergence", "compute_spectrum"),
+    ])
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+    def test_exits_2_before_the_solve(self, capsys, monkeypatch, tmp_path,
+                                      command, solve, sub):
+        def unreachable(*args, **kw):
+            raise AssertionError("solved despite an unusable --out")
+
+        monkeypatch.setattr(cli, solve, unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        if command in ("certify", "oracle-compare"):
+            argv = (command, "--beta", "1", "--rect", "0,1,0,1")
+        else:
+            cfg = write_config(tmp_path)
+            if command == "sweep":
+                data = json.loads(cfg.read_text())
+                data["betas"] = [data.pop("beta")]
+                cfg.write_text(json.dumps(data))
+            argv = (command, str(cfg))
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    def test_unwritable_file_exits_2(self, capsys, tmp_path):
+        (tmp_path / "certificate.json").mkdir()
+        code, _, err = run(capsys, "certify", "--beta", "1",
+                           "--rect", "0,1,0,1", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith(
+            f"error: cannot write {tmp_path / 'certificate.json'}: ")
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestMaskFiles:

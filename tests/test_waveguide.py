@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearspec import assembly, eigcore, waveguide
+from shearspec import assembly, cli, eigcore, waveguide
 from shearspec.cli import load_config
 from shearspec.cross_section import l_shaped_mask, refine_mask
 from shearspec.eigcore import EigOptions, lowest_eigenpairs, smallest_eigenpairs
@@ -397,23 +397,24 @@ class TestSeparationCheck:
 
 class TestSweep:
     def test_rows_sorted_by_beta(self, square_sweep):
-        assert [r.beta for r in square_sweep.reports] == [0.5, 2.0]
+        assert [r.beta for r in square_sweep] == [0.5, 2.0]
 
     def test_every_row_binds(self, square_sweep):
-        for rep in square_sweep.reports:
+        for rep in square_sweep:
             assert rep.count >= 1
             assert rep.gap > 0
             assert rep.stable
 
     def test_csv_shape(self, square_sweep):
-        text = square_sweep.to_csv()
+        text = cli._csv(CSV_COLUMNS, [row for r in square_sweep
+                                      for row in r.rows()])
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
-        k = len(square_sweep.reports[0].eigenvalues)
-        rungs = len(square_sweep.reports[0].rungs)
+        k = len(square_sweep[0].eigenvalues)
+        rungs = len(square_sweep[0].rungs)
         assert len(lines) - 1 == sum(
             len(r.rungs) * len(r.eigenvalues) + len(r.eigenvalues)
-            for r in square_sweep.reports)
+            for r in square_sweep)
         # ext row of the ground state is certified below threshold
         import csv as csvmod
         rows = list(csvmod.DictReader(text.splitlines()))
@@ -425,7 +426,7 @@ class TestSweep:
 
     def test_json_round_trip(self, square_sweep):
         data = json.loads(json.dumps([r.as_dict()
-                                      for r in square_sweep.reports]))
+                                      for r in square_sweep]))
         assert len(data) == 2
         assert data[0]["beta"] == 0.5
         assert data[0]["count"] >= 1
@@ -434,8 +435,8 @@ class TestSweep:
     def test_sweep_through_zero_has_a_straight_row(self):
         # beta = 0 is the straight tube, which binds nothing
         sweep = sweep_beta(SQUARE, [1.0, 0.0], small_reduced())
-        assert [r.beta for r in sweep.reports] == [0.0, 1.0]
-        assert [r.count for r in sweep.reports] == [0, 1]
+        assert [r.beta for r in sweep] == [0.0, 1.0]
+        assert [r.count for r in sweep] == [0, 1]
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
