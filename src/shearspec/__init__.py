@@ -9,15 +9,14 @@ report types produced by the ladder runs.  The usual entry points:
     report = compute_spectrum(spec, disc)
 
 Lower-level pieces (assembled forms, the block eigensolver, section
-modes, the analytic certificates) live in their own modules and are
-imported here unchanged.
+eigenvalues, the analytic certificates) live in their own modules and
+are imported here unchanged.
 """
 
 from .cross_section import (
     l_shaped_mask,
-    numeric_modes,
-    rectangle_modes,
     refine_mask,
+    section_eigenvalues,
 )
 from .certificates import (
     bform_count,
@@ -59,8 +58,7 @@ __all__ = [
     "beta_star",
     "bound_factor",
     "uniqueness_condition",
-    "rectangle_modes",
-    "numeric_modes",
+    "section_eigenvalues",
     "refine_mask",
     "l_shaped_mask",
     "existence_certificate",

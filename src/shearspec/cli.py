@@ -3,10 +3,12 @@
 Commands print a short summary on stdout and, when an output directory
 is given, write diff-able artifacts next to a manifest recording the
 config hash, seed, and library versions.  Runs are deterministic for a
-fixed config and seed, so rerunning a manifest reproduces its CSVs byte
-for byte.  Every file is written by ``_write``, every CSV made by
-``_csv``.  Exit codes: 0 success, 2 bad arguments, config or output
-directory, 3 solver non-convergence, 4 inconclusive result.
+fixed config and seed, so rerunning a manifest at the same BLAS thread
+count reproduces its CSVs byte for byte (across thread counts the
+``residual`` column is rounding noise).  Every file is written by
+``_write``, every CSV made by ``_csv``.  Exit codes: 0 success, 2 bad
+arguments, config or output directory, 3 solver non-convergence, 4
+inconclusive result.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy
 
 from . import __version__
 from .certificates import existence_certificate
-from .cross_section import numeric_modes, rectangle_modes, refine_mask
+from .cross_section import refine_mask, section_eigenvalues
 from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
 from .thresholds import BRANCH_POINT, beta_star, bound_factor
 from .waveguide import (CSV_COLUMNS, DiscretizationSpec, compute_spectrum,
@@ -163,7 +165,8 @@ BETA_MAX = 2.0 ** 26
 
 
 def _check_betas(betas: list) -> list[float]:
-    """Each beta as a float: finite, nonnegative and at most BETA_MAX."""
+    """Each beta as a float: finite, nonnegative, at most BETA_MAX and
+    given once."""
     if not all(_is(b, NUM[0]) for b in betas):
         raise ConfigError(f"beta must be a number, got {betas!r}")
     vals = [beta_value(v, allow_zero=True) for v in betas]
@@ -171,6 +174,9 @@ def _check_betas(betas: list) -> list[float]:
     if b > BETA_MAX:
         raise ConfigError(f"beta {b:g} is too large: above 2^26, 1 + beta^2 "
                           f"rounds to beta^2 in double precision")
+    repeated = sorted({v for v in vals if vals.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"beta {repeated[0]:.12g} is given more than once")
     return vals
 
 
@@ -290,6 +296,15 @@ def _write(out_dir, command: str, cfg: dict, seed: int, files: dict) -> None:
             raise ConfigError(f"cannot write {path}: {e}") from None
 
 
+def _config_out(args, cfg: dict):
+    """``--out`` as given, else the config's ``out`` key, which is read
+    from the config's own directory, as its ``mask`` is."""
+    if args.out or "out" not in cfg:
+        return args.out
+    return os.path.join(os.path.dirname(os.path.abspath(args.config)),
+                        cfg["out"])
+
+
 def _report_exit(flags) -> int:
     if any(f.startswith("nonconverged") for f in flags):
         return EXIT_SOLVER
@@ -310,14 +325,8 @@ def cmd_thresholds(args) -> int:
             section = refine_mask(section, args.grid_factor)
         except ValueError as e:
             raise ConfigError(f"--grid-factor: {e}") from None
-    modes = (rectangle_modes(beta, section, 2) if isinstance(section, Rect)
-             else numeric_modes(beta, section, 2))
-    out = {
-        "beta": beta,
-        "E1": modes[0].E,
-        "E2": modes[1].E,
-        "ess_threshold": modes[0].E,
-    }
+    E1, E2 = section_eigenvalues(beta, section, 2)
+    out = {"beta": beta, "E1": E1, "E2": E2, "ess_threshold": E1}
     if isinstance(section, Rect):
         R = section.aspect
         out["R"] = R
@@ -347,7 +356,7 @@ def cmd_certify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg, spec, disc, opts = load_config(args.config)
-    out_dir = _out_dir(args.out or cfg.get("out"))
+    out_dir = _out_dir(_config_out(args, cfg))
     rep = compute_spectrum(spec, disc, opts)
     print(f"count {rep.count}  stable {rep.stable}  "
           f"threshold {rep.threshold:.12g}  lam1 {rep.eigenvalues[0]:.12g}  "
@@ -360,7 +369,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, section, betas, disc, opts = load_config(args.config, sweep=True)
-    out_dir = _out_dir(args.out or cfg.get("out"))
+    out_dir = _out_dir(_config_out(args, cfg))
     reports = sweep_beta(section, betas, disc, opts)
     for rep in reports:
         print(f"beta {rep.beta:.12g}  count {rep.count}  "
@@ -374,7 +383,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg, spec, disc, opts = load_config(args.config)
-    out_dir = _out_dir(args.out or cfg.get("out"))
+    out_dir = _out_dir(_config_out(args, cfg))
     rep = compute_spectrum(spec, disc, opts)
     rows = _convergence_rows(rep, disc)
     for row in rows:

@@ -11,18 +11,15 @@ number whether it comes from here or from a ladder rung.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import section_fem
 from .eigcore import lowest_eigenpairs
-from .geometry import MaskSection, Rect, beta_value
+from .geometry import MaskSection, Rect, Section, beta_value
 
 __all__ = [
-    "SectionMode",
-    "rectangle_modes",
-    "numeric_modes",
+    "section_eigenvalues",
     "refine_mask",
     "l_shaped_mask",
     "rect_mode_value",
@@ -35,58 +32,32 @@ def rect_mode_value(m: int, n: int, beta: float, rect: Rect) -> float:
                          + (1.0 + beta * beta) * n * n / rect.width2**2)
 
 
-@dataclass(frozen=True)
-class SectionMode:
-    """One eigenvalue of T(beta) on a section.
+def section_eigenvalues(beta, section: Section, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of T(beta) on ``section``, ascending.
 
-    ``index`` is (m, n) for the closed-form sine products of a
-    rectangle, the ordinal for the Q1 pencil of a mask.
+    A rectangle's come from the closed form ``rect_mode_value``; a mask's
+    from its Q1 section pencil, whose unknowns are the interior vertices
+    of the mask as given (refine it with ``refine_mask`` first for a finer
+    grid).
     """
-
-    E: float
-    index: tuple[int, int] | int
-
-    def __post_init__(self):
-        if self.E <= 0.0:
-            raise ValueError(f"section eigenvalue must be positive, got {self.E}")
-
-
-def rectangle_modes(beta, rect: Rect, count: int) -> list[SectionMode]:
-    """The ``count`` smallest closed-form modes, ties broken by (m, n)."""
     b = beta_value(beta, allow_zero=True)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    # the k-th smallest cannot beat the k-th pure-y1 mode, so the search
-    # box (m <= count, n up to the matching bound) is complete
-    cap = rect_mode_value(count, 1, b, rect)
-    nmax = max(1, int(math.floor(rect.width2 * math.sqrt(cap)
-                                 / (math.pi * math.sqrt(1.0 + b * b)))))
-    cand = [(rect_mode_value(m, n, b, rect), m, n)
-            for m in range(1, count + 1) for n in range(1, nmax + 1)]
-    cand.sort()
-    return [SectionMode(E=E, index=(m, n))
-            for E, m, n in cand[:count]]
-
-
-def numeric_modes(beta, section: MaskSection,
-                  count: int) -> list[SectionMode]:
-    """Lowest ``count`` eigenvalues of the Q1 section pencil of T(beta).
-
-    The unknowns are the interior vertices of the mask as given; refine
-    it with ``refine_mask`` first for a finer grid.  Rectangles have
-    closed forms: use ``rectangle_modes``.
-    """
     if isinstance(section, Rect):
-        raise ValueError("rectangle sections have closed-form modes; "
-                         "use rectangle_modes")
-    b = beta_value(beta, allow_zero=True)
+        # the k-th smallest cannot beat the k-th pure-y1 mode, so the
+        # search box (m <= count, n up to the matching bound) is complete
+        cap = rect_mode_value(count, 1, b, section)
+        nmax = max(1, int(math.floor(section.width2 * math.sqrt(cap)
+                                     / (math.pi * math.sqrt(1.0 + b * b)))))
+        return np.sort([rect_mode_value(m, n, b, section)
+                        for m in range(1, count + 1)
+                        for n in range(1, nmax + 1)])[:count]
     K1, K2, _, M = section_fem(section)
     if M.shape[0] < count:
         raise ValueError(f"mask has {M.shape[0]} interior vertices, fewer "
                          f"than the {count} modes asked for; refine it")
     res = lowest_eigenpairs((K1 + (1.0 + b * b) * K2).tocsr(), M, count)
-    return [SectionMode(E=float(res.theta[j]), index=j)
-            for j in range(count)]
+    return res.theta
 
 
 # the most vertices a refined mask may have: up to 255 x 255 cells, whose

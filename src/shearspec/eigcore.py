@@ -410,8 +410,10 @@ class EigOptions:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        # the residual test is relative to |theta|: a tolerance of 1 or
+        # more can pass a random start block as converged
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
         if self.maxit < 0:
             raise ValueError(f"maxit must be nonnegative, got {self.maxit}")
         if self.seed < 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cross_section import numeric_modes, rectangle_modes
+from .cross_section import section_eigenvalues
 from .geometry import Rect, Section, beta_value
 
 __all__ = [
@@ -38,10 +38,7 @@ def ess_threshold(beta, section: Section) -> float:
     ``compute_spectrum`` uses on the same grid (``refine_mask`` gives
     the finer rungs'), and carries that grid's discretization error.
     """
-    b = beta_value(beta, allow_zero=True)
-    if isinstance(section, Rect):
-        return rectangle_modes(b, section, 1)[0].E
-    return numeric_modes(b, section, 1)[0].E
+    return float(section_eigenvalues(beta, section, 1)[0])
 
 
 def beta_star(R: float) -> float:

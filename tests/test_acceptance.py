@@ -18,7 +18,7 @@ from shearspec.certificates import (
     existence_certificate,
     prism_eigen_check,
 )
-from shearspec.cross_section import numeric_modes
+from shearspec.cross_section import section_eigenvalues
 from shearspec.eigcore import EigOptions, smallest_eigenpairs
 from shearspec.geometry import MaskSection, Rect, WaveguideSpec, metric
 from shearspec.thresholds import bound_factor, ess_threshold
@@ -123,7 +123,7 @@ def test_c02_cross_section_agreement():
     def square(n):  # the unit square as a mask of n x n cells
         return MaskSection(np.ones((n, n), dtype=bool), 1.0 / n)
 
-    errs = {n: abs(numeric_modes(1.0, square(n), 1)[0].E - closed)
+    errs = {n: abs(section_eigenvalues(1.0, square(n), 1)[0] - closed)
             for n in (32, 64, 128)}
     rel = errs[128] / closed
     r1 = errs[32] / errs[64]

@@ -281,9 +281,11 @@ class TestSpectrum:
         {"disc": {"nx": 8, "n1": 8, "n2": 8, "L": 4.0, "mode": "half"},
          "eig": {"tol": 1e-300, "maxit": -1}},
         {"eig": {"tol": math.nan}},
+        {"eig": {"tol": math.inf}},
+        {"eig": {"tol": 10}},
     ], ids=["beta_list", "disc_null", "k_string", "eig_block", "missing_mask",
             "beta_overflow", "beta_1e150_reduced", "beta_1e154_mask",
-            "negative_maxit", "nan_tol"])
+            "negative_maxit", "nan_tol", "inf_tol", "tol_10"])
     def test_malformed_config_exits_2(self, capsys, tmp_path, overrides):
         cfg = write_config(tmp_path, **overrides)
         if "mask" in overrides:
@@ -460,6 +462,25 @@ class TestSweep:
         assert code == 2
         assert "betas" in err
 
+    @pytest.mark.parametrize("betas", [[1.0, 1.0], [0.5, 1, 1.0]])
+    def test_repeated_beta_exits_2_before_the_solve(self, capsys,
+                                                    monkeypatch, tmp_path,
+                                                    betas):
+        # the same ladder solved twice adds nothing: the config is refused
+        def unreachable(*args, **kw):
+            raise AssertionError("solved a sweep with a repeated beta")
+
+        monkeypatch.setattr(cli, "sweep_beta", unreachable)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "betas": betas, "rect": [0, 1, 0, 1],
+            "disc": {"nx": 8, "n1": 8, "n2": 8, "L": 4.0, "mode": "reduced"},
+        }))
+        code, out, err = run(capsys, "sweep", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: beta 1 is given more than once\n"
+
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
 def test_beta_and_betas_together_exit_2(capsys, tmp_path, command):
@@ -588,6 +609,43 @@ class TestUnusableOut:
         assert err.startswith(
             f"error: cannot write {tmp_path / 'certificate.json'}: ")
         assert not (tmp_path / "manifest.json").exists()
+
+
+class TestConfigOut:
+    # a config's out key is read from the config's own directory, as its
+    # mask is, so the same config writes to the same place from anywhere;
+    # --out is taken as given, from the working directory
+    @pytest.fixture
+    def dirs(self, monkeypatch, tmp_path):
+        cfgdir, work = tmp_path / "cfgdir", tmp_path / "work"
+        cfgdir.mkdir()
+        work.mkdir()
+        monkeypatch.chdir(work)
+        return cfgdir, work
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "convergence"])
+    def test_out_key_is_read_from_the_config_directory(self, capsys, dirs,
+                                                       command):
+        cfgdir, work = dirs
+        cfg = write_config(cfgdir, out="res")
+        if command == "sweep":
+            data = json.loads(cfg.read_text())
+            data["betas"] = [data.pop("beta")]
+            cfg.write_text(json.dumps(data))
+        code, _, _ = run(capsys, command, "../cfgdir/run.json")
+        assert code == 0
+        assert (cfgdir / "res" / "manifest.json").exists()
+        assert not (work / "res").exists()
+
+    def test_out_flag_is_taken_as_given(self, capsys, dirs):
+        cfgdir, work = dirs
+        write_config(cfgdir, out="res")
+        code, _, _ = run(capsys, "spectrum", "../cfgdir/run.json",
+                         "--out", "given")
+        assert code == 0
+        assert (work / "given" / "report.json").exists()
+        assert not (cfgdir / "res").exists()
+        assert not (cfgdir / "given").exists()
 
 
 class TestMaskFiles:

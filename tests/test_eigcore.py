@@ -295,6 +295,11 @@ def test_validation_errors():
         EigOptions(tol=0.0)
     with pytest.raises(ValueError):
         EigOptions(tol=float("nan"))
+    # the residual test is relative to |theta|: at a tolerance of 1 or
+    # more a random start block can pass as converged
+    for tol in (1.0, 10.0, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            EigOptions(tol=tol)
     with pytest.raises(ValueError, match="maxit"):
         EigOptions(k=2, tol=1e-300, maxit=-1)
     with pytest.raises(ValueError, match="seed"):

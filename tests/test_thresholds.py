@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shearspec.cross_section import l_shaped_mask, numeric_modes
+from shearspec.cross_section import l_shaped_mask, section_eigenvalues
 from shearspec.geometry import Rect
 from shearspec.thresholds import (
     BRANCH_POINT,
@@ -35,7 +35,7 @@ def test_ess_threshold_closed_forms():
 
 def test_ess_threshold_mask_delegates_to_numeric():
     mask = l_shaped_mask(64)
-    want = numeric_modes(1.0, mask, 1)[0].E
+    want = section_eigenvalues(1.0, mask, 1)[0]
     assert ess_threshold(1.0, mask) == pytest.approx(want, rel=1e-12)
 
 
