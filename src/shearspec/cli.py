@@ -159,21 +159,14 @@ def _eig_from(cfg: dict) -> EigOptions:
     return EigOptions(**cfg)
 
 
-# the largest shear double precision resolves: above it 1 + beta^2
-# rounds to beta^2 and the x derivative drops out of the form
-BETA_MAX = 2.0 ** 26
-
-
 def _check_betas(betas: list) -> list[float]:
-    """Each beta as a float: finite, nonnegative, at most BETA_MAX and
-    given once."""
+    """Each beta as a float, held to ``beta_value`` and given once."""
     if not all(_is(b, NUM[0]) for b in betas):
         raise ConfigError(f"beta must be a number, got {betas!r}")
-    vals = [beta_value(v, allow_zero=True) for v in betas]
-    b = max(vals)
-    if b > BETA_MAX:
-        raise ConfigError(f"beta {b:g} is too large: above 2^26, 1 + beta^2 "
-                          f"rounds to beta^2 in double precision")
+    try:
+        vals = [beta_value(v, allow_zero=True) for v in betas]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     repeated = sorted({v for v in vals if vals.count(v) > 1})
     if repeated:
         raise ConfigError(f"beta {repeated[0]:.12g} is given more than once")

@@ -845,10 +845,10 @@ def count_below(A, M, threshold: float, safety: float,
     exactly by the inertia of A - (T - s) M; ``boundary`` is set when the
     inertia at T + s differs.  Otherwise Ritz values bound eigenvalues
     from above, so a converged value under the band certifies one
-    eigenvalue there.  The block grows, up to _KMAX pairs, until at least
-    one converged value clears ``threshold + safety``, so the count cannot
-    be truncated by a too-small search space.  Each growth step is one
-    ``lowest_eigenpairs`` solve.
+    eigenvalue there.  From ``opts.k`` pairs (no floor: the ladder passes
+    max(k, 4)) the block doubles, one ``lowest_eigenpairs`` solve a step,
+    up to _KMAX pairs, until a converged value clears ``threshold +
+    safety``, so the count cannot be truncated by a too-small search space.
     """
     if safety < 0:
         raise ValueError(f"safety band must be nonnegative, got {safety}")
@@ -856,7 +856,7 @@ def count_below(A, M, threshold: float, safety: float,
     if M is None:
         M = sp.identity(n, format="csr")
     base = opts or EigOptions()
-    k = max(base.k, 4)
+    k = base.k
     band = _band_pencil(A, M, min(k + 3, n))
     if band is not None:
         Ac, Mc, kd = band

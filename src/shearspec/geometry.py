@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "BETA_MAX",
+    "LENGTH_MIN",
     "Rect",
     "MaskSection",
     "WaveguideSpec",
@@ -33,13 +35,35 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+# the largest shear double precision resolves: above it 1 + beta^2
+# rounds to beta^2 and the x derivative drops out of the form
+BETA_MAX = 2.0 ** 26
+
+# the shortest length a section or box may have: a cell 2^-40 of it still
+# keeps its cube and (1 + BETA_MAX^2) (pi / h)^2 inside the normal double
+# range, where a length of 1e-300 overflows (pi / l)^2 or divides by zero
+LENGTH_MIN = 2.0 ** -64
+
+
 def beta_value(beta: float, *, allow_zero: bool = False) -> float:
-    """Coerce a shear argument to a float, validating its sign."""
+    """Coerce a shear argument to a float, validating its sign and
+    refusing shears above BETA_MAX."""
     b = float(beta)
     _require_finite("beta", b)
     if b < 0.0 or (b == 0.0 and not allow_zero):
         raise ValueError(f"shear slope out of range: {b}")
+    if b > BETA_MAX:
+        raise ValueError(f"beta {b:g} is too large: above 2^26, 1 + beta^2 "
+                         f"rounds to beta^2 in double precision")
     return b
+
+
+def check_length(name: str, *values: float) -> None:
+    """Refuse a length that is not finite or is shorter than LENGTH_MIN."""
+    for v in values:
+        if not LENGTH_MIN <= v < math.inf:
+            raise ValueError(f"{name} must be finite and at least 2^-64, "
+                             f"got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +77,7 @@ class Rect:
 
     def __post_init__(self) -> None:
         _require_finite("rectangle bounds", self.a, self.b, self.c, self.d)
-        if not (self.a < self.b and self.c < self.d):
-            raise ValueError(f"degenerate rectangle {(self.a, self.b, self.c, self.d)}")
+        check_length("rectangle width", self.width1, self.width2)
 
     @property
     def width1(self) -> float:
@@ -88,9 +111,7 @@ class MaskSection:
             raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
         if not arr.any():
             raise ValueError("mask has no inside cells")
-        _require_finite("cell size", self.cell)
-        if self.cell <= 0.0:
-            raise ValueError(f"cell size must be positive, got {self.cell}")
+        check_length("cell size", self.cell)
         object.__setattr__(self, "inside", arr)
 
 

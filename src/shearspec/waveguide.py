@@ -33,7 +33,8 @@ import numpy as np
 from .assembly import ShearForm, assemble_reduced2d, assemble_waveguide, fem1d
 from .cross_section import refine_mask
 from .eigcore import EigOptions, EigResult, count_below, lowest_eigenpairs
-from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
+from .geometry import (MaskSection, Rect, Section, WaveguideSpec, beta_value,
+                       check_length)
 from .thresholds import ess_threshold
 
 __all__ = [
@@ -82,8 +83,7 @@ class DiscretizationSpec:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 8:
                 raise ValueError(f"{name} must be an integer >= 8, got {v!r}")
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValueError(f"box length must be positive, got {self.L}")
+        check_length("box length", self.L)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; pick one of {MODES}")
         if self.refine < 1 or self.l_steps < 1:
@@ -331,23 +331,36 @@ def _grid_for(disc: DiscretizationSpec, section: Section, r: int,
     return g
 
 
+def _rung_setup(beta: float, section: Section, disc: DiscretizationSpec,
+                p: tuple[int, int], section_pairs=None):
+    """Rung ``p``'s grid, pencil, preconditioner, threshold and warnings;
+    a box step is handed the finest mesh rung's ``section_pairs``."""
+    g = _grid_for(disc, section, *p)
+    form = _build(beta, section, disc, g)
+    if section_pairs is not None:
+        form.section_pairs = section_pairs
+    pre = form.preconditioner()
+    return g, form, pre, _rung_threshold(beta, form), form.warnings
+
+
 def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
                      opts: EigOptions | None = None) -> SpectrumReport:
     """Run the full ladder and report extrapolated eigenvalues, the
     below-threshold count with its safety band, and stability flags.
 
-    The finest rung is counted first: by inertia when its pencil is
-    factored, otherwise by a block that keeps growing until a converged
-    value clears the threshold.  The count fixes how many pairs every rung
-    resolves, so values stay index-aligned across the ladder.  The rungs
-    are then solved from coarse to fine, box steps last.  Nested spaces
-    make the lowest value fall along the mesh series at about a quarter of
-    the last drop per step, so each factored solve is shifted to the
-    previous mesh rung's lowest value minus that rung's drop, and the
-    first mesh rung to its threshold, from which its drop is measured:
-    close below its spectrum, and certified below it by the factorization
-    or its back-off.  A block-CG top rung reuses the values of its count,
-    and the box steps of a mask ladder reuse its section eigenpairs.
+    The finest rung is set up and counted first: by inertia when its
+    pencil is factored, otherwise by a block that starts at the ladder's
+    max(k, 4) pairs and grows until a converged value clears the
+    threshold.  The count fixes how many pairs every rung resolves, so
+    values stay index-aligned across the ladder.  The rungs are then
+    solved from coarse to fine, box steps last, each by one
+    ``lowest_eigenpairs`` call unless its block-CG count holds enough
+    values.  Nested spaces make the lowest value fall along the mesh
+    series at about a quarter of the last drop per step, so each factored
+    solve is shifted to the previous mesh rung's lowest value minus that
+    rung's drop, and the first mesh rung to its threshold, from which its
+    drop is measured: close below its spectrum, and certified below it by
+    the factorization or its back-off.
     """
     t_start = time.perf_counter()
     base = opts or EigOptions()
@@ -356,8 +369,6 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     reduced = disc.mode == "reduced2d"
     if disc.refine < 2:
         raise ValueError("extrapolation needs at least two mesh rungs")
-    if reduced and not isinstance(section, Rect):
-        raise ValueError("reduced2d mode needs a rectangle section")
     flags: list[str] = []
     if disc.l_steps < 2:
         flags.append("single_box")
@@ -365,54 +376,42 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     pairs = disc.ladder()
     top = pairs[-1]
     tr, ts = top
+    t0 = time.perf_counter()
+    g, form, pre, e1_top, warnings = _rung_setup(beta, section, disc, top)
     # solved values sit one channel offset below the full-guide ones
     w1 = section.width1 if reduced else None
     offset = (math.pi / w1) ** 2 if reduced else 0.0
-
-    t0 = time.perf_counter()
-    top_form = _build(beta, section, disc, _grid_for(disc, section, *top))
-    e1_top = _rung_threshold(beta, top_form)
-    # the box steps share the top rung's refined mask and beta, so its
-    # section decomposition serves their thresholds and preconditioners
-    top_pairs = (top_form.section_pairs if isinstance(section, MaskSection)
-                 else None)
+    shared = form.section_pairs if isinstance(section, MaskSection) else None
     band0 = BAND_REL * abs(e1_top)
-    top_pre = top_form.preconditioner()
-    top_warnings = top_form.warnings
-    cres = count_below(top_form.A, top_form.M, e1_top - offset, band0,
-                       opts=base, precond=top_pre)
+    block = max(base.k, 4)
+    cres = count_below(form.A, form.M, e1_top - offset, band0,
+                       opts=dataclasses.replace(base, k=block), precond=pre)
     if not cres.reliable:
         flags.append(f"unreliable_count:r{tr}s{ts}")
-    k_solve = max(base.k, 4, cres.count + 2)
-    top_sol = cres.result
-    if top_sol is not None and len(top_sol.theta) < k_solve:
-        top_sol = None
-    if top_sol is not None:
-        top_form = top_pre = None   # values in hand: free the pencil
-    top_seconds = time.perf_counter() - t0
+    k_solve = max(block, cres.count + 2)
+    sol = cres.result
+    if sol is None or len(sol.theta) < k_solve:
+        sol = None
+    else:
+        form = pre = None   # values in hand: free the pencil
+    # a finest pencil the count left unsolved (a factored one) stays alive
+    # across the coarse solves until its own; any other lives for its rung
+    ready = {top: (g, form, pre, e1_top, warnings, sol,
+                   time.perf_counter() - t0)}
 
     results: dict[tuple[int, int], RungResult] = {}
     theta1 = drop = None
     mesh = [(r, ts) for r in range(disc.refine)]
     for p in mesh + [(tr, s) for s in range(ts)]:
-        g = _grid_for(disc, section, *p)
         t0 = time.perf_counter()
-        if p == top:
-            form, pre, e1_r, warnings = top_form, top_pre, e1_top, top_warnings
-            top_form = top_pre = None
-            sol, seconds = top_sol, top_seconds
-        else:
-            form = _build(beta, section, disc, g)
-            if p[0] == tr and top_pairs is not None:
-                form.section_pairs = top_pairs
-            pre = form.preconditioner()
-            e1_r, warnings = _rung_threshold(beta, form), form.warnings
-            sol, seconds = None, 0.0
+        g, form, pre, e1_r, warnings, sol, seconds = ready.pop(p, None) or (
+            _rung_setup(beta, section, disc, p, shared if p[0] == tr
+                        else None) + (None, 0.0))
         if sol is None:
             sigma = e1_r - offset if theta1 is None else theta1 - drop
             sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre,
                                     sigma=sigma)
-        form = pre = None   # one pencil alive at a time
+        form = pre = None
         results[p] = _make_rung(g, e1_r, sol, k_solve, w1, warnings,
                                 seconds + time.perf_counter() - t0)
         if p in mesh:

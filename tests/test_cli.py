@@ -226,6 +226,19 @@ def test_beta_flag_takes_the_config_rule(capsys, argv):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("thresholds", "--beta", "1", "--rect", "0,1e-300,0,1"),
+    ("oracle-compare", "--beta", "1", "--rect", "0,1,0,1", "--L", "1e-300"),
+], ids=["thresholds_rect", "oracle_compare_L"])
+def test_length_flag_below_the_floor_exits_2(capsys, argv):
+    # a length too small for double precision is bad input, not a solver
+    # failure: exit 2, naming the value
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "1e-300" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestSpectrum:
     def test_run_writes_artifacts(self, capsys, tmp_path):
         cfg = write_config(tmp_path)
@@ -299,6 +312,25 @@ class TestSpectrum:
         assert len(err.strip().splitlines()) == 1
         if "beta" in overrides:
             assert "beta" in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"disc": {"nx": 24, "n1": 8, "n2": 8, "L": 1e-300, "mode": "reduced",
+                  "refine": 2, "l_steps": 2}},
+        {"rect": [0, 1e-300, 0, 1]},
+        {"mask": "tiny.txt"},
+    ], ids=["L", "rect", "mask_cell"])
+    def test_length_below_the_floor_exits_2(self, capsys, tmp_path,
+                                            overrides):
+        cfg = write_config(tmp_path, **overrides)
+        if "mask" in overrides:
+            (tmp_path / "tiny.txt").write_text("cell 1e-300\n" + "11\n" * 2)
+            data = json.loads(cfg.read_text())
+            del data["rect"]
+            cfg.write_text(json.dumps(data))
+        code, _, err = run(capsys, "spectrum", str(cfg))
+        assert code == 2
+        assert err.startswith("error: ") and "1e-300" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_largest_resolved_beta_loads(self, tmp_path):
         # 1 + beta^2 is exact up to beta = 2^26; one step above it is not

@@ -758,6 +758,29 @@ def test_absent_mass_is_the_sparse_identity(monkeypatch, dense_n):
     assert (a.count, a.inertia) == (b.count, b.inertia) == (3, (3, 3))
 
 
+def test_count_below_sets_no_block_floor(monkeypatch):
+    # the block is opts.k pairs as given; compute_spectrum passes the
+    # ladder's max(k, 4)
+    form = shear_pencils()["half_DN"]
+    lam = dense_spectrum(form)
+    monkeypatch.setattr(eigcore, "DENSE_N", 0)
+    monkeypatch.setattr(eigcore, "_CG_ARRAYS", 0)
+    asked = []
+    solve = eigcore.lowest_eigenpairs
+
+    def spy(A, M, k, *args, **kwargs):
+        asked.append(k)
+        return solve(A, M, k, *args, **kwargs)
+
+    monkeypatch.setattr(eigcore, "lowest_eigenpairs", spy)
+    T = 0.5 * (lam[0] + lam[1])
+    r = count_below(form.A, form.M, T, 1e-6 * T, EigOptions(k=2),
+                    form.preconditioner())
+    assert asked[0] == 2
+    assert r.result.solver == "block_cg"
+    assert r.count == 1 and r.reliable
+
+
 def test_count_below_rejects_negative_safety():
     with pytest.raises(ValueError):
         count_below(np.eye(2), None, threshold=1.0, safety=-0.1)

@@ -328,6 +328,61 @@ class TestMaskLadder:
             compute_spectrum(WaveguideSpec(1.0, l_shaped_mask(12)), disc)
 
 
+class TestOnePathPerRung:
+    """Every rung is built once, the finest first for its count, and
+    solved once: by the ladder's one ``lowest_eigenpairs`` call, or by
+    the count itself when its block-CG solve holds enough values."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        built, solved, block_cg = [], [], []
+        build = waveguide._build
+        solve = waveguide.lowest_eigenpairs
+        cg = eigcore.smallest_eigenpairs
+
+        def spy_build(beta, section, disc, g):
+            form = build(beta, section, disc, g)
+            built.append(((g.r, g.s), form.n))
+            return form
+
+        def spy_solve(A, *args, **kwargs):
+            solved.append(A.n)
+            return solve(A, *args, **kwargs)
+
+        def spy_cg(A, M=None, opts=None, precond=None):
+            block_cg.append((A.n, opts.k))
+            return cg(A, M, opts, precond)
+
+        monkeypatch.setattr(waveguide, "_build", spy_build)
+        monkeypatch.setattr(waveguide, "lowest_eigenpairs", spy_solve)
+        monkeypatch.setattr(eigcore, "smallest_eigenpairs", spy_cg)
+        return built, solved, block_cg
+
+    def test_block_cg_finest_rung_is_solved_by_its_count(self, monkeypatch):
+        built, solved, block_cg = self.spies(monkeypatch)
+        disc = DiscretizationSpec(nx=10, n1=8, n2=8, L=4.0, mode="half_DN",
+                                  refine=2, l_steps=2)
+        rep = compute_spectrum(WaveguideSpec(1.0, l_shaped_mask(12)), disc)
+        assert [p for p, _ in built] == [(1, 1), (0, 1), (1, 0)]
+        n = dict(built)
+        # the count's k = 4 solve is the finest rung's only solve
+        assert block_cg == [(n[(1, 1)], 4), (n[(1, 0)], 4)]
+        assert solved == [n[(0, 1)], n[(1, 0)]]
+        assert rep.rungs[-1].solver == "block_cg"
+        assert rep.rungs[-1].inertia is None
+
+    def test_factored_ladder_builds_and_solves_each_rung_once(
+            self, monkeypatch):
+        built, solved, block_cg = self.spies(monkeypatch)
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
+        assert [p for p, _ in built] == [(1, 1), (0, 1), (1, 0)]
+        n = dict(built)
+        # counted by inertia, the finest rung is solved in mesh order
+        assert solved == [n[(0, 1)], n[(1, 1)], n[(1, 0)]]
+        assert block_cg == []
+        assert rep.rungs[-1].inertia == (1, 1)
+
+
 class TestSymmetryCheck:
     def test_even_spectrum_reproduced(self, square_symmetry):
         # matched grids make the even part of the full spectrum an exact
@@ -398,6 +453,15 @@ class TestSeparationCheck:
 class TestSweep:
     def test_rows_sorted_by_beta(self, square_sweep):
         assert [r.beta for r in square_sweep] == [0.5, 2.0]
+
+    def test_shear_above_beta_max_is_refused_before_any_solve(
+            self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(waveguide, "compute_spectrum",
+                            lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match="2\\^26"):
+            sweep_beta(SQUARE, [1.0, 1e30], small_reduced())
+        assert runs == []
 
     def test_every_row_binds(self, square_sweep):
         for rep in square_sweep:
