@@ -8,8 +8,8 @@ shows the count staying 1 well past it before a second state appears.
 
 import math
 
+from shearspec.certificates import beta_star
 from shearspec.geometry import Rect, WaveguideSpec
-from shearspec.thresholds import beta_star
 from shearspec.waveguide import DiscretizationSpec, compute_spectrum
 
 square = Rect(0.0, 1.0, 0.0, 1.0)

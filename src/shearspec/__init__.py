@@ -14,26 +14,24 @@ are imported here unchanged.
 """
 
 from .cross_section import (
+    ess_threshold,
     l_shaped_mask,
     refine_mask,
     section_eigenvalues,
 )
 from .certificates import (
+    beta_star,
     bform_count,
+    bound_factor,
     existence_certificate,
     prism_eigen_check,
+    uniqueness_condition,
 )
 from .geometry import (
     MaskSection,
     Rect,
     WaveguideSpec,
     metric,
-)
-from .thresholds import (
-    beta_star,
-    bound_factor,
-    ess_threshold,
-    uniqueness_condition,
 )
 from .waveguide import (
     DiscretizationSpec,

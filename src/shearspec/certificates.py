@@ -1,13 +1,21 @@
 """Explicit variational objects behind the spectral statements.
 
-Three independent devices live here.  The existence certificate builds
-the two-piece trial family psi_n + eps*phi whose shifted energy, in
-closed form, can be driven strictly negative, which places spectrum
-below the threshold.  The comparison form b is a 1-D square well whose
-bound states dominate the count of discrete eigenvalues; it is counted
-in closed form from the phase of its zero-energy solution.  The prism
-checks evaluate the auxiliary anisotropic problem on the triangular
-prism against its closed-form levels at unit shear.
+Three independent devices live here, one per claim of the paper.  The
+existence certificate builds the two-piece trial family psi_n + eps*phi
+whose shifted energy, in closed form, can be driven strictly negative,
+which places spectrum below the threshold.  The comparison form b is a
+1-D square well whose bound states dominate the count of discrete
+eigenvalues; it is counted in closed form from the phase of its
+zero-energy solution.  The prism checks evaluate the auxiliary
+anisotropic problem on the triangular prism against its closed-form
+levels at unit shear.
+
+Those levels give the uniqueness bound.  For rectangle sections there is
+an explicit sufficient bound beta_star(R) on the shear, R the aspect
+ratio (d-c)/(b-a), below which exactly one discrete eigenvalue sits
+under the threshold E1(beta).  It comes from a two-step chain: the
+second prism eigenvalue mu2 at shear beta is at least bound_factor(beta)
+times its beta=1 value, and uniqueness needs mu2(beta) to reach E1(beta).
 """
 
 from __future__ import annotations
@@ -19,18 +27,23 @@ from typing import Callable
 import numpy as np
 
 from .assembly import assemble_prism
+from .cross_section import ess_threshold
 from .eigcore import lowest_eigenpairs
 from .geometry import Rect, beta_value
-from .thresholds import bound_factor, ess_threshold, prism_mu_unit
 
 __all__ = [
     "CutoffProfile",
     "CertificateResult",
-    "BForm",
     "PrismReport",
+    "UniquenessReport",
+    "BRANCH_POINT",
     "default_profile",
     "existence_certificate",
     "bform_count",
+    "beta_star",
+    "bound_factor",
+    "prism_mu_unit",
+    "uniqueness_condition",
     "prism_eigen_check",
 ]
 
@@ -159,43 +172,15 @@ def existence_certificate(beta, rect: Rect) -> CertificateResult:
 
 # --------------------------------------------------------------- b form
 
-@dataclass(frozen=True)
-class BForm:
-    """1-D comparison form on (sqrt(nu), infinity), Dirichlet at the
-    left end: (1 - 2*kappa*beta/eps)|f'|^2 plus a unit-depth well of
-    width sqrt(nu) cut into the constant background E1."""
-
-    beta: float
-    eps: float
-    kappa: float
-    nu: float
-    E1: float
-
-    def __post_init__(self):
-        if self.nu <= 0.0:
-            raise ValueError("nu must be positive")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be non-negative")
-        if self.c0 <= 0.0:
-            raise ValueError(
-                f"c0 = 1 - 2*kappa*beta/eps = {self.c0:.6g} <= 0; the "
-                "comparison form is not coercive for these parameters")
-
-    @property
-    def c0(self) -> float:
-        return 1.0 - 2.0 * self.kappa * self.beta / self.eps
-
-    @property
-    def width(self) -> float:
-        return math.sqrt(self.nu)
-
-
 def bform_count(beta, eps, kappa, nu, E1) -> int:
     """Bound states of the comparison well below its background level.
 
-    Shifting by E1 leaves -c0 f'' - 1_[0,w] f on (0, infinity) with
-    w = sqrt(nu) and Dirichlet at 0.  The threshold-energy solution is
-    sin(x / sqrt(c0)) in the well and affine beyond it; its zeros count
+    The form lives on (sqrt(nu), infinity), Dirichlet at the left end:
+    c0 |f'|^2, c0 = 1 - 2*kappa*beta/eps, plus a unit-depth well of width
+    sqrt(nu) cut into the constant background E1.  Shifting by E1 leaves
+    -c0 f'' - 1_[0,w] f on (0, infinity) with w = sqrt(nu) and Dirichlet
+    at 0, so E1 does not enter the count.  The threshold-energy solution
+    is sin(x / sqrt(c0)) in the well and affine beyond it; its zeros count
     the eigenvalues.  With theta = w / sqrt(c0) the sine has
     ceil(theta/pi) - 1 zeros in (0, w), and the tangent line adds one
     more exactly when theta mod pi exceeds pi/2: floor(theta/pi + 1/2).
@@ -203,11 +188,110 @@ def bform_count(beta, eps, kappa, nu, E1) -> int:
     b = beta_value(beta)
     if eps < b:
         raise ValueError(f"eps = {eps:g} must be at least beta = {b:g}")
-    form = BForm(beta=b, eps=eps, kappa=kappa, nu=nu, E1=E1)
-    return math.floor(form.width / math.sqrt(form.c0) / math.pi + 0.5)
+    if nu <= 0.0:
+        raise ValueError("nu must be positive")
+    if kappa < 0.0:
+        raise ValueError("kappa must be non-negative")
+    c0 = 1.0 - 2.0 * kappa * b / eps
+    if c0 <= 0.0:
+        raise ValueError(
+            f"c0 = 1 - 2*kappa*beta/eps = {c0:.6g} <= 0; the "
+            "comparison form is not coercive for these parameters")
+    return math.floor(math.sqrt(nu) / math.sqrt(c0) / math.pi + 0.5)
 
 
 # ---------------------------------------------------------------- prism
+
+BRANCH_POINT = 2.0 / math.sqrt(3.0)  # aspect ratio where beta_star switches
+
+
+def beta_star(R: float) -> float:
+    """Sufficient uniqueness bound on the shear for aspect ratio R.
+
+    sqrt(3) R for R <= 2/sqrt(3), else
+    (1/2) sqrt(-R^2 + 3 + sqrt(49 + 2R^2 + R^4)).
+
+    The two branches do not meet at R = 2/sqrt(3) (2 vs about 1.498);
+    the jump is kept as is and flagged by uniqueness_condition.
+    """
+    if not (R > 0.0 and math.isfinite(R)):
+        raise ValueError(f"aspect ratio must be positive, got {R}")
+    if R <= BRANCH_POINT:
+        return math.sqrt(3.0) * R
+    R2 = R * R
+    rad = math.sqrt(49.0 + R2 * (2.0 + R2))
+    # -R^2 + rad rewritten to avoid cancellation for wide sections
+    inner = 3.0 + (2.0 * R2 + 49.0) / (rad + R2)
+    return 0.5 * math.sqrt(inner)
+
+
+def bound_factor(beta) -> float:
+    """min{(1+b^2)/(2b^2), 1, (1+b^2)/2}: decay of mu2 away from beta=1."""
+    b = beta_value(beta)
+    s = 1.0 + b * b
+    return min(s / (2.0 * b * b), 1.0, s / 2.0)
+
+
+def prism_mu_unit(rect: Rect) -> tuple[float, float]:
+    """First two prism eigenvalues at beta = 1, branch chosen by R.
+
+    mu1 is the same on both branches; mu2 doubles the y1 mode for
+    narrow sections (R <= 2/sqrt(3)) and the y2/x pair otherwise.
+    """
+    w1, w2 = rect.width1, rect.width2
+    mu1 = math.pi**2 * (1.0 / w2**2 + 1.0 / w1**2)
+    if rect.aspect <= BRANCH_POINT:
+        mu2 = math.pi**2 * (1.0 / w2**2 + 4.0 / w1**2)
+    else:
+        mu2 = math.pi**2 * (5.0 / w2**2 + 1.0 / w1**2)
+    return mu1, mu2
+
+
+@dataclass(frozen=True)
+class UniquenessReport:
+    """Outcome of the sufficient uniqueness condition beta < beta_star(R).
+
+    ``chain_holds`` reports whether the explicit lower-bound chain
+    bound_factor(beta) * mu2(1) >= E1(beta) closes numerically at these
+    parameters; the sufficient condition is the beta_star comparison.
+    """
+
+    holds: bool
+    beta: float
+    beta_star: float
+    aspect: float
+    branch: str               # 'linear' | 'radical'
+    bound_factor: float
+    mu2_lower: float          # bound_factor * mu2(1)
+    threshold: float          # E1(beta)
+    chain_holds: bool
+    near_branch_jump: bool
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
+def uniqueness_condition(beta, rect: Rect) -> UniquenessReport:
+    """Strict test beta < beta_star(R), with both sides of the chain."""
+    b = beta_value(beta)
+    R = rect.aspect
+    bs = beta_star(R)
+    fac = bound_factor(b)
+    _, mu2 = prism_mu_unit(rect)
+    e1 = ess_threshold(b, rect)
+    return UniquenessReport(
+        holds=b < bs,
+        beta=b,
+        beta_star=bs,
+        aspect=R,
+        branch="linear" if R <= BRANCH_POINT else "radical",
+        bound_factor=fac,
+        mu2_lower=fac * mu2,
+        threshold=e1,
+        chain_holds=fac * mu2 >= e1,
+        near_branch_jump=abs(R - BRANCH_POINT) <= 1e-9,
+    )
+
 
 @dataclass(frozen=True)
 class PrismReport:

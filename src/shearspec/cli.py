@@ -27,10 +27,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .certificates import existence_certificate
+from .certificates import (BRANCH_POINT, beta_star, bound_factor,
+                           existence_certificate)
 from .cross_section import refine_mask, section_eigenvalues
 from .geometry import MaskSection, Rect, Section, WaveguideSpec, beta_value
-from .thresholds import BRANCH_POINT, beta_star, bound_factor
 from .waveguide import (CSV_COLUMNS, DiscretizationSpec, compute_spectrum,
                         separation_check, sweep_beta)
 from .eigcore import EigOptions

@@ -1,11 +1,12 @@
 """Cross-section operator T(beta) = -d^2/dy1^2 - (1+beta^2) d^2/dy2^2 on S.
 
-Its ground eigenvalue E1(beta) is the bottom of the essential spectrum of
-the waveguide, and the next level E2 sets the gap E2 - E1.  Rectangles
-are handled in closed form, arbitrary cell masks by the conforming Q1
-section pencil (K1 + (1+beta^2) K2, M) of ``assembly.section_fem``, the
-same pencil the waveguide assembly uses, so a mask threshold is one
-number whether it comes from here or from a ladder rung.
+Its ground eigenvalue E1(beta), ``ess_threshold``, is the bottom of the
+essential spectrum of the waveguide, and the next level E2 sets the gap
+E2 - E1.  Rectangles are handled in closed form, arbitrary cell masks by
+the conforming Q1 section pencil (K1 + (1+beta^2) K2, M) of
+``assembly.section_fem``, the same pencil the waveguide assembly uses,
+so a mask threshold is one number whether it comes from here or from a
+ladder rung.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .eigcore import lowest_eigenpairs
 from .geometry import MaskSection, Rect, Section, beta_value
 
 __all__ = [
+    "ess_threshold",
     "section_eigenvalues",
     "refine_mask",
     "l_shaped_mask",
@@ -58,6 +60,17 @@ def section_eigenvalues(beta, section: Section, count: int) -> np.ndarray:
                          f"than the {count} modes asked for; refine it")
     res = lowest_eigenpairs((K1 + (1.0 + b * b) * K2).tocsr(), M, count)
     return res.theta
+
+
+def ess_threshold(beta, section: Section) -> float:
+    """Bottom of the essential spectrum, E1(beta).
+
+    Analytic for rectangles.  Masks get the ground value of the Q1
+    section pencil on their cell grid; it is the rung threshold
+    ``compute_spectrum`` uses on the same grid (``refine_mask`` gives
+    the finer rungs'), and carries that grid's discretization error.
+    """
+    return float(section_eigenvalues(beta, section, 1)[0])
 
 
 # the most vertices a refined mask may have: up to 255 x 255 cells, whose

@@ -24,6 +24,7 @@ hundreds.  A 3-D guide is the one-channel case, offset 0.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,11 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import ShearForm, assemble_reduced2d, assemble_waveguide, fem1d
-from .cross_section import refine_mask
+from .cross_section import ess_threshold, refine_mask
 from .eigcore import EigOptions, EigResult, count_below, lowest_eigenpairs
 from .geometry import (MaskSection, Rect, Section, WaveguideSpec, beta_value,
                        check_length)
-from .thresholds import ess_threshold
 
 __all__ = [
     "MODES",
@@ -292,22 +292,19 @@ def _channel_sums(solved: np.ndarray, w1: float | None, e1: float,
     or above the planar threshold only produce sums at or above e1, so a
     planar list with clearance above its own threshold makes the sum list
     complete below e1.  The channel loop stops at the first k > 1 whose
-    offset exceeds e1 + band, or whose lowest sum exceeds both e1 + band
-    and every channel-1 sum: from there on no sum is counted, sits in the
-    band or ranks among the first len(solved).
+    lowest sum exceeds both e1 + band and every channel-1 sum: from there
+    on no sum is counted, sits in the band or ranks among the first
+    len(solved).
     """
-    if w1 is None:
-        kmax, ceiling = 1, math.inf
-    else:
-        kmax = max(1, int(math.floor(w1 * math.sqrt(max(e1, 0.0)) / math.pi))
-                   + 1)
-        ceiling = max(e1 + band, max(solved) + (math.pi / w1) ** 2)
+    # a 3-D guide's ceiling admits no second channel; NaN stops the walk
+    ceiling = (-math.inf if w1 is None
+               else max(e1 + band, max(solved) + (math.pi / w1) ** 2))
     lowest = min(solved)
     entries = []
     count = 0
-    for k in range(1, kmax + 1):
+    for k in itertools.count(1):
         off = 0.0 if w1 is None else (math.pi * k / w1) ** 2
-        if k > 1 and (off > e1 + band or off + lowest > ceiling):
+        if k > 1 and not off + lowest <= ceiling:
             break
         for m, p in enumerate(solved):
             v = p + off

@@ -21,7 +21,6 @@ from shearspec.certificates import (
 from shearspec.cross_section import section_eigenvalues
 from shearspec.eigcore import EigOptions, smallest_eigenpairs
 from shearspec.geometry import MaskSection, Rect, WaveguideSpec, metric
-from shearspec.thresholds import bound_factor, ess_threshold
 from shearspec.waveguide import (
     DiscretizationSpec,
     benchmark_disc,

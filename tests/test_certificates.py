@@ -14,15 +14,16 @@ from shearspec.certificates import (
     ETA_MEAN,
     RAMP_ENERGY,
     RAMP_MASS,
-    BForm,
+    BRANCH_POINT,
     CertificateResult,
     bform_count,
     default_profile,
     existence_certificate,
     prism_eigen_check,
+    prism_mu_unit,
 )
+from shearspec.cross_section import ess_threshold
 from shearspec.geometry import Rect
-from shearspec.thresholds import BRANCH_POINT, ess_threshold, prism_mu_unit
 
 PI2 = math.pi**2
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)
@@ -370,8 +371,7 @@ def wells(draw):
 @given(wells())
 def test_bform_closed_form_matches_shooting(well):
     beta, eps, kappa, nu = well
-    form = BForm(beta=beta, eps=eps, kappa=kappa, nu=nu, E1=7.0)
-    want = shooting_count(form.c0, form.width)
+    want = shooting_count(1.0 - 2.0 * kappa * beta / eps, math.sqrt(nu))
     assert bform_count(beta, eps, kappa, nu, 7.0) == want
 
 
@@ -383,15 +383,7 @@ def test_bform_validation():
     with pytest.raises(ValueError):
         bform_count(1.0, 2.0, 0.1, -1.0, 10.0)  # nu <= 0
     with pytest.raises(ValueError):
-        BForm(beta=1.0, eps=2.0, kappa=-0.1, nu=1.0, E1=10.0)
-
-
-def test_bform_coefficients():
-    beta, eps = 1.0, 2.0
-    form = BForm(beta=beta, eps=eps, kappa=0.2, nu=1.0,
-                 E1=ess_threshold(beta, UNIT))
-    assert form.c0 == pytest.approx(1.0 - 2.0 * 0.2 * beta / eps)
-    assert form.width == pytest.approx(1.0)
+        bform_count(1.0, 2.0, -0.1, 1.0, 10.0)  # kappa < 0
 
 
 # ---------------------------------------------------------------- prism

@@ -11,7 +11,7 @@ from shearspec.assembly import (
     assemble_waveguide,
     section_fem,
 )
-from shearspec.cross_section import l_shaped_mask
+from shearspec.cross_section import ess_threshold, l_shaped_mask
 from shearspec.eigcore import (
     CountResult,
     EigOptions,
@@ -27,7 +27,6 @@ from shearspec.eigcore import (
     smallest_eigenpairs,
 )
 from shearspec.geometry import Rect
-from shearspec.thresholds import ess_threshold
 
 
 def fd_chain(n, length=1.0):

@@ -8,8 +8,7 @@ import pytest
 
 MODULES = ("shearspec", "shearspec.assembly", "shearspec.certificates",
            "shearspec.cli", "shearspec.cross_section", "shearspec.eigcore",
-           "shearspec.geometry", "shearspec.thresholds",
-           "shearspec.waveguide")
+           "shearspec.geometry", "shearspec.waveguide")
 
 
 @pytest.mark.parametrize("name", MODULES)

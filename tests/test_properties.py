@@ -10,16 +10,20 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearspec.cross_section import rect_mode_value, refine_mask, l_shaped_mask
-from shearspec.geometry import Rect, metric
-from shearspec.thresholds import (
+from shearspec.certificates import (
     BRANCH_POINT,
     beta_star,
     bound_factor,
-    ess_threshold,
     prism_mu_unit,
     uniqueness_condition,
 )
+from shearspec.cross_section import (
+    ess_threshold,
+    l_shaped_mask,
+    rect_mode_value,
+    refine_mask,
+)
+from shearspec.geometry import Rect, metric
 
 EPS = sys.float_info.epsilon
 

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from shearspec.cross_section import l_shaped_mask, section_eigenvalues
-from shearspec.geometry import Rect
-from shearspec.thresholds import (
+from shearspec.certificates import (
     BRANCH_POINT,
     beta_star,
     bound_factor,
-    ess_threshold,
     prism_mu_unit,
     uniqueness_condition,
 )
+from shearspec.cross_section import (
+    ess_threshold,
+    l_shaped_mask,
+    section_eigenvalues,
+)
+from shearspec.geometry import Rect
 
 PI2 = math.pi**2
 UNIT = Rect(0.0, 1.0, 0.0, 1.0)

@@ -13,15 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearspec import assembly, cli, eigcore, waveguide
 from shearspec.cli import load_config
-from shearspec.cross_section import l_shaped_mask, refine_mask
+from shearspec.cross_section import ess_threshold, l_shaped_mask, refine_mask
 from shearspec.eigcore import EigOptions, lowest_eigenpairs, smallest_eigenpairs
 from shearspec.geometry import Rect, WaveguideSpec
-from shearspec.thresholds import ess_threshold
 from shearspec.waveguide import (
     CSV_COLUMNS,
     DiscretizationSpec,
@@ -647,22 +646,56 @@ def _channel_sums_seed(planar, rect, e1, band):
     return entries, count
 
 
+# every channel whose offset is at most this: over the strategy below a
+# counted or band sum is at most e1 + band <= 430, the first len(planar)
+# sums are at most 400 + (pi / 0.3)^2 < 510, and a planar value is at
+# least -50, so no offset above 560 reaches either
+OFFSET_CAP = 1000.0
+
+
+def _channel_sums_brute(planar, w1, e1, band):
+    """Every channel sum with offset up to OFFSET_CAP, ascending, and the
+    count of those below e1 - band."""
+    kmax = int(w1 * math.sqrt(OFFSET_CAP) / math.pi)
+    entries = sorted((p + (math.pi * k / w1) ** 2, m, k)
+                     for k in range(1, kmax + 1) for m, p in enumerate(planar))
+    return entries, sum(1 for v, _, _ in entries if v < e1 - band)
+
+
 class TestChannelSums:
     @settings(max_examples=300, deadline=None)
     @given(planar=st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=8),
            w1=st.floats(0.3, 3.0), e1=st.floats(0.0, 400.0),
            band=st.floats(0.0, 30.0))
+    # channel 2 of value 0 (4.39) ranks above channel 1 of value 4 (5.10),
+    # far above e1 + band; from planar -10 channels 1 and 2 (-7.53, -0.13)
+    # both lie below e1
+    @example(planar=[0.0, 4.0], w1=3.0, e1=0.0, band=0.0)
+    @example(planar=[-10.0], w1=2.0, e1=0.0, band=0.0)
     def test_same_count_list_and_band_as_unbounded(self, planar, w1, e1,
                                                    band):
-        rect = Rect(0.0, w1, 0.0, 1.0)
         got, count = waveguide._channel_sums(planar, w1, e1, band)
-        want, want_count = _channel_sums_seed(planar, rect, e1, band)
+        want, want_count = _channel_sums_brute(planar, w1, e1, band)
         assert count == want_count
         k = len(planar)
         assert got[:k] == want[:k]
         assert set(got) <= set(want)
         near = [e for e in want if abs(e[0] - e1) <= band]
         assert [e for e in got if abs(e[0] - e1) <= band] == near
+
+    def test_ladder_lists_the_lowest_sums_of_every_channel(self):
+        # 24 listed values on the unit square: the planar ground value
+        # plus the channel-2 offset 4 pi^2 ranks 20th, below channel-1
+        # sums the listing would otherwise show in its place
+        disc = DiscretizationSpec(nx=16, n1=8, n2=8, L=4.0, mode="reduced2d",
+                                  refine=2, l_steps=2)
+        rep = compute_spectrum(WaveguideSpec(1.0, SQUARE), disc,
+                               EigOptions(k=24))
+        assert rep.channels.index((0, 2)) == 19
+        assert sum(1 for _, k in rep.channels if k == 2) == 4
+        sums = sorted(p + (math.pi * k) ** 2 for p in rep.solved
+                      for k in range(1, 25))
+        assert rep.eigenvalues.tolist() == sums[:24]
 
     def test_strong_shear_lists_one_channel(self):
         # near the planar threshold the second channel's lowest sum is
