@@ -25,7 +25,6 @@ from .certificates import (
     bound_factor,
     existence_certificate,
     prism_eigen_check,
-    uniqueness_condition,
 )
 from .geometry import (
     MaskSection,
@@ -55,7 +54,6 @@ __all__ = [
     "ess_threshold",
     "beta_star",
     "bound_factor",
-    "uniqueness_condition",
     "section_eigenvalues",
     "refine_mask",
     "l_shaped_mask",

@@ -16,6 +16,8 @@ ratio (d-c)/(b-a), below which exactly one discrete eigenvalue sits
 under the threshold E1(beta).  It comes from a two-step chain: the
 second prism eigenvalue mu2 at shear beta is at least bound_factor(beta)
 times its beta=1 value, and uniqueness needs mu2(beta) to reach E1(beta).
+prism_eigen_check reports the chain's two sides, PrismReport.lower_bound
+and threshold_rhs, beside the numeric mu2.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "CutoffProfile",
     "CertificateResult",
     "PrismReport",
-    "UniquenessReport",
     "BRANCH_POINT",
     "default_profile",
     "existence_certificate",
@@ -43,7 +44,6 @@ __all__ = [
     "beta_star",
     "bound_factor",
     "prism_mu_unit",
-    "uniqueness_condition",
     "prism_eigen_check",
 ]
 
@@ -212,7 +212,7 @@ def beta_star(R: float) -> float:
     (1/2) sqrt(-R^2 + 3 + sqrt(49 + 2R^2 + R^4)).
 
     The two branches do not meet at R = 2/sqrt(3) (2 vs about 1.498);
-    the jump is kept as is and flagged by uniqueness_condition.
+    the jump is kept as is.
     """
     if not (R > 0.0 and math.isfinite(R)):
         raise ValueError(f"aspect ratio must be positive, got {R}")
@@ -245,52 +245,6 @@ def prism_mu_unit(rect: Rect) -> tuple[float, float]:
     else:
         mu2 = math.pi**2 * (5.0 / w2**2 + 1.0 / w1**2)
     return mu1, mu2
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Outcome of the sufficient uniqueness condition beta < beta_star(R).
-
-    ``chain_holds`` reports whether the explicit lower-bound chain
-    bound_factor(beta) * mu2(1) >= E1(beta) closes numerically at these
-    parameters; the sufficient condition is the beta_star comparison.
-    """
-
-    holds: bool
-    beta: float
-    beta_star: float
-    aspect: float
-    branch: str               # 'linear' | 'radical'
-    bound_factor: float
-    mu2_lower: float          # bound_factor * mu2(1)
-    threshold: float          # E1(beta)
-    chain_holds: bool
-    near_branch_jump: bool
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def uniqueness_condition(beta, rect: Rect) -> UniquenessReport:
-    """Strict test beta < beta_star(R), with both sides of the chain."""
-    b = beta_value(beta)
-    R = rect.aspect
-    bs = beta_star(R)
-    fac = bound_factor(b)
-    _, mu2 = prism_mu_unit(rect)
-    e1 = ess_threshold(b, rect)
-    return UniquenessReport(
-        holds=b < bs,
-        beta=b,
-        beta_star=bs,
-        aspect=R,
-        branch="linear" if R <= BRANCH_POINT else "radical",
-        bound_factor=fac,
-        mu2_lower=fac * mu2,
-        threshold=e1,
-        chain_holds=fac * mu2 >= e1,
-        near_branch_jump=abs(R - BRANCH_POINT) <= 1e-9,
-    )
 
 
 @dataclass(frozen=True)

@@ -110,19 +110,24 @@ def load_mask(path: str) -> MaskSection:
                 raise ConfigError(f"bad mask character {e} in {path}")
     if cell is None:
         raise ConfigError(f"mask file {path} lacks a 'cell <h>' line")
-    if not rows or len({len(r) for r in rows}) != 1:
+    if not rows:
+        raise ConfigError(f"mask file {path} has no cell rows")
+    if len({len(r) for r in rows}) != 1:
         raise ConfigError(f"mask file {path} needs equal-length rows")
     return MaskSection(inside=np.array(rows, dtype=bool), cell=cell)
 
 
 def _parse_rect(values) -> Rect:
-    if isinstance(values, str):
-        values = values.split(",")
-    elif not all(_is(v, NUM[0]) for v in values):
-        raise ConfigError(f"rect needs four numbers a,b,c,d, got {values}")
-    vals = [float(v) for v in values]
-    if len(vals) != 4:
-        raise ConfigError(f"rect needs four numbers a,b,c,d, got {vals}")
+    """A rectangle from the text "a,b,c,d" or a list of four numbers."""
+    text = isinstance(values, str)
+    parts = values.split(",") if text else values
+    try:
+        if len(parts) != 4 or not (text or all(_is(v, NUM[0]) for v in parts)):
+            raise ValueError
+        vals = [float(v) for v in parts]
+    except ValueError:
+        raise ConfigError(f"rect needs four numbers a,b,c,d, "
+                          f"got {values!r}") from None
     return Rect(*vals)
 
 

@@ -405,6 +405,12 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
             _rung_setup(beta, section, disc, p, shared if p[0] == tr
                         else None) + (None, 0.0))
         if sol is None:
+            if form.n < k_solve:
+                raise ValueError(
+                    f"rung r{p[0]}s{p[1]} has order {form.n}, fewer than "
+                    f"the k_solve = {k_solve} pairs each rung resolves (the "
+                    f"largest of eig k = {base.k}, 4 and the top count + 2);"
+                    " lower eig k or raise the coarsest grid sizes")
             sigma = e1_r - offset if theta1 is None else theta1 - drop
             sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre,
                                     sigma=sigma)

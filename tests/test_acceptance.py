@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg as sla
 
 from shearspec.certificates import (
+    beta_star,
     bform_count,
     default_profile,
     existence_certificate,
@@ -86,9 +87,9 @@ def benchmark_report():
 @pytest.fixture(scope="module")
 def uniqueness_reports(benchmark_report):
     runs = [
-        ("R=1 beta=0.866", _ladder(0.5 * math.sqrt(3.0), SQUARE, 64, 16, 8.0)),
-        ("R=1 beta=1.559", _ladder(0.9 * math.sqrt(3.0), SQUARE, 48, 16, 4.0)),
-        ("R=2 beta=1.236", _ladder(0.9 * 1.3733, TALL, 48, 24, 8.0)),
+        ("R=1 beta=0.866", _ladder(0.5 * beta_star(1.0), SQUARE, 64, 16, 8.0)),
+        ("R=1 beta=1.559", _ladder(0.9 * beta_star(1.0), SQUARE, 48, 16, 4.0)),
+        ("R=2 beta=1.236", _ladder(0.9 * beta_star(2.0), TALL, 48, 24, 8.0)),
         ("R=4.443 beta=1", benchmark_report),
     ]
     return runs
@@ -194,8 +195,8 @@ def test_c08_separation():
 
 def test_c09_certificate(square_ladders):
     eta0 = float(default_profile().eta(0.0))
-    cases = [(b, SQUARE) for b in SQUARE_DISCS] + [(0.9 * 1.3733, TALL),
-                                                   (1.0, STRIP)]
+    cases = [(b, SQUARE) for b in SQUARE_DISCS] + [
+        (0.9 * beta_star(2.0), TALL), (1.0, STRIP)]
     cross_err = 0.0
     verdicts = True
     for b, rect in cases:

@@ -17,6 +17,7 @@ from shearspec.certificates import (
     BRANCH_POINT,
     CertificateResult,
     bform_count,
+    bound_factor,
     default_profile,
     existence_certificate,
     prism_eigen_check,
@@ -501,6 +502,15 @@ def test_prism_check_near_critical_beta():
     beta = 0.9 * math.sqrt(3.0)  # inside the uniqueness window at R = 1
     rep = prism_eigen_check(beta, UNIT, 32)
     assert rep.threshold_margin > 0.0
+
+
+def test_prism_check_reports_both_sides_of_the_chain():
+    # lower_bound and threshold_rhs are bound_factor(beta) * mu2(1) and
+    # E1(beta), the two sides the beta_star(R) chain compares
+    for beta, rect in ((1.56, UNIT), (1.2, Rect(0, 1, 0, 2))):
+        rep = prism_eigen_check(beta, rect, 16)
+        assert rep.lower_bound == bound_factor(beta) * prism_mu_unit(rect)[1]
+        assert rep.threshold_rhs == ess_threshold(beta, rect)
 
 
 def test_prism_slant_residual_decreases():

@@ -150,6 +150,15 @@ class TestThresholds:
         assert d["ess_threshold"] == d["E1"]
         assert d["E1"] < d["E2"]
 
+    def test_non_numeric_rect_names_the_rect(self, capsys, tmp_path):
+        want = "error: rect needs four numbers a,b,c,d, got '0,1,0,x'\n"
+        code, _, err = run(capsys, "thresholds", "--beta", "1",
+                           "--rect", "0,1,0,x")
+        assert (code, err) == (2, want)
+        cfg = write_config(tmp_path, rect="0,1,0,x")
+        code, _, err = run(capsys, "spectrum", str(cfg))
+        assert (code, err) == (2, want)
+
 
 class TestCertify:
     def test_unit_square_certificate(self, capsys):
@@ -467,6 +476,17 @@ class TestSpectrum:
         assert (a / "eigenvalues.csv").read_bytes() == \
                (b / "eigenvalues.csv").read_bytes()
 
+    def test_rung_below_k_solve_is_named(self, capsys, tmp_path):
+        # the top rung is counted first; the coarse r0s1 (order 112)
+        # cannot hold the 200 pairs every rung resolves
+        cfg = write_config(tmp_path, disc={
+            "nx": 8, "n1": 8, "n2": 8, "L": 3.0, "mode": "reduced",
+            "refine": 2, "l_steps": 2}, eig={"k": 200})
+        code, _, err = run(capsys, "spectrum", str(cfg))
+        assert code == 2
+        assert err.startswith("error: rung r0s1 has order 112, ")
+        assert "k_solve = 200" in err and "eig k = 200" in err
+
 
 class TestSweep:
     def test_rows_and_exit(self, capsys, tmp_path):
@@ -720,6 +740,14 @@ class TestMaskFiles:
         p.write_text("cell 1.0\n11\n111\n")
         with pytest.raises(ConfigError, match="equal-length"):
             load_mask(str(p))
+
+    def test_cell_line_without_rows(self, capsys, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("// no cells\ncell 0.25\n")
+        code, _, err = run(capsys, "thresholds", "--beta", "1",
+                           "--mask", str(p))
+        assert code == 2
+        assert err == f"error: mask file {p} has no cell rows\n"
 
 
 class TestParser:

@@ -14,8 +14,6 @@ from shearspec.certificates import (
     BRANCH_POINT,
     beta_star,
     bound_factor,
-    prism_mu_unit,
-    uniqueness_condition,
 )
 from shearspec.cross_section import (
     ess_threshold,
@@ -80,18 +78,6 @@ def test_bound_factor_range_and_duality(b):
                                             (1 + b * b) / 2))
     # the factor cannot tell a shear from its reciprocal
     assert math.isclose(fac, bound_factor(1.0 / b), rel_tol=1e-12)
-
-
-@settings(deadline=None)
-@given(betas, rects())
-def test_uniqueness_report_is_consistent(b, rect):
-    rep = uniqueness_condition(b, rect)
-    assert rep.holds == (b < rep.beta_star)
-    assert rep.branch == ("linear" if rect.aspect <= BRANCH_POINT
-                          else "radical")
-    assert rep.mu2_lower == rep.bound_factor * prism_mu_unit(rect)[1]
-    assert rep.threshold == ess_threshold(b, rect)
-    assert bool(rep) == rep.holds
 
 
 @given(st.integers(min_value=1, max_value=6),

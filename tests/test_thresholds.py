@@ -8,7 +8,6 @@ from shearspec.certificates import (
     beta_star,
     bound_factor,
     prism_mu_unit,
-    uniqueness_condition,
 )
 from shearspec.cross_section import (
     ess_threshold,
@@ -111,28 +110,23 @@ def test_prism_mu_wide_branch():
     assert mu2 == pytest.approx(PI2 * (5 / 4 + 1))
 
 
-# ---------------------------------------------------------------- uniqueness
+# ---------------------------------------------------------- one-state bound
+
+def _chain_holds(beta, rect):
+    """The explicit chain bound_factor(beta) * mu2(1) >= E1(beta)."""
+    return (bound_factor(beta) * prism_mu_unit(rect)[1]
+            >= ess_threshold(beta, rect))
+
 
 def test_uniqueness_examples():
-    assert uniqueness_condition(1.0, WIDE).holds
-    assert not uniqueness_condition(2.0, UNIT).holds
+    assert 1.0 < beta_star(WIDE.aspect)
+    assert not 2.0 < beta_star(UNIT.aspect)
 
 
 def test_uniqueness_boundary_is_strict():
-    rep = uniqueness_condition(math.sqrt(3.0), UNIT)
-    assert rep.beta == rep.beta_star
-    assert not rep.holds
-
-
-def test_uniqueness_report_fields():
-    rep = uniqueness_condition(1.0, WIDE)
-    assert rep.branch == "radical"
-    assert rep.threshold == pytest.approx(PI2 + 1.0)
-    assert rep.bound_factor == pytest.approx(1.0)
-    assert bool(rep) is True
-    assert not rep.near_branch_jump
-    near = uniqueness_condition(1.0, Rect(0, 1, 0, BRANCH_POINT))
-    assert near.near_branch_jump
+    beta = math.sqrt(3.0)
+    assert beta == beta_star(UNIT.aspect)
+    assert not beta < beta_star(UNIT.aspect)
 
 
 def _chain_region_oracle(R: float, beta: float) -> bool:
@@ -162,7 +156,7 @@ def test_chain_flag_matches_region_algebra():
         rect = Rect(0.0, 1.0, 0.0, R)
         for beta in rng_b:
             want = _chain_region_oracle(R, beta)
-            got = uniqueness_condition(beta, rect).chain_holds
+            got = _chain_holds(beta, rect)
             # skip points sitting on a region boundary to float precision
             if abs(beta - 1.0) < 1e-2:
                 continue
@@ -172,9 +166,8 @@ def test_chain_flag_matches_region_algebra():
 def test_chain_can_fail_inside_the_linear_branch():
     # beta below beta_star does not guarantee the explicit chain closes:
     # the sufficient condition and its printed derivation part ways here
-    rep = uniqueness_condition(1.56, UNIT)
-    assert rep.holds
-    assert not rep.chain_holds
+    assert 1.56 < beta_star(UNIT.aspect)
+    assert not _chain_holds(1.56, UNIT)
 
 
 def test_chain_equals_condition_above_one_on_radical_branch():
@@ -182,7 +175,6 @@ def test_chain_equals_condition_above_one_on_radical_branch():
         rect = Rect(0.0, 1.0, 0.0, R)
         bs = beta_star(R)
         for beta in np.linspace(1.01, 2.0 * bs, 25):
-            rep = uniqueness_condition(float(beta), rect)
             if abs(beta - bs) < 1e-3:
                 continue
-            assert rep.chain_holds == rep.holds
+            assert _chain_holds(float(beta), rect) == (beta < bs)
