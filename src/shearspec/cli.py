@@ -4,8 +4,10 @@ Commands print a short summary on stdout and, when an output directory
 is given, write diff-able artifacts next to a manifest recording the
 config hash, seed, and library versions.  Runs are deterministic for a
 fixed config and seed, so rerunning a manifest at the same BLAS thread
-count reproduces its CSVs byte for byte (across thread counts the
-``residual`` column is rounding noise).  Every file is written by
+count reproduces its CSVs byte for byte.  Dense and factored solves run
+on one BLAS thread at any count, so the CSVs of a ladder whose rungs are
+all dense or factored reproduce across thread counts too; on block-CG
+rungs the ``residual`` column is rounding noise.  Every file is written by
 ``_write``, every CSV made by ``_csv``.  Exit codes: 0 success, 2 bad
 arguments, config or output directory, 3 solver non-convergence, 4
 inconclusive result.

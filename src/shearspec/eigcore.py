@@ -25,6 +25,15 @@ own OpenBLAS, whose threads busy-wait after a product, and a scipy LAPACK
 call right after numpy GEMMs waits on them: the 385-order section
 ``eigh`` of the L-mask took 41-153 ms right after a block-CG solve on
 numpy's GEMMs, and 23-31 ms alone or after one on scipy's (2 cores).
+Dense and factored solves and inertia counts run that pool on one
+thread (``_ONE_BLAS_THREAD``): band Cholesky, the band triangular
+solves, ARPACK's products and dense ``eigh`` gain nothing from a second
+thread, which is woken anyway and spins through the rest of the call.
+On the strip benchmark, cpu time read 1.98 times wall time on the pool
+and 1.00 on one thread, and fell from 0.24 to 0.11 s a call (median of
+10, 2 cores).  Block CG keeps the caller's pool, because its GEMMs are
+the only work a second thread speeds up: with the whole process on one
+thread, the L-mask benchmark took 0.53-0.56 s against 0.50 s.
 
 Every pencil solve goes through ``lowest_eigenpairs`` and one rule:
 pencils of order up to DENSE_N, and requests for the full eigenbasis,
@@ -43,12 +52,17 @@ factored and large 3-D sections iterate.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
+import glob
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.fft import dct, dst
@@ -128,6 +142,68 @@ def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, *,
     sla.blas.dgemm(alpha, a, b, beta=beta, c=out, trans_a=trans_a,
                    overwrite_c=1)
     return out
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS that scipy
+    bundles, or None when no such library is found.  Resolved on first
+    use, not at import."""
+    libdir = os.path.join(os.path.dirname(scipy.__file__), os.pardir,
+                          "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Re-entrant scope that runs scipy's OpenBLAS on one thread.
+
+    The first entry saves the caller's thread count and sets 1, the last
+    exit restores it, also when the scope is left by an exception; the
+    entries are counted under a lock.  A no-op when the library is not
+    found or its count is already 1.  The count is process-wide, so a
+    block CG run by another thread while a scope is open runs on one
+    thread too.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None   # the caller's count, while it is lowered
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                api = _openblas_threads()
+                count = api[0]() if api else 1
+                if count > 1:
+                    api[1](1)
+                    self._restore = count
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                _openblas_threads()[1](self._restore)
+                self._restore = None
+        return False
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _csr_bandwidth(m: sp.csr_matrix) -> int:
@@ -664,10 +740,14 @@ def _shifted(A, M, sigma: float) -> sp.csr_matrix:
 def _lower_band(S: sp.csr_matrix, kd: int) -> np.ndarray:
     """Symmetric S in LAPACK lower band storage, ab[i - j, j] = S[i, j];
     column-major, so LAPACK factors it in place."""
-    c = S.tocoo()
-    low = c.row >= c.col
-    ab = np.zeros((kd + 1, S.shape[0]), order="F")
-    ab[c.row[low] - c.col[low], c.col[low]] = c.data[low]
+    n = S.shape[0]
+    cols = S.indices
+    # i - j of every stored entry, read from the CSR arrays in place
+    off = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(S.indptr))
+    off -= cols
+    low = off >= 0
+    ab = np.zeros((kd + 1, n), order="F")
+    ab[off[low], cols[low]] = S.data[low]
     return ab
 
 
@@ -750,6 +830,54 @@ def _negative_count(S: sp.csr_matrix, kd: int) -> int:
         start += nxt
 
 
+def _shift_invert(A, M, band, k: int, opts: EigOptions,
+                  sigma: float) -> EigResult | None:
+    """The factored branch of ``lowest_eigenpairs`` on ``band``, the
+    ``_band_pencil`` of (A, M); None when no shift of the back-off
+    factors."""
+    Ac, Mc, kd = band
+    n = Ac.shape[0]
+    # back off from a sigma that is not below the spectrum by
+    # sigma (1 - 2^-j), j = 4, 3, 2, 1, down to 0 at j = 0
+    for shift in dict.fromkeys([float(sigma)] + [
+            sigma * (1.0 - 0.5 ** j) for j in (4, 3, 2, 1, 0)]):
+        chol = _band_cholesky(Ac, Mc, kd, shift)
+        if chol is not None:
+            break
+    else:
+        return None
+    applies = 0
+
+    def op(y):
+        """C y for C = L^-1 M L^-T, whose largest eigenvalues are
+        1 / (theta - shift) for the lowest theta."""
+        nonlocal applies
+        applies += 1
+        y = y.reshape(n, -1)
+        return _band_solve(chol, Mc @ _band_solve(chol, y, "T"), "N")
+
+    v0 = np.random.default_rng(opts.seed).standard_normal(n)
+    mu, Y = eigsh(LinearOperator((n, n), matvec=op, dtype=float), k=k,
+                  which="LA", v0=v0, tol=opts.tol)
+    theta = shift + 1.0 / mu
+    order = np.argsort(theta)
+    theta = theta[order]
+    V = _band_solve(chol, Y[:, order], "T")
+    MV = M @ V
+    norm = np.sqrt(np.einsum("ij,ij->j", V, MV))
+    V /= norm
+    MV /= norm
+    return _direct_result(A, theta, V, MV, applies, "shift_invert", shift)
+
+
+def _direct_result(A, theta, V, MV, applies, solver, shift) -> EigResult:
+    """EigResult of a dense or factored solve, every pair converged, with
+    residuals from fresh applies (MV = M V)."""
+    res = np.linalg.norm(A @ V - MV * theta, axis=0)
+    return EigResult(theta, V, np.ones(theta.size, dtype=bool), applies, 0,
+                     res, solver, shift)
+
+
 def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
                       precond=None, *, sigma: float = 0.0) -> EigResult:
     """Lowest ``k`` generalized eigenpairs of (A, M), by the one rule.
@@ -760,14 +888,17 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     that succeeds proves sigma lies below the spectrum.  A sigma that is not below it
     backs off to sigma (1 - 2^-j), j = 4, 3, 2, 1, and then to 0, each
     step certified by its own factorization.  Lanczos in standard form
-    on C = L^-1 M L^-T, from a start vector seeded by ``opts.seed`` and
-    at ARPACK's default (machine precision) tolerance, returns the
-    largest eigenvalues mu of C: theta = shift + 1 / mu are the lowest
-    k, and x = L^-T y, M-normalized, their vectors; ``iterations`` counts
-    the applies of C.  Any other pencil, or one whose A is not positive
-    definite, goes to ``smallest_eigenpairs`` with ``precond``.  Direct
-    solves report residuals from fresh applies; ``solver`` records the
-    branch taken and ``shift`` the certified sigma.
+    on C = L^-1 M L^-T, from a start vector seeded by ``opts.seed``,
+    returns the k largest eigenvalues mu of C, each stopped by ARPACK's
+    test ||C y - mu y|| <= ``opts.tol`` |mu|, which certifies
+    ``converged``: theta = shift + 1 / mu are the lowest k, and
+    x = L^-T y, M-normalized, their vectors; ``iterations`` counts the
+    applies of C.  Dense solves run to machine precision.  Both branches
+    run on one BLAS thread (``_ONE_BLAS_THREAD``).  Any other pencil, or
+    one whose A is not positive definite, goes to ``smallest_eigenpairs``
+    with ``precond``, on the caller's BLAS pool.  Direct solves report
+    residuals from fresh applies; ``solver`` records the branch taken and
+    ``shift`` the certified sigma.
     """
     opts = opts or EigOptions()
     n = _order(A)
@@ -775,49 +906,19 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
         M = sp.identity(n, format="csr")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    shift = None
-    applies = 0
     if k is None or k == n or n <= DENSE_N:
-        solver = "dense"
-        theta, V = sla.eigh(materialize(A), materialize(M),
-                            subset_by_index=None if k is None else [0, k - 1])
-    else:
-        band = _band_pencil(A, M, min(k + 3, n))
-        chol = None
-        if band is not None:
-            Ac, Mc, kd = band
-            # back off from a sigma that is not below the spectrum by
-            # sigma (1 - 2^-j), j = 4, 3, 2, 1, down to 0 at j = 0
-            for shift in dict.fromkeys([float(sigma)] + [
-                    sigma * (1.0 - 0.5 ** j) for j in (4, 3, 2, 1, 0)]):
-                chol = _band_cholesky(Ac, Mc, kd, shift)
-                if chol is not None:
-                    break
-        if chol is None:
-            return smallest_eigenpairs(A, M, dataclasses.replace(opts, k=k),
-                                       precond)
-        solver = "shift_invert"
-
-        def op(y):
-            """C y for C = L^-1 M L^-T, whose largest eigenvalues are
-            1 / (theta - shift) for the lowest theta."""
-            nonlocal applies
-            applies += 1
-            y = y.reshape(n, -1)
-            return _band_solve(chol, Mc @ _band_solve(chol, y, "T"), "N")
-
-        v0 = np.random.default_rng(opts.seed).standard_normal(n)
-        mu, Y = eigsh(LinearOperator((n, n), matvec=op, dtype=float), k=k,
-                      which="LA", v0=v0)
-        theta = shift + 1.0 / mu
-        order = np.argsort(theta)
-        theta = theta[order]
-        V = _band_solve(chol, Y[:, order], "T")
-        V = V / np.sqrt(np.einsum("ij,ij->j", V, M @ V))
-    MV = M @ V
-    res = np.linalg.norm(A @ V - MV * theta, axis=0)
-    return EigResult(theta, V, np.ones(theta.size, dtype=bool), applies, 0,
-                     res, solver, shift)
+        with _ONE_BLAS_THREAD:
+            theta, V = sla.eigh(materialize(A), materialize(M),
+                                subset_by_index=None if k is None
+                                else [0, k - 1])
+            return _direct_result(A, theta, V, M @ V, 0, "dense", None)
+    band = _band_pencil(A, M, min(k + 3, n))
+    if band is not None:
+        with _ONE_BLAS_THREAD:
+            res = _shift_invert(A, M, band, k, opts, sigma)
+        if res is not None:
+            return res
+    return smallest_eigenpairs(A, M, dataclasses.replace(opts, k=k), precond)
 
 
 @dataclass
@@ -860,9 +961,10 @@ def count_below(A, M, threshold: float, safety: float,
     band = _band_pencil(A, M, min(k + 3, n))
     if band is not None:
         Ac, Mc, kd = band
-        below = _negative_count(_shifted(Ac, Mc, threshold - safety), kd)
-        above = below if safety == 0 else _negative_count(
-            _shifted(Ac, Mc, threshold + safety), kd)
+        with _ONE_BLAS_THREAD:
+            below = _negative_count(_shifted(Ac, Mc, threshold - safety), kd)
+            above = below if safety == 0 else _negative_count(
+                _shifted(Ac, Mc, threshold + safety), kd)
         return CountResult(below, above != below, math.inf, None,
                            (below, above))
     while True:

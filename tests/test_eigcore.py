@@ -794,3 +794,113 @@ def test_splu_and_jacobi_preconditioners_run():
     res2 = smallest_eigenpairs(A, None, EigOptions(k=2, tol=1e-9), jac)
     assert res2.ok
     assert np.allclose(res.theta, res2.theta, rtol=1e-8)
+
+
+# ------------------------------------------------------ one BLAS thread
+
+@pytest.fixture
+def blas_threads():
+    """The thread count getter of scipy's OpenBLAS, with the pool set to
+    2 threads for the test and the caller's count restored after it."""
+    api = eigcore._openblas_threads()
+    if api is None:
+        pytest.skip("scipy's OpenBLAS thread API not found")
+    get, put = api
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("scipy's OpenBLAS cannot run 2 threads here")
+        yield get
+    finally:
+        put(before)
+
+
+def _spy_threads(monkeypatch, get, names):
+    """Wrap the eigcore functions ``names`` to record the thread count each
+    call sees; returns the list they append to."""
+    seen = []
+    for name in names:
+        def spy(*args, _f=getattr(eigcore, name), **kwargs):
+            seen.append(get())
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(eigcore, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("k, solver", [(None, "dense"), (4, "shift_invert")])
+def test_direct_solves_run_on_one_blas_thread(monkeypatch, blas_threads,
+                                             k, solver):
+    form = shear_pencils()["reduced2d"]
+    seen = _spy_threads(monkeypatch, blas_threads,
+                        ["materialize", "_band_cholesky", "_band_solve",
+                         "_direct_result"])
+    res = lowest_eigenpairs(form.A, form.M, k)
+    assert res.solver == solver
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_inertia_count_runs_on_one_blas_thread(monkeypatch, blas_threads):
+    form = shear_pencils()["reduced2d"]
+    lam = dense_spectrum(form)
+    seen = _spy_threads(monkeypatch, blas_threads, ["_negative_count"])
+    T = 0.5 * (lam[1] + lam[2])
+    r = count_below(form.A, form.M, T, 1e-6 * T)
+    assert r.result is None and r.count == 2
+    assert seen == [1, 1]
+    assert blas_threads() == 2
+
+
+def test_one_blas_thread_scope_restores_the_count(blas_threads):
+    with pytest.raises(RuntimeError, match="inside"):
+        with eigcore._ONE_BLAS_THREAD:
+            with eigcore._ONE_BLAS_THREAD:
+                assert blas_threads() == 1
+            # the inner exit leaves the outer scope at one thread
+            assert blas_threads() == 1
+            raise RuntimeError("inside")
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (wide_pencils()["half_DN"].A, wide_pencils()["half_DN"].M),
+    # no shift factors: the factored branch hands the pencil to block CG
+    lambda: (sp.diags(np.linspace(-2.0, 10.0, 800)).tocsr(), None),
+], ids=["wide", "fallback"])
+def test_block_cg_keeps_the_callers_blas_pool(monkeypatch, blas_threads,
+                                              build):
+    A, M = build()
+    seen = _spy_threads(monkeypatch, blas_threads, ["_gemm"])
+    res = lowest_eigenpairs(A, M, 3, EigOptions(tol=1e-9))
+    assert res.solver == "block_cg"
+    assert seen and set(seen) == {2}
+
+
+def test_factored_solve_is_bitwise_the_same_at_any_pool_size(blas_threads):
+    # the demo square config's top rung, unshifted so that ARPACK
+    # restarts: on a two-thread pool its products round otherwise, and
+    # theta and the residuals differ in the last bits
+    form = assemble_reduced2d(1.0, Rect(0.0, 1.0, 0.0, 1.0), 6.0, (384, 64))
+    put = eigcore._openblas_threads()[1]
+    got = []
+    for threads in (1, 2):
+        put(threads)
+        res = lowest_eigenpairs(form.A, form.M, 4)
+        assert res.solver == "shift_invert"
+        got.append(res)
+    assert got[0].theta.tobytes() == got[1].theta.tobytes()
+    assert got[0].residuals.tobytes() == got[1].residuals.tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_factored_solve_stops_at_the_tolerance(tol):
+    # ARPACK's test on L^-1 M L^-T certifies the pencil residual
+    # ||Ax - theta Mx|| <= tol |theta| of every returned pair
+    form = shear_pencils()["reduced2d"]
+    res = lowest_eigenpairs(form.A, form.M, 4, EigOptions(tol=tol))
+    assert res.solver == "shift_invert" and res.ok
+    V = res.vectors
+    true = np.linalg.norm(form.A @ V - (form.M @ V) * res.theta, axis=0)
+    assert np.all(true <= tol * np.abs(res.theta))
+    assert res.theta == pytest.approx(dense_spectrum(form)[:4], rel=1e-10)
