@@ -9,12 +9,13 @@ section factor, and its M a single one (``MassKron``, a one-term
 ``KronOp``); each is assembled once into one CSR matrix, so that an
 apply is a single sparse product.  The solver is a locally optimal block
 preconditioned CG iteration with an [X P W] Rayleigh-Ritz space that
-applies A and M once each per iteration and carries the products of X
-and P.  The space and its products live in two alternating sets of
-column-major n x 3 bs workspaces, so that each Gram matrix and each
-basis change is one matrix product.  Preconditioning inverts the
-separable part of A exactly through per-factor eigenbases, which for
-uniform grids are plain sine/cosine transforms.
+applies A and M once each per iteration, carries the products of X and
+P, and stops each pair when a Kato-Temple bound puts its value within
+the tolerance (``_settled``).  The space and its products live in two
+alternating sets of column-major n x 3 bs workspaces, so that each Gram
+matrix and each basis change is one matrix product.  Preconditioning
+inverts the separable part of A exactly through per-factor eigenbases,
+which for uniform grids are plain sine/cosine transforms.
 
 Dense kernels run on one BLAS pool, scipy's.  Every n-row product of
 block CG and the dense section transform of the preconditioner are
@@ -486,7 +487,7 @@ class EigOptions:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        # the residual test is relative to |theta|: a tolerance of 1 or
+        # the stopping tests are relative to |theta|: a tolerance of 1 or
         # more can pass a random start block as converged
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
@@ -507,8 +508,10 @@ class EigResult:
     # A block applies, each paired with one M apply: the start block,
     # one per iteration, one per convergence confirmation
     matmats: int
-    residuals: np.ndarray      # ||A x - theta M x||_2 per requested pair,
-                               # from freshly applied products
+    # ||A x - theta M x||_2 per requested pair, from freshly applied
+    # products.  Block CG stops on the diag(M)^-1 norm (``_settled``);
+    # this stays the 2-norm, the CSV ``residual`` column
+    residuals: np.ndarray
     solver: str                # "dense", "block_cg" or "shift_invert"
     shift: float | None = None  # sigma of a factored solve, certified
                                 # below the spectrum by its Cholesky
@@ -566,18 +569,47 @@ def _rayleigh_ritz(GA: np.ndarray, GM: np.ndarray, bs: int):
     return theta, T @ Z
 
 
-def _settled(theta: np.ndarray, rn: np.ndarray, k: int, tol: float) -> bool:
-    """Whether the lowest k pairs meet ||Ax - theta Mx|| <= tol |theta|.
+# 2^d for d <= 3: the eigenvalues of diag(M)^-1 M of a P1 or Q1 mass
+# matrix lie in [2^-d, (3/2)^d] (Wathen 1987), and a mask's mass is a
+# principal submatrix of its box's, so ||r||_{M^-1}^2 <= 8 ||r||_D^2 for
+# ||r||_D^2 = sum_i r_i^2 / M_ii, at every mesh and length scale
+_MASS_BOUND = 8.0
 
-    Pairs beyond k that are nearly degenerate with theta[k-1] must
-    settle too, or the requested values can still drift.
+
+def _dnorm(R: np.ndarray, dinv: np.ndarray) -> np.ndarray:
+    """Column norms ||r||_D = (sum_i r_i^2 / M_ii)^(1/2) of R, for
+    ``dinv`` = 1 / diag(M).  numpy's own sum-of-products loop, with no
+    temporary and no BLAS pool: numpy's ``@`` would wake its own."""
+    return np.sqrt(np.einsum("ij,ij,i->j", R, R, dinv))
+
+
+def _settled(theta: np.ndarray, dn: np.ndarray, k: int,
+             tol: float) -> np.ndarray:
+    """Per pair, whether its Ritz value is accurate to tol |theta|, for
+    the lowest k pairs and the pairs beyond k that are nearly degenerate
+    with theta[k-1] (else the requested values can still drift).
+
+    ``dn`` holds the residual norms ||Ax - theta Mx||_D.  Pair j passes
+    the Kato-Temple test 8 ||r_j||_D^2 <= tol |theta_j| delta_j, delta_j
+    the distance from theta_j to the next Ritz value outside its cluster
+    (consecutive values within 1e-6 |theta| of each other).  A pair
+    whose cluster reaches the end of the block has no such gap and
+    passes on sqrt(8) ||r_j||_D <= tol |theta_j|.
     """
+    bs = theta.size
+    # split[i]: a cluster ends at i, and theta[i + 1] opens the next
+    split = np.diff(theta) > 1e-6 * np.abs(theta[:-1])
     need = k
-    while need < theta.size - 1 and theta[need] - theta[k - 1] <= \
-            1e-6 * max(1.0, abs(theta[k - 1])):
+    while need < bs - 1 and not split[need - 1]:
         need += 1
-    scale = np.maximum(np.abs(theta[:need]), 1e-300)
-    return bool(np.all(rn[:need] <= tol * scale))
+    above = np.full(bs, np.nan)   # the first value above each cluster
+    for j in range(bs - 2, -1, -1):
+        above[j] = theta[j + 1] if split[j] else above[j + 1]
+    scale = tol * np.abs(theta[:need])
+    bound = _MASS_BOUND * dn[:need] ** 2
+    gap = above[:need] - theta[:need]
+    return np.where(np.isnan(gap), bound <= scale * scale,
+                    bound <= scale * gap)
 
 
 def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
@@ -602,8 +634,9 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
 
     Deterministic for a fixed seed.  Ritz values are always upper bounds
     for the corresponding exact eigenvalues (min-max over the current
-    subspace), converged or not; `converged` reports which pairs met the
-    relative residual tolerance.
+    subspace), converged or not; `converged` reports which pairs met
+    ``_settled``'s test, a Kato-Temple bound of tol |theta| on the error
+    of their value, on the fresh products.
     """
     opts = opts or EigOptions()
     n = _order(A)
@@ -620,6 +653,10 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
             precond = JacobiPrecond(A.diagonal())
         except ValueError:
             precond = lambda R, sigma: R
+    d = M.diagonal()
+    if not np.all(d > 0.0):
+        raise SolverError("mass operator is not positive definite")
+    dinv = 1.0 / d
 
     # two sets of [X P W], [AX AP AW], [MX MP MW]
     sets = [[np.empty((n, 3 * bs), order="F") for _ in range(3)]
@@ -649,19 +686,18 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
     while True:
         X, AX, MX = S[:, :bs], AS[:, :bs], MS[:, :bs]
         R = AX - MX * theta
-        rn = np.linalg.norm(R, axis=0)
-        if it == opts.maxit or _settled(theta, rn, k, opts.tol):
+        ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+        if it == opts.maxit or ok.all():
             # the carried products drift by rounding; only fresh ones
             # may certify convergence
             theta = ritz(X, AX, MX)
             nmat += 1
             R = AX - MX * theta
-            rn = np.linalg.norm(R, axis=0)
-            if it == opts.maxit or _settled(theta, rn, k, opts.tol):
-                conv = rn[:k] <= opts.tol * np.maximum(np.abs(theta[:k]),
-                                                       1e-300)
-                return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
-                                 it, nmat, rn[:k].copy(), "block_cg")
+            ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+            if it == opts.maxit or ok.all():
+                return EigResult(theta[:k].copy(), X[:, :k].copy(), ok[:k],
+                                 it, nmat, np.linalg.norm(R[:, :k], axis=0),
+                                 "block_cg")
         xp, m = bs + p, 2 * bs + p
         W = S[:, xp:m]
         W[:] = precond(R, float(theta[0]))

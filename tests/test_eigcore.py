@@ -269,13 +269,35 @@ def test_determinism_bitwise_for_fixed_seed():
     assert r1.vectors.tobytes() == r2.vectors.tobytes()
 
 
+def kato_temple(A, M, res, lam):
+    """8 ||r_j||_D^2 / (|theta_j| (lam_{j+1} - theta_j)) of the returned
+    pairs, on fresh residuals: the relative accuracy the stopping rule
+    certifies, with the exact eigenvalues ``lam`` (at least k + 1 of
+    them, no cluster among the first k + 1) in place of the block's
+    next Ritz value."""
+    V, theta = res.vectors, res.theta
+    R = A @ V - (M @ V) * theta
+    dn2 = np.einsum("ij,ij,i->j", R, R, 1.0 / M.diagonal())
+    return 8.0 * dn2 / (np.abs(theta) * (lam[1:theta.size + 1] - theta))
+
+
 def test_residual_invariant_of_converged_pairs():
     A, M = rand_spd_pencil(50, seed=9)
-    # shift A positive so the relative residual bound is meaningful
+    # shift A positive so the relative accuracy bound is meaningful
     A = A @ A.T + np.eye(50)
     res = smallest_eigenpairs(A, M, EigOptions(k=3, tol=1e-8))
     assert res.ok
-    assert np.all(res.residuals <= 1e-8 * np.abs(res.theta))
+    lam = sla.eigh(A, M, eigvals_only=True)
+    # the mass bound of the rule, ||r||_{M^-1}^2 <= 8 ||r||_D^2, holds
+    # for this M, and converged pairs meet the Kato-Temple test
+    R = A @ res.vectors - (M @ res.vectors) * res.theta
+    mn2 = np.einsum("ij,ij->j", R, np.linalg.solve(M, R))
+    dn2 = np.einsum("ij,ij,i->j", R, R, 1.0 / np.diag(M))
+    assert np.all(mn2 <= 8.0 * dn2)
+    assert np.all(kato_temple(A, M, res, lam) <= 1e-8)
+    # so each value is an upper bound within tol |theta| of its eigenvalue
+    assert np.all(res.theta - lam[:3] <= 1e-8 * np.abs(res.theta))
+    assert np.all(res.theta >= lam[:3] - 1e-12 * np.abs(lam[:3]))
 
 
 def test_courant_dof_deletion_monotonicity():
@@ -369,10 +391,16 @@ def test_returned_residuals_are_true_residuals():
                               form.preconditioner())
     assert res.ok
     V = res.vectors
+    # the residuals stay 2-norms, of fresh products
     true = np.linalg.norm(form.A.matmat(V) - form.M.matmat(V) * res.theta,
                           axis=0)
-    assert np.all(true <= tol * np.abs(res.theta))
     assert res.residuals == pytest.approx(true, rel=1e-5)
+    # the rule stops on the eigenvalue: the Kato-Temple test holds on the
+    # true residuals, and each value lies within tol |theta| of its own
+    lam = sla.eigh(materialize(form.A), materialize(form.M),
+                   eigvals_only=True)[:5]
+    assert np.all(kato_temple(form.A, form.M, res, lam) <= tol)
+    assert np.all(np.abs(res.theta - lam[:4]) <= tol * np.abs(res.theta))
 
 
 @pytest.mark.parametrize("mode", ["reduced2d", "half_DN", "mask",
@@ -415,7 +443,14 @@ def test_lowest_eigenpairs_branches_agree(monkeypatch, kind, iterative):
         res = lowest_eigenpairs(A, M, 3, EigOptions(tol=1e-10), pre)
         assert res.solver == solver
         assert res.ok
-        assert np.all(res.residuals <= 1e-8 * res.theta)
+        if solver == "block_cg":
+            # block CG stops on the Kato-Temple test in the diag(M)^-1
+            # norm, direct solves leave small 2-norm residuals
+            lam = sla.eigh(materialize(A), materialize(M), eigvals_only=True,
+                           subset_by_index=[0, 3])
+            assert np.all(kato_temple(A, M, res, lam) <= 1e-10)
+        else:
+            assert np.all(res.residuals <= 1e-8 * res.theta)
         assert (res.shift is None) == (solver != "shift_invert")
         got[solver] = res.theta
     assert got[iterative] == pytest.approx(got["dense"], rel=1e-10)
@@ -442,7 +477,7 @@ def list_block_cg(A, M=None, opts=None, precond=None):
     """Block CG on [X W P] held as lists of separate n x bs arrays, with
     Gram matrices and basis changes block by block: the reference the
     workspace loop of ``smallest_eigenpairs`` must reproduce."""
-    from shearspec.eigcore import (EigResult, SolverError, _order,
+    from shearspec.eigcore import (EigResult, SolverError, _dnorm, _order,
                                    _rayleigh_ritz, _settled, _whiten)
     opts = opts or EigOptions()
     n = _order(A)
@@ -459,6 +494,7 @@ def list_block_cg(A, M=None, opts=None, precond=None):
             precond = JacobiPrecond(A.diagonal())
         except ValueError:
             precond = lambda R, sigma: R
+    dinv = 1.0 / M.diagonal()
 
     def ritz(X):
         """Fresh products of X and its Rayleigh-Ritz rotation."""
@@ -474,19 +510,18 @@ def list_block_cg(A, M=None, opts=None, precond=None):
     it = 0
     while True:
         R = AX - MX * theta
-        rn = np.linalg.norm(R, axis=0)
-        if it == opts.maxit or _settled(theta, rn, k, opts.tol):
+        ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+        if it == opts.maxit or ok.all():
             # the carried products drift by rounding; only fresh ones
             # may certify convergence
             theta, X, AX, MX = ritz(X)
             nmat += 1
             R = AX - MX * theta
-            rn = np.linalg.norm(R, axis=0)
-            if it == opts.maxit or _settled(theta, rn, k, opts.tol):
-                conv = rn[:k] <= opts.tol * np.maximum(np.abs(theta[:k]),
-                                                       1e-300)
-                return EigResult(theta[:k].copy(), X[:, :k].copy(), conv,
-                                 it, nmat, rn[:k].copy(), "block_cg")
+            ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+            if it == opts.maxit or ok.all():
+                return EigResult(theta[:k].copy(), X[:, :k].copy(), ok[:k],
+                                 it, nmat, np.linalg.norm(R[:, :k], axis=0),
+                                 "block_cg")
         W = precond(R, float(theta[0]))
         # M-orthogonal to X and P before the apply: the Gram matrix of
         # [X W P] stays near the identity, so the basis change below

@@ -196,6 +196,33 @@ class TestModesAgree:
         assert r3.count == r2.count == 1
 
 
+class TestLengthScaling:
+    def test_ladder_is_invariant_under_length_scaling(self):
+        # scaling every length by s scales every eigenvalue by s^-2 and
+        # nothing else: the count, lambda_1 s^2 and the iterations of
+        # every rung, the factored r0s1 and the block-CG r1 rungs, must
+        # not move with s
+        got = {}
+        for s in (1e-6, 1.0, 1e4):
+            disc = DiscretizationSpec(nx=24, n1=8, n2=8, L=s, mode="half_DN",
+                                      refine=2, l_steps=2)
+            rep = compute_spectrum(WaveguideSpec(1.0, Rect(0.0, s, 0.0, s)),
+                                   disc)
+            assert rep.count == 1
+            assert not any(f.startswith(("monotone", "nonconverged"))
+                           or f == "inconclusive" for f in rep.flags)
+            assert [(rr.grid.r, rr.grid.s, rr.solver) for rr in rep.rungs] \
+                == [(0, 1, "shift_invert"), (1, 0, "block_cg"),
+                    (1, 1, "block_cg")]
+            got[s] = (rep.eigenvalues[0] * s * s,
+                      [rr.iterations for rr in rep.rungs])
+        lam, iters = got[1.0]
+        for s in (1e-6, 1e4):
+            assert got[s][0] == pytest.approx(lam, rel=1e-8)
+            assert got[s][1] == iters
+        assert lam == pytest.approx(28.2600696101, rel=1e-8)
+
+
 class TestStraightReference:
     def test_count_zero(self):
         spec = WaveguideSpec(0.0, SQUARE)
