@@ -49,6 +49,25 @@ counts every such pencil, at any order, by the inertia of a block LDL^T
 block CG.  For x-major half-guide forms the half-bandwidth is about the
 section order, so the planar (reduced2d) forms and small 3-D sections are
 factored and large 3-D sections iterate.
+
+A factored pencil never has A or A - sigma M in CSR (``_BandPencil``):
+the LAPACK band of A - sigma M is built straight from the Kronecker
+factors, band row dx m + os of X (x) S being the outer product of X's
+dx-th and S's os-th lower diagonal, and the residuals apply A term by
+term from the same factors; only M is assembled, for the Lanczos
+products.  A bare pencil is the one-node x slot.  (``dsbmv`` on the band
+would read all kd + 1 rows where a reduced2d band holds 5: 1.0 ms per
+vector at order 9920 and kd 257.)  The inertia count factors the band in
+reversed order, so that its first non-positive pivot falls at the far
+end, away from the bend at x = 0, and little is left to factor after
+it.  A caller
+holding Ritz values can count once, at the top of its band, since Ritz
+values bound eigenvalues from above (``waveguide`` does so on its top
+rung).  On the strip benchmark's top rung (n 9920, kd 32) the band took
+0.6-0.7 ms from the factors, 1.0-1.1 ms with the factors' patterns,
+against 3.4-3.9 ms from the CSR matrices and 3.2-4.3 ms more to
+assemble A; M took 0.7-1.0 ms to assemble against 2.7-2.9 ms (medians
+of 40 calls, three alternating runs, 2 cores).
 """
 
 from __future__ import annotations
@@ -85,6 +104,7 @@ __all__ = [
     "smallest_eigenpairs",
     "lowest_eigenpairs",
     "count_below",
+    "counts_by_inertia",
 ]
 
 # pencils up to this order are solved by dense eigh, above it a banded
@@ -107,6 +127,10 @@ _KMAX = 48
 # written in place: inside the preconditioner, the residual and three
 # transform buffers come on top of the workspaces.)
 _CG_ARRAYS = 18
+
+# entries of the temporaries that fill one chunk of x nodes, in
+# ``_assemble`` and in the band builder: small enough to stay in cache
+_CHUNK = 2 ** 15
 
 
 def _kron_terms(terms, shape):
@@ -214,21 +238,27 @@ def _csr_bandwidth(m: sp.csr_matrix) -> int:
 
 
 def _union(mats):
-    """Shared sorted CSR pattern of ``mats`` and each one's values on it.
+    """Shared sorted CSR pattern of the CSR matrices ``mats`` and each
+    one's values on it.
 
     Returns ``(indptr, indices, vals)`` with ``vals[t]`` the entries of
-    ``mats[t]`` on the union pattern (zero where it has none).
+    ``mats[t]`` on the union pattern (zero where it has none).  The
+    entry keys i n + j are read from the CSR arrays in place, with no
+    sparse format conversion: one sort finds the union, and each
+    matrix's values land on it by one ``bincount``.
     """
     n = mats[0].shape[0]
-    coos = [m.tocoo() for m in mats]
-    keys = np.concatenate([c.row.astype(np.int64) * n + c.col for c in coos])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    vals = np.zeros((len(mats), uniq.size))
+    keys = [np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) * n
+            + m.indices[:m.indptr[-1]] for m in mats]
+    uniq, at = np.unique(np.concatenate(keys), return_inverse=True)
+    vals = np.empty((len(mats), uniq.size))
     start = 0
-    for t, c in enumerate(coos):
-        np.add.at(vals[t], inv[start:start + c.nnz], c.data)
-        start += c.nnz
-    indptr = np.searchsorted(uniq // n, np.arange(n + 1))
+    for t, m in enumerate(mats):
+        stop = start + m.indptr[-1]
+        vals[t] = np.bincount(at[start:stop], weights=m.data[:m.indptr[-1]],
+                              minlength=uniq.size)
+        start = stop
+    indptr = np.searchsorted(uniq, np.arange(n + 1, dtype=np.int64) * n)
     return indptr, uniq % n, vals
 
 
@@ -237,15 +267,19 @@ def _assemble(terms, shape, n) -> sp.csr_matrix:
     section factor of term t.
 
     The pattern is the Kronecker product of the per-slot union patterns.
-    Block row i of the x slot is filled at once: its x-entries e combine
-    the terms into p = nnz(row i) blocks V_e = sum_t c_t X_t[e] S_t on the
-    union pattern of the S_t, which one precomputed gather per p
-    interleaves into CSR row order.  No full-size temporary beyond the
-    output arrays is made.
+    Block row i of the x slot holds p = nnz(row i) blocks V_e = sum_t
+    c_t X_t[e] S_t on the union pattern of the S_t, which one
+    precomputed gather interleaves into CSR row order.  Runs of block
+    rows with the same p are filled together, in chunks of about _CHUNK
+    entries: one GEMM over the terms and one gather per chunk.  (The
+    L-mask benchmark's top-rung mass took 1.8-2.0 ms in chunks,
+    2.8-4.6 ms one row at a time and 8.3-9.1 ms one run at a time;
+    medians of 30 calls, two runs, 2 cores.)
     """
     xptr, xcol, xval = _union([mats[0] for _, mats in terms])
     xval = xval * np.array([c for c, _ in terms])[:, None]
     uptr, ucol, uval = _union([mats[1] for _, mats in terms])
+    uval = np.asfortranarray(uval)
     m = shape[1]
     nnz_u = ucol.size
     ulen = np.diff(uptr)
@@ -258,22 +292,33 @@ def _assemble(terms, shape, n) -> sp.csr_matrix:
     data = np.empty(nnz)
     urow = np.repeat(np.arange(m), ulen)
     ucol = ucol.astype(itype)
+    runs = np.concatenate([[0], np.flatnonzero(np.diff(plen)) + 1,
+                           [shape[0]]])
     gathers = {}
-    for i in range(shape[0]):
-        e0, e1 = xptr[i], xptr[i + 1]
-        p = e1 - e0
+    for i0, i1 in zip(runs[:-1], runs[1:]):
+        p = int(plen[i0])
         if p == 0:
             continue
-        g = gathers.get(p)
-        if g is None:
-            # flat (e, u) position ordered by (CSR row of u, e, u)
-            key = (urow * p)[None, :] + np.arange(p)[:, None]
-            g = gathers[p] = np.argsort(key.ravel(), kind="stable")
-        o0 = indptr[i * m]
-        o1 = o0 + p * nnz_u
-        data[o0:o1] = (xval[:, e0:e1].T @ uval).ravel()[g]
-        cols = xcol[e0:e1, None].astype(itype) * m + ucol
-        indices[o0:o1] = cols.ravel()[g]
+        step = max(1, _CHUNK // (p * nnz_u))
+        for c0 in range(i0, i1, step):
+            c1 = min(c0 + step, i1)
+            g = gathers.get((p, c1 - c0))
+            if g is None:
+                # flat (row, e, u) position ordered by (row, CSR row of
+                # u, e, u)
+                key = (urow * p)[None, :] + np.arange(p)[:, None]
+                g = np.argsort(key.ravel(), kind="stable")
+                g = gathers[p, c1 - c0] = (
+                    g + p * nnz_u * np.arange(c1 - c0)[:, None]).ravel()
+            e0, e1 = xptr[c0], xptr[c1]
+            o0, o1 = indptr[c0 * m], indptr[c1 * m]
+            # (nnz_u, rows p) column-major: in memory, the row-major
+            # (rows p, nnz_u) blocks of the chunk
+            vals = _gemm(uval, np.asfortranarray(xval[:, e0:e1]),
+                         trans_a=True)
+            np.take(vals.ravel(order="F"), g, out=data[o0:o1], mode="clip")
+            cols = xcol[e0:e1, None].astype(itype) * m + ucol
+            np.take(cols.ravel(), g, out=indices[o0:o1], mode="clip")
     A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     A.has_canonical_format = True
     return A
@@ -515,6 +560,11 @@ class EigResult:
     solver: str                # "dense", "block_cg" or "shift_invert"
     shift: float | None = None  # sigma of a factored solve, certified
                                 # below the spectrum by its Cholesky
+    # sqrt(8) ||A x - theta M x||_D per requested pair, from the same
+    # products: it bounds the M^-1 norm of the residual, and with it the
+    # distance from theta to the spectrum, at every length scale
+    # (``_MASS_BOUND``); None for a full dense eigenbasis
+    mass_residuals: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -697,7 +747,8 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
             if it == opts.maxit or ok.all():
                 return EigResult(theta[:k].copy(), X[:, :k].copy(), ok[:k],
                                  it, nmat, np.linalg.norm(R[:, :k], axis=0),
-                                 "block_cg")
+                                 "block_cg", None, math.sqrt(_MASS_BOUND)
+                                 * _dnorm(R[:, :k], dinv))
         xp, m = bs + p, 2 * bs + p
         W = S[:, xp:m]
         W[:] = precond(R, float(theta[0]))
@@ -732,68 +783,151 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         it += 1
 
 
-def _csr(op) -> sp.csr_matrix:
-    """The CSR matrix behind a sparse or KronOp pencil operand."""
-    return op.matrix if isinstance(op, KronOp) else sp.csr_matrix(op)
-
-
-def _half_bandwidth(op) -> int | None:
-    """Largest |i - j| over the nonzeros of a pencil operand: a KronOp's
-    from its factors, a bare sparse matrix's by a scan; None for an
-    operand with no sparse matrix."""
+def _half_bandwidth(op) -> int:
+    """Largest |i - j| over the nonzeros of a KronOp or sparse pencil
+    operand: a KronOp's from its factors, a sparse matrix's by a scan."""
     if isinstance(op, KronOp):
         return op.half_bandwidth
-    if sp.issparse(op):
-        return _csr_bandwidth(sp.csr_matrix(op))
-    return None
+    return _csr_bandwidth(sp.csr_matrix(op))
 
 
-def _band_pencil(A, M, bs: int):
-    """``(A, M, kd)``, the operands as CSR matrices and their
-    half-bandwidth, when the pencil is to be factored; None otherwise.
+def _coo(mats):
+    """Rows, columns and per-matrix values of the union pattern of the
+    square sparse ``mats`` (``_union``)."""
+    indptr, cols, vals = _union(mats)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return rows, cols, vals
 
-    An operator form is factored when its band Cholesky, n (kd + 1)
-    doubles, is no larger than the _CG_ARRAYS n x bs arrays block CG
-    would hold.  A bare sparse matrix (a section or triangle pencil) is
-    factored at any bandwidth: block CG has no preconditioner for it but
-    Jacobi, under which its iterations grow with the mesh.
+
+class _BandPencil:
+    """A factored pencil (A, M) held as the Kronecker factors of its
+    terms; the LAPACK lower band of A - sigma M (``lower``) and the
+    product A V (``apply_A``) are built from them, with neither A nor
+    A - sigma M in CSR.
+
+    A term c X (x) S puts c X[i, j] S[a, b] at band row
+    d = (i - j) m + a - b, column j m + b (m the section order), for
+    every lower entry i >= j of X and every entry of S that d keeps in
+    the lower band (all of them when i > j): band row d read as an
+    nx x m grid is the outer product of X's (i - j)-th and S's (a - b)-th
+    lower diagonals.  The terms share one pattern per slot (``_union``),
+    so the products of all terms are one GEMM over their coefficients
+    and one scatter per chunk of x entries.  A bare sparse pencil (a
+    section or triangle) is the one-node x slot, X = [1], and its band
+    the scatter of its lower entries.  ``mass`` is M's CSR matrix, for
+    the Lanczos products.
     """
-    kds = (_half_bandwidth(A), _half_bandwidth(M))
-    if None in kds:
+
+    def __init__(self, A, M, kd: int):
+        if isinstance(A, KronOp):
+            self.shape, terms = A.shape, A.terms + M.terms
+            self._na = len(A.terms)
+            self._x = _coo([X for _, (X, _) in terms])
+        else:
+            one = sp.identity(1, format="csr")
+            A, M = sp.csr_matrix(A), sp.csr_matrix(M)
+            self.shape, terms = (1, A.shape[0]), [(1.0, (one, A)),
+                                                 (1.0, (one, M))]
+            self._na = 1
+            zero = np.zeros(1, dtype=np.int64)
+            self._x = (zero, zero, np.ones((2, 1)))
+        self._M = M
+        self.n = self.shape[0] * self.shape[1]
+        self.kd = kd
+        self._terms = terms
+        self._coef = np.array([c for c, _ in terms])
+        self._s = _coo([S for _, (_, S) in terms])
+
+    @functools.cached_property
+    def mass(self) -> sp.csr_matrix:
+        return self._M.matrix if isinstance(self._M, KronOp) else self._M
+
+    def lower(self, sigma: float, reverse: bool = False,
+              first: int = 0) -> np.ndarray:
+        """A - sigma M in LAPACK lower band storage, ab[i - j, j] =
+        (A - sigma M)[i, j], column-major so that LAPACK factors it in
+        place; in reversed order (P A P - sigma P M P, P the reversal of
+        both slots) with ``reverse``, and from x node ``first`` on (the
+        trailing block from row ``first`` m)."""
+        nx, m = self.shape
+        w = self.kd + 1
+        coef = self._coef.copy()
+        coef[self._na:] *= -sigma
+        xi, xj, xv = self._x
+        si, sj, sv = self._s
+        if reverse:
+            xi, xj, si, sj = nx - 1 - xi, nx - 1 - xj, m - 1 - si, m - 1 - sj
+        ab = np.zeros((w, (nx - first) * m), order="F")
+        flat = ab.ravel(order="F")
+        # entry (row d, column j m + b) of ab sits at (j m + b) w + d
+        spos = sj * w + si - sj
+        for ex, es in (((xi == xj) & (xj >= first), si >= sj),
+                       ((xi > xj) & (xj >= first), slice(None))):
+            xpos = (xj[ex] - first) * (m * w) + (xi[ex] - xj[ex]) * m
+            xc = coef[:, None] * xv[:, ex]
+            sc = np.asfortranarray(sv[:, es])
+            pos = spos[es]
+            step = max(1, _CHUNK // max(1, pos.size))
+            for e0 in range(0, xpos.size, step):
+                e1 = min(e0 + step, xpos.size)
+                # scipy's dgemm, called directly (``_gemm`` is block CG's
+                # product): the x entries' products with every S entry.
+                # Each band entry is one (X entry, S entry) pair, so it is
+                # written once
+                flat[xpos[e0:e1, None] + pos] = sla.blas.dgemm(
+                    1.0, np.asfortranarray(xc[:, e0:e1]), sc, trans_a=True)
+        return ab
+
+    def apply_A(self, V: np.ndarray) -> np.ndarray:
+        """A V, term by term from the Kronecker factors: S along the
+        section axis of V read as an nx x m x k grid, then X along x."""
+        nx, m = self.shape
+        k = V.shape[1]
+        grid = np.ascontiguousarray(V).reshape(nx, m, k)
+        by_section = grid.transpose(1, 0, 2).reshape(m, nx * k)
+        out = np.zeros((nx, m * k))
+        for c, (X, S) in self._terms[:self._na]:
+            Y = (S @ by_section).reshape(m, nx, k).transpose(1, 0, 2)
+            out += c * (X @ Y.reshape(nx, m * k))
+        return out.reshape(self.n, k)
+
+
+def _band_pencil(A, M, bs: int) -> _BandPencil | None:
+    """The pencil as a ``_BandPencil`` when it is to be factored; None
+    otherwise.
+
+    An operator form (A and M KronOps of one shape) is factored when its
+    band Cholesky, n (kd + 1) doubles, is no larger than the _CG_ARRAYS
+    n x bs arrays block CG would hold.  A bare sparse pencil (a section
+    or triangle) is factored at any bandwidth: block CG has no
+    preconditioner for it but Jacobi, under which its iterations grow
+    with the mesh.
+    """
+    kron = isinstance(A, KronOp) and isinstance(M, KronOp)
+    if not (kron and A.shape == M.shape
+            or sp.issparse(A) and sp.issparse(M)):
         return None
-    if not sp.issparse(A) and max(kds) + 1 > _CG_ARRAYS * bs:
+    kd = max(_half_bandwidth(A), _half_bandwidth(M))
+    if kron and kd + 1 > _CG_ARRAYS * bs:
         return None
-    return _csr(A), _csr(M), max(kds)
+    return _BandPencil(A, M, kd)
 
 
-def _shifted(A, M, sigma: float) -> sp.csr_matrix:
-    """A - sigma M as a canonical CSR matrix."""
-    S = A - sigma * M
-    S.sum_duplicates()
-    return S
+def counts_by_inertia(A, M, k: int) -> bool:
+    """Whether ``count_below`` counts (A, M), from a block of k pairs, by
+    inertia: the pencils ``lowest_eigenpairs`` factors."""
+    n = _order(A)
+    if M is None:
+        M = sp.identity(n, format="csr")
+    return _band_pencil(A, M, min(k + 3, n)) is not None
 
 
-def _lower_band(S: sp.csr_matrix, kd: int) -> np.ndarray:
-    """Symmetric S in LAPACK lower band storage, ab[i - j, j] = S[i, j];
-    column-major, so LAPACK factors it in place."""
-    n = S.shape[0]
-    cols = S.indices
-    # i - j of every stored entry, read from the CSR arrays in place
-    off = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(S.indptr))
-    off -= cols
-    low = off >= 0
-    ab = np.zeros((kd + 1, n), order="F")
-    ab[off[low], cols[low]] = S.data[low]
-    return ab
-
-
-def _band_cholesky(A, M, kd: int, sigma: float) -> np.ndarray | None:
+def _band_cholesky(band: _BandPencil, sigma: float) -> np.ndarray | None:
     """Band Cholesky factor of A - sigma M, or None when that matrix is not
     positive definite, i.e. sigma is not below every eigenvalue."""
     try:
-        return sla.cholesky_banded(_lower_band(_shifted(A, M, sigma), kd),
-                                   overwrite_ab=True, lower=True,
-                                   check_finite=False)
+        return sla.cholesky_banded(band.lower(sigma), overwrite_ab=True,
+                                   lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
 
@@ -807,36 +941,56 @@ def _band_solve(chol: np.ndarray, B: np.ndarray, trans: str) -> np.ndarray:
     return X
 
 
-def _negative_count(S: sp.csr_matrix, kd: int) -> int:
-    """Negative eigenvalues of the symmetric S of half-bandwidth kd, by a
-    block LDL^T whose positive definite stretches are band Cholesky.
+def _band_block(ab: np.ndarray, r0: int, r1: int, c0: int,
+                c1: int) -> np.ndarray:
+    """Rows r0:r1, columns c0:c1 of the symmetric matrix whose lower band
+    is ``ab``, dense."""
+    i = np.arange(r0, r1)[:, None]
+    j = np.arange(c0, c1)[None, :]
+    lo = np.minimum(i, j)
+    d = np.abs(i - j)
+    inside = d < ab.shape[0]
+    return np.where(inside, ab[np.minimum(d, ab.shape[0] - 1), lo], 0.0)
 
-    The inertia of S is that of a leading block plus that of its Schur
-    complement (Sylvester, Haynsworth).  The band Cholesky (``pbtrf``)
-    factors the leading positive definite stretch in one call.  Where it
-    meets a pivot at row f that is not positive, eliminating the rows
-    before f changes only the kd x kd block B at f, by X^T X with
-    X = L_t^-1 C^T (L_t the last block of the factor, C the coupling of
-    B's rows to the kd rows before f).  B holds the non-positive pivot, so
-    its Cholesky would fail: it is decomposed densely, its negative
-    eigenvalues are counted, and the block after it, corrected by
-    C2 B^-1 C2^T, starts the next stretch.
+
+def _negative_count(band: _BandPencil, sigma: float) -> int:
+    """Negative eigenvalues of S = A - sigma M, by a block LDL^T of S in
+    reversed order whose positive definite stretches are band Cholesky.
+
+    The inertia of S is that of P S P, P the reversal, and that of a
+    leading block plus that of its Schur complement (Sylvester,
+    Haynsworth).  The band Cholesky (``pbtrf``) factors the leading
+    positive definite stretch in one call.  The bend sits at x = 0, the
+    first x node, so in reversed order the first pivot that is not
+    positive falls near the far end of the matrix, and little is left to
+    factor after it.  Where it meets such a pivot at row f, eliminating
+    the rows before f changes only the kd x kd block B at f, by X^T X
+    with X = L_t^-1 C^T (L_t the last block of the factor, C the
+    coupling of B's rows to the kd rows before f).  B holds the
+    non-positive pivot, so its Cholesky would fail: it is decomposed
+    densely, its negative eigenvalues are counted, and the block after
+    it, corrected by C2 B^-1 C2^T, starts the next stretch.  ``pbtrf``
+    has overwritten the band past f, so B, C and the next stretch are
+    read from a band rebuilt from the x node of row f - kd on.
     """
-    n = S.shape[0]
+    n, kd, m = band.n, band.kd, band.shape[1]
     neg = 0
-    start = 0
+    start = 0              # first row of the stretch
+    base = 0               # first row held by ``ab``
+    ab = band.lower(sigma, reverse=True)
     E = np.zeros((0, 0))   # correction to the leading block of the stretch
 
     def block(r0, r1, c0, c1):
         """Rows r0:r1, columns c0:c1 of the corrected stretch, dense."""
-        out = S[start + r0:start + r1, start + c0:start + c1].toarray()
+        out = _band_block(ab, start - base + r0, start - base + r1,
+                          start - base + c0, start - base + c1)
         e = E.shape[0]
         out[:max(0, min(r1, e) - r0), :max(0, min(c1, e) - c0)] -= \
             E[r0:min(r1, e), c0:min(c1, e)]
         return out
 
     while True:
-        L = _lower_band(S[start:, start:] if start else S, kd)
+        L = ab[:, start - base:]
         i, j = np.tril_indices(E.shape[0])
         L[i - j, j] -= E[i, j]
         L, info = sla.lapack.dpbtrf(L, lower=1, overwrite_ab=1)
@@ -844,45 +998,48 @@ def _negative_count(S: sp.csr_matrix, kd: int) -> int:
             return neg
         size = n - start
         f = info - 1
-        m = min(kd, size - f)
-        B = block(f, f + m, f, f + m)
         t = max(0, f - kd)
+        i, j = np.tril_indices(f - t)
+        Lt = np.zeros((f - t, f - t))
+        Lt[i, j] = L[i - j, t + j]
+        del L, ab
+        first = (start + t) // m
+        ab, base = band.lower(sigma, reverse=True, first=first), first * m
+        mm = min(kd, size - f)
+        B = block(f, f + mm, f, f + mm)
         if f > t:
-            i, j = np.tril_indices(f - t)
-            Lt = np.zeros((f - t, f - t))
-            Lt[i, j] = L[i - j, t + j]
-            X = sla.solve_triangular(Lt, block(f, f + m, t, f).T, lower=True)
+            X = sla.solve_triangular(Lt, block(f, f + mm, t, f).T,
+                                     lower=True)
             B -= X.T @ X
-        del L   # the next stretch is factored in a fresh band
         w, V = _syevd(B)
         neg += int(np.count_nonzero(w < 0.0))
-        nxt = f + m
+        nxt = f + mm
         if nxt == size:
             return neg
-        # B is a full kd block here (m = kd <= nxt), so the old correction
-        # lies behind and the next stretch starts with the new one only
+        # B is a full kd block here (mm = kd <= nxt), so the old
+        # correction lies behind and the next stretch starts with the new
+        # one only
         Y = V.T @ block(nxt, nxt + min(kd, size - nxt), f, nxt).T
         E = Y.T @ (Y / w[:, None])
         start += nxt
 
 
-def _shift_invert(A, M, band, k: int, opts: EigOptions,
+def _shift_invert(band: _BandPencil, k: int, opts: EigOptions,
                   sigma: float) -> EigResult | None:
-    """The factored branch of ``lowest_eigenpairs`` on ``band``, the
-    ``_band_pencil`` of (A, M); None when no shift of the back-off
-    factors."""
-    Ac, Mc, kd = band
-    n = Ac.shape[0]
+    """The factored branch of ``lowest_eigenpairs`` on ``band``; None
+    when no shift of the back-off factors."""
+    n = band.n
     # back off from a sigma that is not below the spectrum by
     # sigma (1 - 2^-j), j = 4, 3, 2, 1, down to 0 at j = 0
     for shift in dict.fromkeys([float(sigma)] + [
             sigma * (1.0 - 0.5 ** j) for j in (4, 3, 2, 1, 0)]):
-        chol = _band_cholesky(Ac, Mc, kd, shift)
+        chol = _band_cholesky(band, shift)
         if chol is not None:
             break
     else:
         return None
     applies = 0
+    Mc = band.mass
 
     def op(y):
         """C y for C = L^-1 M L^-T, whose largest eigenvalues are
@@ -899,19 +1056,26 @@ def _shift_invert(A, M, band, k: int, opts: EigOptions,
     order = np.argsort(theta)
     theta = theta[order]
     V = _band_solve(chol, Y[:, order], "T")
-    MV = M @ V
+    del chol, Y
+    MV = Mc @ V
     norm = np.sqrt(np.einsum("ij,ij->j", V, MV))
     V /= norm
     MV /= norm
-    return _direct_result(A, theta, V, MV, applies, "shift_invert", shift)
+    return _direct_result(band.apply_A(V), Mc.diagonal(), theta, V, MV,
+                          applies, "shift_invert", shift)
 
 
-def _direct_result(A, theta, V, MV, applies, solver, shift) -> EigResult:
+def _direct_result(AV, d, theta, V, MV, applies, solver,
+                   shift) -> EigResult:
     """EigResult of a dense or factored solve, every pair converged, with
-    residuals from fresh applies (MV = M V)."""
-    res = np.linalg.norm(A @ V - MV * theta, axis=0)
+    residuals from fresh products (AV = A V, MV = M V); the mass bounds
+    need d = diag(M), and a full eigenbasis, which no ladder reads,
+    passes None."""
+    R = AV - MV * theta
     return EigResult(theta, V, np.ones(theta.size, dtype=bool), applies, 0,
-                     res, solver, shift)
+                     np.linalg.norm(R, axis=0), solver, shift,
+                     None if d is None
+                     else math.sqrt(_MASS_BOUND) * _dnorm(R, 1.0 / d))
 
 
 def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
@@ -921,10 +1085,13 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     Order up to DENSE_N, or the full eigenbasis (``k`` None or the
     order): dense ``eigh``.  Above it, a pencil that ``_band_pencil``
     selects is factored at ``sigma``: a Cholesky L L^T = A - sigma M
-    that succeeds proves sigma lies below the spectrum.  A sigma that is not below it
-    backs off to sigma (1 - 2^-j), j = 4, 3, 2, 1, and then to 0, each
-    step certified by its own factorization.  Lanczos in standard form
-    on C = L^-1 M L^-T, from a start vector seeded by ``opts.seed``,
+    that succeeds proves sigma lies below the spectrum.  The band of
+    A - sigma M is built straight from the Kronecker factors
+    (``_BandPencil``), and only M is assembled in CSR, for the Lanczos
+    products.  A sigma that is not below the spectrum backs off to
+    sigma (1 - 2^-j), j = 4, 3, 2, 1, and then to 0, each step certified
+    by its own factorization.  Lanczos in standard form on
+    C = L^-1 M L^-T, from a start vector seeded by ``opts.seed``,
     returns the k largest eigenvalues mu of C, each stopped by ARPACK's
     test ||C y - mu y|| <= ``opts.tol`` |mu|, which certifies
     ``converged``: theta = shift + 1 / mu are the lowest k, and
@@ -933,8 +1100,9 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     run on one BLAS thread (``_ONE_BLAS_THREAD``).  Any other pencil, or
     one whose A is not positive definite, goes to ``smallest_eigenpairs``
     with ``precond``, on the caller's BLAS pool.  Direct solves report
-    residuals from fresh applies; ``solver`` records the branch taken and
-    ``shift`` the certified sigma.
+    residuals from fresh products, a factored one applying A from its
+    band; ``solver`` records the branch taken and ``shift`` the certified
+    sigma.
     """
     opts = opts or EigOptions()
     n = _order(A)
@@ -944,14 +1112,16 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     if k is None or k == n or n <= DENSE_N:
         with _ONE_BLAS_THREAD:
-            theta, V = sla.eigh(materialize(A), materialize(M),
+            Md = materialize(M)
+            theta, V = sla.eigh(materialize(A), Md,
                                 subset_by_index=None if k is None
                                 else [0, k - 1])
-            return _direct_result(A, theta, V, M @ V, 0, "dense", None)
+            return _direct_result(A @ V, None if k is None else np.diag(Md),
+                                  theta, V, M @ V, 0, "dense", None)
     band = _band_pencil(A, M, min(k + 3, n))
     if band is not None:
         with _ONE_BLAS_THREAD:
-            res = _shift_invert(A, M, band, k, opts, sigma)
+            res = _shift_invert(band, k, opts, sigma)
         if res is not None:
             return res
     return smallest_eigenpairs(A, M, dataclasses.replace(opts, k=k), precond)
@@ -978,14 +1148,19 @@ def count_below(A, M, threshold: float, safety: float,
                 opts: EigOptions | None = None, precond=None) -> CountResult:
     """Count eigenvalues certified below ``threshold - safety``.
 
-    A pencil that ``_band_pencil`` selects, at any order, is counted
-    exactly by the inertia of A - (T - s) M; ``boundary`` is set when the
-    inertia at T + s differs.  Otherwise Ritz values bound eigenvalues
-    from above, so a converged value under the band certifies one
-    eigenvalue there.  From ``opts.k`` pairs (no floor: the ladder passes
-    max(k, 4)) the block doubles, one ``lowest_eigenpairs`` solve a step,
-    up to _KMAX pairs, until a converged value clears ``threshold +
-    safety``, so the count cannot be truncated by a too-small search space.
+    A pencil that ``_band_pencil`` selects (``counts_by_inertia``), at
+    any order, is counted exactly by the inertia of A - (T - s) M, read
+    from a block LDL^T of its band in reversed order
+    (``_negative_count``); ``boundary`` is set when the inertia at T + s
+    differs, which a second factorization counts.  A caller that holds
+    Ritz values of the pencil can count once instead, at T + s with no
+    band, and settle T - s from them (``compute_spectrum`` does so on its
+    top rung).  Otherwise Ritz values bound eigenvalues from above, so a
+    converged value under the band certifies one eigenvalue there.  From
+    ``opts.k`` pairs (no floor: the ladder passes max(k, 4)) the block
+    doubles, one ``lowest_eigenpairs`` solve a step, up to _KMAX pairs,
+    until a converged value clears ``threshold + safety``, so the count
+    cannot be truncated by a too-small search space.
     """
     if safety < 0:
         raise ValueError(f"safety band must be nonnegative, got {safety}")
@@ -996,11 +1171,10 @@ def count_below(A, M, threshold: float, safety: float,
     k = base.k
     band = _band_pencil(A, M, min(k + 3, n))
     if band is not None:
-        Ac, Mc, kd = band
         with _ONE_BLAS_THREAD:
-            below = _negative_count(_shifted(Ac, Mc, threshold - safety), kd)
+            below = _negative_count(band, threshold - safety)
             above = below if safety == 0 else _negative_count(
-                _shifted(Ac, Mc, threshold + safety), kd)
+                band, threshold + safety)
         return CountResult(below, above != below, math.inf, None,
                            (below, above))
     while True:

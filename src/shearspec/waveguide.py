@@ -33,7 +33,8 @@ import numpy as np
 
 from .assembly import ShearForm, assemble_reduced2d, assemble_waveguide, fem1d
 from .cross_section import ess_threshold, refine_mask
-from .eigcore import EigOptions, EigResult, count_below, lowest_eigenpairs
+from .eigcore import (CountResult, EigOptions, EigResult, count_below,
+                      counts_by_inertia, lowest_eigenpairs)
 from .geometry import (MaskSection, Rect, Section, WaveguideSpec, beta_value,
                        check_length)
 
@@ -120,7 +121,8 @@ class RungResult:
     """One ladder point: its grid, discrete threshold, and Ritz data.
 
     ``solved`` and ``solved_residuals`` are the solver's values and
-    residuals in solver order; ``eigenvalues`` (with ``residuals`` and
+    residuals in solver order, ``solved_mass_residuals`` their
+    ``EigResult.mass_residuals``; ``eigenvalues`` (with ``residuals`` and
     ``converged``) list their lowest channel sums on the full-guide
     scale, which in 3-D modes are the solved values themselves.
     ``solver`` is the branch of ``lowest_eigenpairs`` that produced them
@@ -136,6 +138,7 @@ class RungResult:
     warnings: list[str] = field(default_factory=list)
     solved: np.ndarray | None = None
     solved_residuals: np.ndarray | None = None
+    solved_mass_residuals: np.ndarray | None = None
     iterations: int = 0
     # A block applies (each paired with an M apply) of a block-CG solve;
     # 0 for a dense or factored one
@@ -345,19 +348,22 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     """Run the full ladder and report extrapolated eigenvalues, the
     below-threshold count with its safety band, and stability flags.
 
-    The finest rung is set up and counted first: by inertia when its
-    pencil is factored, otherwise by a block that starts at the ladder's
-    max(k, 4) pairs and grows until a converged value clears the
-    threshold.  The count fixes how many pairs every rung resolves, so
-    values stay index-aligned across the ladder.  The rungs are then
-    solved from coarse to fine, box steps last, each by one
-    ``lowest_eigenpairs`` call unless its block-CG count holds enough
-    values.  Nested spaces make the lowest value fall along the mesh
-    series at about a quarter of the last drop per step, so each factored
-    solve is shifted to the previous mesh rung's lowest value minus that
-    rung's drop, and the first mesh rung to its threshold, from which its
-    drop is measured: close below its spectrum, and certified below it by
-    the factorization or its back-off.
+    The finest rung is set up and counted first.  A factored pencil is
+    counted by inertia once, at the top of the safety band, and its own
+    solve settles the bottom (``_settle_count``); any other by a block
+    that starts at the ladder's max(k, 4) pairs and grows until a
+    converged value clears the threshold.  The count fixes how many
+    pairs every rung resolves, so values stay index-aligned across the
+    ladder.  The rungs are then solved from coarse to fine, box steps
+    last, each by one ``lowest_eigenpairs`` call unless its block-CG
+    count holds enough values.  Nested spaces make the lowest value fall
+    along the mesh series at about a quarter of the last drop per step,
+    so each factored solve is shifted to the previous mesh rung's lowest
+    value minus that rung's drop, and the first mesh rung to its
+    threshold, from which its drop is measured (to the threshold's first
+    back-off, (1 - 2^-4) of it, when the top rung counts a value below
+    it): close below its spectrum, and certified below it by the
+    factorization or its back-off.
     """
     t_start = time.perf_counter()
     base = opts or EigOptions()
@@ -381,10 +387,19 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     shared = form.section_pairs if isinstance(section, MaskSection) else None
     band0 = BAND_REL * abs(e1_top)
     block = max(base.k, 4)
-    cres = count_below(form.A, form.M, e1_top - offset, band0,
-                       opts=dataclasses.replace(base, k=block), precond=pre)
-    if not cres.reliable:
-        flags.append(f"unreliable_count:r{tr}s{ts}")
+    bopts = dataclasses.replace(base, k=block)
+    # the top rung's solved threshold and the bottom of its band
+    e1_solved = e1_top - offset
+    low = e1_solved - band0
+    # an inertia-counted rung is counted once, at the top of the band;
+    # its own solve settles the bottom (``_settle_count``)
+    settle = counts_by_inertia(form.A, form.M, block)
+    if settle:
+        cres = count_below(form.A, form.M, e1_solved + band0, 0.0,
+                           opts=bopts)
+    else:
+        cres = count_below(form.A, form.M, e1_solved, band0, opts=bopts,
+                           precond=pre)
     k_solve = max(block, cres.count + 2)
     sol = cres.result
     if sol is None or len(sol.theta) < k_solve:
@@ -411,9 +426,18 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
                     f"the k_solve = {k_solve} pairs each rung resolves (the "
                     f"largest of eig k = {base.k}, 4 and the top count + 2);"
                     " lower eig k or raise the coarsest grid sizes")
-            sigma = e1_r - offset if theta1 is None else theta1 - drop
+            if theta1 is not None:
+                sigma = theta1 - drop
+            else:
+                # a top rung that binds: this rung most likely binds too,
+                # so its threshold lies above its spectrum, and the first
+                # back-off shift is the first that can factor
+                sigma = (e1_r - offset) * (1.0 - 0.5 ** 4 if cres.count
+                                           else 1.0)
             sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre,
                                     sigma=sigma)
+        if p == top and settle:
+            cres = _settle_count(form, low, cres, sol.theta[:k_solve], bopts)
         form = pre = None
         results[p] = _make_rung(g, e1_r, sol, k_solve, w1, warnings,
                                 seconds + time.perf_counter() - t0)
@@ -421,11 +445,13 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
             last = e1_r - offset if theta1 is None else theta1
             theta1 = float(sol.theta[0])
             drop = last - theta1
+    if not cres.reliable:
+        flags.append(f"unreliable_count:r{tr}s{ts}")
     results[top].inertia = cres.inertia
     # the inertia counts the solved pencil's values below the band
     # exactly; a top-rung solve that skipped one counts fewer
     mismatch = cres.inertia is not None and cres.inertia[0] != int(np.sum(
-        results[top].solved < e1_top - offset - band0))
+        results[top].solved < low))
     if mismatch:
         flags.append(f"count_mismatch:r{tr}s{ts}")
 
@@ -498,6 +524,25 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         channels=[(m, k) for _, m, k in take] if reduced else None)
 
 
+def _settle_count(form: ShearForm, low: float, top: CountResult,
+                  theta: np.ndarray, opts: EigOptions) -> CountResult:
+    """The top rung's count at ``low``, the bottom of its band, from
+    ``top``, its inertia count N at the top of the band, and its solved
+    values ``theta``.
+
+    Ritz values bound eigenvalues from above (Parlett 1998), so c solved
+    values below ``low`` prove N(low) >= c, and N(low) <= N: when c
+    reaches N, N(low) = N with no second factorization.  Otherwise (a
+    value in the band, or a solve that skipped one) the pencil is
+    counted again at ``low``.
+    """
+    above = below = top.count
+    if int(np.count_nonzero(theta < low)) != above:
+        below = count_below(form.A, form.M, low, 0.0, opts=opts).count
+    return dataclasses.replace(top, count=below, boundary=below != above,
+                               inertia=(below, above))
+
+
 def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int,
                w1: float | None, warnings: list[str],
                seconds: float) -> RungResult:
@@ -513,6 +558,7 @@ def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int,
                       np.array([res[m] for _, m, _ in take]),
                       np.array([conv[m] for _, m, _ in take]), seconds, warn,
                       solved=theta.copy(), solved_residuals=res.copy(),
+                      solved_mass_residuals=sol.mass_residuals[:k].copy(),
                       iterations=sol.iterations, matmats=sol.matmats,
                       below=below, solver=sol.solver, shift=sol.shift)
 
@@ -522,14 +568,17 @@ def _flag_monotone(results, disc: DiscretizationSpec, scale: float,
     """Nested spaces force Ritz values down along both ladder axes; an
     increase beyond solver slack means something is wrong and is worth a
     flag even though counting would survive it.  Each solved value is
-    compared with its own residual."""
+    compared with its own residual, in the mass bound sqrt(8) ||r||_D
+    (``EigResult.mass_residuals``): it bounds the value's distance to
+    the spectrum and scales with it, so the slack means the same at
+    every length scale, where the 2-norm residual does not."""
     tr, ts = disc.refine - 1, disc.l_steps - 1
     steps = [("refine", (r - 1, ts), (r, ts)) for r in range(1, disc.refine)]
     steps += [("L", (tr, s - 1), (tr, s)) for s in range(1, disc.l_steps)]
     for axis, pa, pb in steps:
         a, b = results[pa], results[pb]
-        tol = 1e-7 * abs(scale) + 10.0 * (a.solved_residuals
-                                          + b.solved_residuals)
+        tol = 1e-7 * abs(scale) + 10.0 * (a.solved_mass_residuals
+                                          + b.solved_mass_residuals)
         for j in np.nonzero(b.solved > a.solved + tol)[0]:
             flags.append(f"monotone_{axis}:j{j}")
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from shearspec.assembly import (
     assemble_reduced2d,
     assemble_waveguide,
     section_fem,
+    triangle_matrices,
 )
 from shearspec.cross_section import ess_threshold, l_shaped_mask
 from shearspec.eigcore import (
@@ -668,6 +670,113 @@ def test_inertia_count_flags_the_band():
     r = count_below(form.A, form.M, clear, 1e-6 * clear)
     assert (r.count, r.inertia, r.boundary) == (3, (3, 3), False)
     assert r.reliable and r.clearance == math.inf
+
+
+def band_pencils():
+    """Every kind of pencil the band builder serves: the Kronecker forms
+    of the three modes on rectangles, a half_DN mask, and bare section
+    and triangle pencils."""
+    unit = Rect(0.0, 1.0, 0.0, 1.0)
+    forms = {
+        "reduced2d": assemble_reduced2d(1.0, unit, 3.0, (24, 12)),
+        "half_DN": assemble_waveguide(1.0, unit, 3.0, (6, 5, 6)),
+        "full_sign": assemble_waveguide(1.0, Rect(0.0, 1.0, 0.0, 2.0), 2.0,
+                                        (4, 4, 5), "full_sign"),
+        "mask": assemble_waveguide(1.0, l_shaped_mask(8), 3.0, 6),
+    }
+    out = {name: (form.A, form.M) for name, form in forms.items()}
+    K1, K2, _, Msec = section_fem(l_shaped_mask(8))
+    out["section"] = ((K1 + 2.0 * K2).tocsr(), Msec)
+    Sxx, Syy, Mtri, _ = triangle_matrices(12, 1.0)
+    out["triangle"] = ((Sxx + 2.0 * Syy).tocsr(), Mtri)
+    return out
+
+
+BAND_KINDS = ["reduced2d", "half_DN", "full_sign", "mask", "section",
+              "triangle"]
+
+
+def dense_lower_band(S, kd):
+    """LAPACK lower band storage of the dense symmetric S."""
+    n = S.shape[0]
+    ab = np.zeros((kd + 1, n))
+    for d in range(kd + 1):
+        ab[d, :n - d] = np.diagonal(S, -d)
+    return ab
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["forward", "reversed"])
+@pytest.mark.parametrize("kind", BAND_KINDS)
+def test_band_from_the_factors_matches_the_dense_band(kind, reverse):
+    A, M = band_pencils()[kind]
+    band = eigcore._band_pencil(A, M, 10**6)
+    sigma = 3.7
+    S = materialize(A) - sigma * materialize(M)
+    if reverse:
+        S = S[::-1, ::-1]
+    want = dense_lower_band(S, band.kd)
+    assert band.kd == eigcore._csr_bandwidth(sp.csr_matrix(S))
+    got = band.lower(sigma, reverse=reverse)
+    assert got.flags.f_contiguous
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    # the trailing block from an x node on, which a count restart reads
+    nx, m = band.shape
+    first = nx // 2
+    tail = band.lower(sigma, reverse=reverse, first=first)
+    assert np.abs(tail - dense_lower_band(S[first * m:, first * m:],
+                                          band.kd)).max() <= 1e-14 * scale
+    # and A applied from the band rows of A
+    V = np.random.default_rng(0).standard_normal((band.n, 3))
+    AV = materialize(A) @ V
+    assert np.abs(band.apply_A(V) - AV).max() <= 1e-13 * np.abs(AV).max()
+
+
+@pytest.mark.parametrize("below", [0, 1, 3, 8])
+@pytest.mark.parametrize("kind", BAND_KINDS)
+def test_reversed_inertia_counts_match_dense_counts(kind, below):
+    A, M = band_pencils()[kind]
+    lam = sla.eigh(materialize(A), materialize(M), eigvals_only=True)
+    sigma = (0.5 * lam[0] if below == 0
+             else 0.5 * (lam[below - 1] + lam[below]))
+    band = eigcore._band_pencil(A, M, 10**6)
+    built = []
+    real = band.lower
+
+    def spy(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    band.lower = spy
+    assert eigcore._negative_count(band, sigma) == below
+    # every factorization is of the reversed order; a pivot that is not
+    # positive restarts the count from a rebuilt band
+    assert all(kw["reverse"] for kw in built)
+    assert (len(built) > 1) == (below > 0)
+
+
+def test_factored_solve_holds_its_band_and_the_lanczos_basis():
+    # tracemalloc over one factored solve: the band Cholesky, ARPACK's
+    # n x (ncv + 1) basis and residual, and a stated slack: M's CSR
+    # matrix (for the Lanczos products), the second n x ncv array of
+    # ARPACK's eigenvector extraction, and 12 n-vectors (its work
+    # vectors, the start vector and the solve's V and M V)
+    form = assemble_reduced2d(1.0, Rect(0.0, 1.0, 0.0, 1.0), 6.0, (384, 64))
+    n, k = form.n, 4
+    kd = form.A.half_bandwidth
+    ncv = max(2 * k + 1, 20)   # eigsh's default
+    tracemalloc.start()
+    try:
+        res = lowest_eigenpairs(form.A, form.M, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.solver == "shift_invert"
+    Mc = form.M.matrix
+    csr = Mc.data.nbytes + Mc.indices.nbytes + Mc.indptr.nbytes
+    limit = 8 * n * (kd + 1) + 8 * n * (ncv + 1) + csr + 8 * n * (ncv + 12)
+    assert peak <= limit
 
 
 def reduced_pencil(beta, rect, L, grid):

@@ -293,6 +293,73 @@ class TestCountReliability:
         assert "inconclusive" in rep.flags
 
 
+class TestOneTopCount:
+    """A factored top rung is counted by inertia once, at the top of its
+    band, and counted again at the bottom only when its solve does not
+    settle it."""
+
+    @staticmethod
+    def spy_counts(monkeypatch):
+        real = waveguide.count_below
+        calls = []
+
+        def spy(A, M, threshold, safety, **kwargs):
+            calls.append((threshold, safety))
+            return real(A, M, threshold, safety, **kwargs)
+
+        monkeypatch.setattr(waveguide, "count_below", spy)
+        return calls
+
+    def test_a_settled_top_rung_is_counted_once(self, monkeypatch):
+        calls = self.spy_counts(monkeypatch)
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
+        top = rep.rungs[-1]
+        assert top.solver == "shift_invert" and top.inertia == (1, 1)
+        # the planar threshold E1 - pi^2 plus the band, with no band of
+        # its own: its one solved value below the band settles the bottom
+        band = waveguide.BAND_REL * top.threshold
+        assert calls == [(pytest.approx(top.threshold - PI2 + band), 0.0)]
+
+    def test_a_value_in_the_band_is_counted_again(self, monkeypatch):
+        # a band of 1 % of E1 holds the top rung's lowest planar value,
+        # 0.94 against a planar threshold of 1
+        monkeypatch.setattr(waveguide, "BAND_REL", 0.01)
+        calls = self.spy_counts(monkeypatch)
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
+        below, above = rep.rungs[-1].inertia
+        assert len(calls) == 2
+        assert calls[1] == (pytest.approx(calls[0][0] - 2 * 0.01
+                                          * rep.rungs[-1].threshold), 0.0)
+        assert below == 0 < above
+        assert "unreliable_count:r1s1" in rep.flags
+        assert not any(f.startswith("count_mismatch") for f in rep.flags)
+
+    def test_a_skipped_value_is_counted_again(self, monkeypatch):
+        # the top rung r1s1 is the second solve; with its lowest value
+        # dropped, no solved value lies below the band, and the second
+        # count finds the one the solve skipped
+        real = waveguide.lowest_eigenpairs
+        solves = []
+
+        def skip_lowest(A, M, k, *args, **kwargs):
+            solves.append(k)
+            if len(solves) != STRIP_DISC.refine:
+                return real(A, M, k, *args, **kwargs)
+            res = real(A, M, k + 1, *args, **kwargs)
+            return dataclasses.replace(
+                res, theta=res.theta[1:], vectors=res.vectors[:, 1:],
+                converged=res.converged[1:], residuals=res.residuals[1:],
+                mass_residuals=res.mass_residuals[1:])
+
+        monkeypatch.setattr(waveguide, "lowest_eigenpairs", skip_lowest)
+        calls = self.spy_counts(monkeypatch)
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
+        assert len(calls) == 2
+        assert rep.rungs[-1].inertia == (1, 1)
+        assert "count_mismatch:r1s1" in rep.flags
+        assert "inconclusive" in rep.flags
+
+
 class TestStrongShear:
     def test_beta4_finite_stable_count(self):
         disc = DiscretizationSpec(nx=48, n1=8, n2=8, L=2.0, mode="reduced2d",
@@ -654,6 +721,51 @@ class TestFactoredRungs:
             self.assert_guessed_shifts(rep)
 
 
+    def test_factored_rungs_assemble_only_the_mass(self, monkeypatch):
+        # a factored rung reads A from its Kronecker factors: the only
+        # CSR matrices built are the masses, for the Lanczos products
+        built = []
+        assemble = eigcore.KronOp.matrix.func
+        monkeypatch.setattr(eigcore.KronOp, "matrix", property(
+            lambda op: built.append(type(op)) or assemble(op)))
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), self.STRIP_LADDER)
+        assert {rr.solver for rr in rep.rungs} == {"shift_invert"}
+        assert built and set(built) == {eigcore.MassKron}
+
+    @pytest.mark.parametrize("config", ["strip", "square"])
+    def test_first_mesh_rung_factors_at_its_first_shift(self, monkeypatch,
+                                                        config):
+        # a top rung that counts a bound state starts the first mesh rung
+        # at its threshold's first back-off, which factors: the threshold
+        # itself lies above that rung's lowest value
+        if config == "strip":
+            spec, disc, opts = (WaveguideSpec(1.0, STRIP), self.STRIP_LADDER,
+                                None)
+        else:
+            path = Path(__file__).parents[1] / "demos" / "configs" / \
+                "square.json"
+            _, spec, disc, opts = load_config(str(path))
+        real = eigcore._band_cholesky
+        tried = []
+
+        def spy(band, sigma):
+            chol = real(band, sigma)
+            tried.append((band.n, chol is not None))
+            return chol
+
+        monkeypatch.setattr(eigcore, "_band_cholesky", spy)
+        rep = compute_spectrum(spec, disc, opts)
+        first = rep.rungs[0]
+        assert (first.grid.r, first.grid.s) == (0, disc.l_steps - 1)
+        assert first.solver == "shift_invert" and rep.count == 1
+        n = tried[0][0]
+        assert [ok for m, ok in tried if m == n] == [True]
+        planar = first.threshold - PI2
+        assert first.shift == pytest.approx(planar * (1.0 - 0.5 ** 4),
+                                            rel=1e-15)
+        assert first.solved[0] < planar
+
+
 def _channel_sums_seed(planar, rect, e1, band):
     """``waveguide._channel_sums`` as it was before the channel bound."""
     w1 = rect.width1
@@ -749,16 +861,39 @@ class TestChannelSums:
 
 
 def _rung(r, s, theta, residuals, w1, e1):
-    """A ladder rung made by ``_make_rung`` from a synthetic solve."""
+    """A ladder rung made by ``_make_rung`` from a synthetic solve whose
+    residuals read the same in the 2-norm and the mass bound."""
     theta = np.asarray(theta)
     sol = eigcore.EigResult(theta, np.zeros((1, len(theta))),
                             np.ones(len(theta), bool), 0, 0,
-                            np.asarray(residuals), "dense")
+                            np.asarray(residuals), "dense",
+                            mass_residuals=np.asarray(residuals))
     g = waveguide.RungGrid(r, s, 8, 0, 8, 1.0)
     return waveguide._make_rung(g, e1, sol, len(theta), w1, [], 0.0)
 
 
 class TestFlagMonotone:
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e4])
+    def test_a_relative_rise_is_flagged_at_every_length_scale(self, s):
+        # the slack comes from the mass bound sqrt(8) ||r||_D, which
+        # scales with the values: a rise of 1e-3 of the largest-residual
+        # value along the box axis is flagged alike at every length scale
+        # (the 2-norm residual of the block-CG rungs reads 0.02 of that
+        # value at s = 1e4, and made a slack of 0.4 of it)
+        disc = DiscretizationSpec(nx=24, n1=8, n2=8, L=s, mode="half_DN",
+                                  refine=2, l_steps=2)
+        rep = compute_spectrum(WaveguideSpec(1.0, Rect(0.0, s, 0.0, s)),
+                               disc)
+        results = {(rr.grid.r, rr.grid.s): rr for rr in rep.rungs}
+        flags = []
+        waveguide._flag_monotone(results, disc, rep.threshold, flags)
+        assert flags == []
+        j = int(np.argmax(results[(1, 1)].solved_mass_residuals
+                          / results[(1, 1)].solved))
+        results[(1, 1)].solved[j] = results[(1, 0)].solved[j] * 1.001
+        waveguide._flag_monotone(results, disc, rep.threshold, flags)
+        assert f"monotone_L:j{j}" in flags
+
     def test_each_solved_value_keeps_its_own_residual(self):
         # a wide section: planar value 0 in channel 2 (sum 5.39) ranks
         # above planar value 1 in channel 1 (6.10), so both listed sums
