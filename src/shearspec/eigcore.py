@@ -1,8 +1,8 @@
 """Block eigensolver core: operators, preconditioners, LOBPCG, counting.
 
 Everything downstream reduces to the generalized pencil (A, M) with A
-symmetric and M symmetric positive definite; an absent M is the sparse
-identity.  A pencil operand is a scipy sparse matrix, a ``KronOp`` or a
+symmetric and M symmetric positive definite; every solve and count is
+given both.  A pencil operand is a scipy sparse matrix, a ``KronOp`` or a
 dense ndarray, applied with ``@``, with no wrapper around it.  A
 waveguide form's A is a sum of Kronecker products of an x factor and a
 section factor, and its M a single one (``MassKron``, a one-term
@@ -45,8 +45,9 @@ standard-form Lanczos (``eigsh``) finds the largest eigenvalues
 1 / (theta - sigma) of L^-1 M L^-T (Ericsson & Ruhe 1980), one M product
 and two band triangular solves per step.  ``count_below``
 counts every such pencil, at any order, by the inertia of a block LDL^T
-(Sylvester's law with Haynsworth additivity).  Every other pencil goes to
-block CG.  For x-major half-guide forms the half-bandwidth is about the
+(Sylvester's law with Haynsworth additivity), and is the one place that
+tells such a pencil from the others.  Every other pencil goes to block
+CG.  For x-major half-guide forms the half-bandwidth is about the
 section order, so the planar (reduced2d) forms and small 3-D sections are
 factored and large 3-D sections iterate.
 
@@ -57,17 +58,21 @@ dx-th and S's os-th lower diagonal, and the residuals apply A term by
 term from the same factors; only M is assembled, for the Lanczos
 products.  A bare pencil is the one-node x slot.  (``dsbmv`` on the band
 would read all kd + 1 rows where a reduced2d band holds 5: 1.0 ms per
-vector at order 9920 and kd 257.)  The inertia count factors the band in
-reversed order, so that its first non-positive pivot falls at the far
-end, away from the bend at x = 0, and little is left to factor after
-it.  A caller
-holding Ritz values can count once, at the top of its band, since Ritz
-values bound eigenvalues from above (``waveguide`` does so on its top
-rung).  On the strip benchmark's top rung (n 9920, kd 32) the band took
-0.6-0.7 ms from the factors, 1.0-1.1 ms with the factors' patterns,
-against 3.4-3.9 ms from the CSR matrices and 3.2-4.3 ms more to
-assemble A; M took 0.7-1.0 ms to assemble against 2.7-2.9 ms (medians
-of 40 calls, three alternating runs, 2 cores).
+vector at order 9920 and kd 257.)  The half-bandwidth kd is read off the
+same union patterns the band is written from, so the band always holds
+every entry.  The inertia count factors the band in reversed order, so
+that its first non-positive pivot falls at the far end, away from the
+bend at x = 0, and little is left to factor after it.  A count with a
+safety band s factors once, at T + s, and stays open until
+``CountResult.settle`` closes it at T - s: Ritz values bound eigenvalues
+from above, so the caller's solved values usually settle it with no
+second factorization (``waveguide`` settles its top rung so); when they
+do not, the same band pencil is counted again.  On the strip
+benchmark's top rung (n 9920, kd 32) the band took 0.6-0.7 ms from the
+factors, 1.0-1.1 ms with the factors' patterns, against 3.4-3.9 ms from
+the CSR matrices and 3.2-4.3 ms more to assemble A; M took 0.7-1.0 ms
+to assemble against 2.7-2.9 ms (medians of 40 calls, three alternating
+runs, 2 cores).
 """
 
 from __future__ import annotations
@@ -104,7 +109,6 @@ __all__ = [
     "smallest_eigenpairs",
     "lowest_eigenpairs",
     "count_below",
-    "counts_by_inertia",
 ]
 
 # pencils up to this order are solved by dense eigh, above it a banded
@@ -231,12 +235,6 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _csr_bandwidth(m: sp.csr_matrix) -> int:
-    """Largest |i - j| over the stored entries of a CSR matrix."""
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return int(np.abs(m.indices - rows).max(initial=0))
-
-
 def _union(mats):
     """Shared sorted CSR pattern of the CSR matrices ``mats`` and each
     one's values on it.
@@ -342,15 +340,6 @@ class KronOp:
     def matrix(self) -> sp.csr_matrix:
         """The terms summed into one CSR matrix, built on first use."""
         return _assemble(self.terms, self.shape, self.n)
-
-    @functools.cached_property
-    def half_bandwidth(self) -> int:
-        """Largest |i - j| over the stored entries of ``matrix``, read
-        from the factors: an x offset moves the row index by the section
-        order m, so the term X (x) S reaches bw(X) m + bw(S)."""
-        m = self.shape[1]
-        return max(_csr_bandwidth(X) * m + _csr_bandwidth(S)
-                   for _, (X, S) in self.terms)
 
     def matmat(self, X):
         return self.matrix @ np.asarray(X, dtype=float)
@@ -662,7 +651,7 @@ def _settled(theta: np.ndarray, dn: np.ndarray, k: int,
                     bound <= scale * gap)
 
 
-def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
+def smallest_eigenpairs(A, M, opts: EigOptions | None = None,
                         precond=None) -> EigResult:
     """Lowest-k generalized eigenpairs of (A, M) by preconditioned block CG.
 
@@ -690,8 +679,6 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
     """
     opts = opts or EigOptions()
     n = _order(A)
-    if M is None:
-        M = sp.identity(n, format="csr")
     if _order(M) != n:
         raise ValueError(f"operator sizes differ: A is {n}, M is {_order(M)}")
     k = opts.k
@@ -783,14 +770,6 @@ def smallest_eigenpairs(A, M=None, opts: EigOptions | None = None,
         it += 1
 
 
-def _half_bandwidth(op) -> int:
-    """Largest |i - j| over the nonzeros of a KronOp or sparse pencil
-    operand: a KronOp's from its factors, a sparse matrix's by a scan."""
-    if isinstance(op, KronOp):
-        return op.half_bandwidth
-    return _csr_bandwidth(sp.csr_matrix(op))
-
-
 def _coo(mats):
     """Rows, columns and per-matrix values of the union pattern of the
     square sparse ``mats`` (``_union``)."""
@@ -814,11 +793,13 @@ class _BandPencil:
     so the products of all terms are one GEMM over their coefficients
     and one scatter per chunk of x entries.  A bare sparse pencil (a
     section or triangle) is the one-node x slot, X = [1], and its band
-    the scatter of its lower entries.  ``mass`` is M's CSR matrix, for
-    the Lanczos products.
+    the scatter of its lower entries.  The half-bandwidth ``kd`` is the
+    widest band row that writes, max(i - j) m + max(a - b) over the two
+    union patterns.  ``mass`` is M's CSR matrix, for the Lanczos
+    products.
     """
 
-    def __init__(self, A, M, kd: int):
+    def __init__(self, A, M):
         if isinstance(A, KronOp):
             self.shape, terms = A.shape, A.terms + M.terms
             self._na = len(A.terms)
@@ -833,10 +814,12 @@ class _BandPencil:
             self._x = (zero, zero, np.ones((2, 1)))
         self._M = M
         self.n = self.shape[0] * self.shape[1]
-        self.kd = kd
         self._terms = terms
         self._coef = np.array([c for c, _ in terms])
         self._s = _coo([S for _, (_, S) in terms])
+        (xi, xj, _), (si, sj, _) = self._x, self._s
+        self.kd = (int((xi - xj).max(initial=0)) * self.shape[1]
+                   + int((si - sj).max(initial=0)))
 
     @functools.cached_property
     def mass(self) -> sp.csr_matrix:
@@ -897,8 +880,8 @@ def _band_pencil(A, M, bs: int) -> _BandPencil | None:
     otherwise.
 
     An operator form (A and M KronOps of one shape) is factored when its
-    band Cholesky, n (kd + 1) doubles, is no larger than the _CG_ARRAYS
-    n x bs arrays block CG would hold.  A bare sparse pencil (a section
+    band Cholesky, n (kd + 1) doubles with kd the built pencil's own, is
+    no larger than the _CG_ARRAYS n x bs arrays block CG would hold.  A bare sparse pencil (a section
     or triangle) is factored at any bandwidth: block CG has no
     preconditioner for it but Jacobi, under which its iterations grow
     with the mesh.
@@ -907,19 +890,10 @@ def _band_pencil(A, M, bs: int) -> _BandPencil | None:
     if not (kron and A.shape == M.shape
             or sp.issparse(A) and sp.issparse(M)):
         return None
-    kd = max(_half_bandwidth(A), _half_bandwidth(M))
-    if kron and kd + 1 > _CG_ARRAYS * bs:
+    band = _BandPencil(A, M)
+    if kron and band.kd + 1 > _CG_ARRAYS * bs:
         return None
-    return _BandPencil(A, M, kd)
-
-
-def counts_by_inertia(A, M, k: int) -> bool:
-    """Whether ``count_below`` counts (A, M), from a block of k pairs, by
-    inertia: the pencils ``lowest_eigenpairs`` factors."""
-    n = _order(A)
-    if M is None:
-        M = sp.identity(n, format="csr")
-    return _band_pencil(A, M, min(k + 3, n)) is not None
+    return band
 
 
 def _band_cholesky(band: _BandPencil, sigma: float) -> np.ndarray | None:
@@ -1100,14 +1074,13 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     run on one BLAS thread (``_ONE_BLAS_THREAD``).  Any other pencil, or
     one whose A is not positive definite, goes to ``smallest_eigenpairs``
     with ``precond``, on the caller's BLAS pool.  Direct solves report
-    residuals from fresh products, a factored one applying A from its
-    band; ``solver`` records the branch taken and ``shift`` the certified
-    sigma.
+    residuals from fresh products, a factored one applying A term by term
+    from its Kronecker factors (``_BandPencil.apply_A``; ``dsbmv`` on the
+    band was slower); ``solver`` records the branch taken and ``shift``
+    the certified sigma.
     """
     opts = opts or EigOptions()
     n = _order(A)
-    if M is None:
-        M = sp.identity(n, format="csr")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     if k is None or k == n or n <= DENSE_N:
@@ -1129,54 +1102,87 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
 
 @dataclass
 class CountResult:
+    """Eigenvalues of a pencil counted below T - s, T the threshold and s
+    the safety band.
+
+    An inertia count with s > 0 is open until ``settle`` closes it:
+    ``count`` then holds N(T + s), an upper bound for N(T - s), and
+    ``pending`` the band pencil and T - s.  An open count is not
+    ``reliable``.
+    """
+
     count: int
     boundary: bool             # some eigenvalue inside the safety band
     # smallest converged value above T, minus T; inf for an inertia
     # count, which sees every eigenvalue
     clearance: float
     result: EigResult | None   # the block solve; None for an inertia count
-    # negative eigenvalues of A - (T -/+ safety) M, for an inertia count
+    # negative eigenvalues of A - (T -/+ safety) M, for a settled inertia
+    # count
     inertia: tuple[int, int] | None = None
+    pending: tuple[_BandPencil, float] | None = field(default=None,
+                                                      repr=False)
 
     @property
     def reliable(self) -> bool:
-        return ((not self.boundary) and self.clearance > 0
+        return (self.pending is None and (not self.boundary)
+                and self.clearance > 0
                 and (self.result is None or self.result.ok))
+
+    def settle(self, theta) -> CountResult:
+        """The count closed at T - s, from Ritz values ``theta`` of the
+        pencil; the result itself when nothing is open.
+
+        Ritz values bound eigenvalues from above (Parlett 1998), so c
+        values below T - s prove N(T - s) >= c, and N(T - s) <= N(T + s):
+        when c reaches N(T + s), N(T - s) = N(T + s) with no second
+        factorization.  Otherwise (a value in the band, or a solve that
+        skipped one) the band pencil is counted again at T - s.
+        """
+        if self.pending is None:
+            return self
+        band, low = self.pending
+        above = below = self.count
+        if np.count_nonzero(np.asarray(theta, dtype=float) < low) != above:
+            with _ONE_BLAS_THREAD:
+                below = _negative_count(band, low)
+        return dataclasses.replace(self, count=below, boundary=below != above,
+                                   inertia=(below, above), pending=None)
 
 
 def count_below(A, M, threshold: float, safety: float,
                 opts: EigOptions | None = None, precond=None) -> CountResult:
     """Count eigenvalues certified below ``threshold - safety``.
 
-    A pencil that ``_band_pencil`` selects (``counts_by_inertia``), at
-    any order, is counted exactly by the inertia of A - (T - s) M, read
+    A pencil that ``_band_pencil`` selects is counted exactly, at any
+    order, by inertia: the negative eigenvalues of A - (T + s) M, read
     from a block LDL^T of its band in reversed order
-    (``_negative_count``); ``boundary`` is set when the inertia at T + s
-    differs, which a second factorization counts.  A caller that holds
-    Ritz values of the pencil can count once instead, at T + s with no
-    band, and settle T - s from them (``compute_spectrum`` does so on its
-    top rung).  Otherwise Ritz values bound eigenvalues from above, so a
-    converged value under the band certifies one eigenvalue there.  From
+    (``_negative_count``).  It is counted once, at T + s.  With s = 0
+    that is the count; with s > 0 the result is open, and
+    ``CountResult.settle`` closes it at T - s from the caller's Ritz
+    values of the pencil or by a second count on the same band
+    (``compute_spectrum`` settles its top rung from that rung's solve).
+    Otherwise Ritz values bound eigenvalues from above, so a converged
+    value under the band certifies one eigenvalue there.  From
     ``opts.k`` pairs (no floor: the ladder passes max(k, 4)) the block
     doubles, one ``lowest_eigenpairs`` solve a step, up to _KMAX pairs,
     until a converged value clears ``threshold + safety``, so the count
-    cannot be truncated by a too-small search space.
+    cannot be truncated by a too-small search space; such a count is
+    settled as returned.
     """
     if safety < 0:
         raise ValueError(f"safety band must be nonnegative, got {safety}")
     n = _order(A)
-    if M is None:
-        M = sp.identity(n, format="csr")
     base = opts or EigOptions()
     k = base.k
     band = _band_pencil(A, M, min(k + 3, n))
     if band is not None:
         with _ONE_BLAS_THREAD:
-            below = _negative_count(band, threshold - safety)
-            above = below if safety == 0 else _negative_count(
-                band, threshold + safety)
-        return CountResult(below, above != below, math.inf, None,
-                           (below, above))
+            above = _negative_count(band, threshold + safety)
+        if safety == 0:
+            return CountResult(above, False, math.inf, None, (above, above))
+        return CountResult(above, False, math.inf, None,
+                           pending=(band, threshold - safety))
     while True:
         k = min(k, n)
         res = lowest_eigenpairs(A, M, k, base, precond)

@@ -33,8 +33,7 @@ import numpy as np
 
 from .assembly import ShearForm, assemble_reduced2d, assemble_waveguide, fem1d
 from .cross_section import ess_threshold, refine_mask
-from .eigcore import (CountResult, EigOptions, EigResult, count_below,
-                      counts_by_inertia, lowest_eigenpairs)
+from .eigcore import EigOptions, EigResult, count_below, lowest_eigenpairs
 from .geometry import (MaskSection, Rect, Section, WaveguideSpec, beta_value,
                        check_length)
 
@@ -348,11 +347,10 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     """Run the full ladder and report extrapolated eigenvalues, the
     below-threshold count with its safety band, and stability flags.
 
-    The finest rung is set up and counted first.  A factored pencil is
-    counted by inertia once, at the top of the safety band, and its own
-    solve settles the bottom (``_settle_count``); any other by a block
-    that starts at the ladder's max(k, 4) pairs and grows until a
-    converged value clears the threshold.  The count fixes how many
+    The finest rung is set up and counted first, by one ``count_below``
+    call from a block of the ladder's max(k, 4) pairs, and its own solve
+    settles that count (``CountResult.settle``: an inertia count is open
+    at the bottom of its safety band until then).  The count fixes how many
     pairs every rung resolves, so values stay index-aligned across the
     ladder.  The rungs are then solved from coarse to fine, box steps
     last, each by one ``lowest_eigenpairs`` call unless its block-CG
@@ -391,15 +389,8 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
     # the top rung's solved threshold and the bottom of its band
     e1_solved = e1_top - offset
     low = e1_solved - band0
-    # an inertia-counted rung is counted once, at the top of the band;
-    # its own solve settles the bottom (``_settle_count``)
-    settle = counts_by_inertia(form.A, form.M, block)
-    if settle:
-        cres = count_below(form.A, form.M, e1_solved + band0, 0.0,
-                           opts=bopts)
-    else:
-        cres = count_below(form.A, form.M, e1_solved, band0, opts=bopts,
-                           precond=pre)
+    cres = count_below(form.A, form.M, e1_solved, band0, opts=bopts,
+                       precond=pre)
     k_solve = max(block, cres.count + 2)
     sol = cres.result
     if sol is None or len(sol.theta) < k_solve:
@@ -436,8 +427,8 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
                                            else 1.0)
             sol = lowest_eigenpairs(form.A, form.M, k_solve, base, pre,
                                     sigma=sigma)
-        if p == top and settle:
-            cres = _settle_count(form, low, cres, sol.theta[:k_solve], bopts)
+        if p == top:
+            cres = cres.settle(sol.theta[:k_solve])
         form = pre = None
         results[p] = _make_rung(g, e1_r, sol, k_solve, w1, warnings,
                                 seconds + time.perf_counter() - t0)
@@ -522,25 +513,6 @@ def compute_spectrum(spec: WaveguideSpec, disc: DiscretizationSpec,
         seconds=time.perf_counter() - t_start,
         solved=ext, solved_est=est,
         channels=[(m, k) for _, m, k in take] if reduced else None)
-
-
-def _settle_count(form: ShearForm, low: float, top: CountResult,
-                  theta: np.ndarray, opts: EigOptions) -> CountResult:
-    """The top rung's count at ``low``, the bottom of its band, from
-    ``top``, its inertia count N at the top of the band, and its solved
-    values ``theta``.
-
-    Ritz values bound eigenvalues from above (Parlett 1998), so c solved
-    values below ``low`` prove N(low) >= c, and N(low) <= N: when c
-    reaches N, N(low) = N with no second factorization.  Otherwise (a
-    value in the band, or a solve that skipped one) the pencil is
-    counted again at ``low``.
-    """
-    above = below = top.count
-    if int(np.count_nonzero(theta < low)) != above:
-        below = count_below(form.A, form.M, low, 0.0, opts=opts).count
-    return dataclasses.replace(top, count=below, boundary=below != above,
-                               inertia=(below, above))
 
 
 def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int,

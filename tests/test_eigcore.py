@@ -211,7 +211,8 @@ def test_tensor_precond_clamps_shift_above_lam_min():
 # ------------------------------------------------------------------ solver
 
 def test_trivial_diagonal_identity():
-    res = smallest_eigenpairs(np.diag([1.0, 2.0, 3.0]), None, EigOptions(k=2))
+    res = smallest_eigenpairs(np.diag([1.0, 2.0, 3.0]), np.eye(3),
+                              EigOptions(k=2))
     assert res.ok
     assert np.allclose(res.theta, [1.0, 2.0], atol=1e-10)
 
@@ -226,7 +227,8 @@ def test_trivial_decoupled_ratios():
 def test_fd_chain_closed_form_and_dense_oracle():
     n = 100
     A = fd_chain(n)
-    res = smallest_eigenpairs(A, None, EigOptions(k=3, tol=1e-10))
+    res = smallest_eigenpairs(A, sp.identity(n, format="csr"),
+                              EigOptions(k=3, tol=1e-10))
     exact = fd_chain_eigs(n)[:3]
     assert res.ok
     assert np.allclose(res.theta, exact, rtol=1e-9)
@@ -328,9 +330,9 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="seed"):
         EigOptions(seed=-1)
     with pytest.raises(ValueError):
-        smallest_eigenpairs(np.eye(3), None, EigOptions(k=5))
+        smallest_eigenpairs(np.eye(3), np.eye(3), EigOptions(k=5))
     with pytest.raises(ValueError, match="square"):
-        smallest_eigenpairs(np.ones((3, 4)))
+        smallest_eigenpairs(np.ones((3, 4)), np.eye(3))
 
 
 def test_indefinite_mass_detected():
@@ -475,7 +477,7 @@ def _combine(S: list, C: np.ndarray) -> np.ndarray:
     return out
 
 
-def list_block_cg(A, M=None, opts=None, precond=None):
+def list_block_cg(A, M, opts=None, precond=None):
     """Block CG on [X W P] held as lists of separate n x bs arrays, with
     Gram matrices and basis changes block by block: the reference the
     workspace loop of ``smallest_eigenpairs`` must reproduce."""
@@ -483,8 +485,6 @@ def list_block_cg(A, M=None, opts=None, precond=None):
                                    _rayleigh_ritz, _settled, _whiten)
     opts = opts or EigOptions()
     n = _order(A)
-    if M is None:
-        M = sp.identity(n, format="csr")
     if _order(M) != n:
         raise ValueError(f"operator sizes differ: A is {n}, M is {_order(M)}")
     k = opts.k
@@ -591,19 +591,28 @@ def test_rank_deficient_blocks_match_dense_eigh(n):
 
 # -------------------------------------------------------- factored pencils
 
+def scan_bandwidth(m):
+    """Largest |i - j| over the stored entries of a sparse matrix."""
+    coo = sp.coo_matrix(m)
+    return int(np.abs(coo.row.astype(np.int64) - coo.col).max(initial=0))
+
+
 def test_fit_rule_sends_pencils_by_band_against_block_memory():
     unit = Rect(0.0, 1.0, 0.0, 1.0)
     narrow = assemble_reduced2d(1.0, unit, 3.0, (64, 16))
     wide = assemble_reduced2d(1.0, unit, 3.0, (8, 128))
     solid = wide_pencils()["half_DN"]
+
+    def kd(form):
+        return eigcore._band_pencil(form.A, form.M, 10**6).kd
+
     # x-major half-guide forms: half-bandwidth n2 on reduced2d, the
     # section order plus n2 in 3-D
-    assert eigcore._half_bandwidth(narrow.A) == 16
-    assert eigcore._half_bandwidth(wide.A) == 128
-    assert eigcore._half_bandwidth(solid.A) == 121 + 12
-    # the mass band is read off its assembled CSR matrix
-    assert eigcore._half_bandwidth(solid.M) == 133
-    assert eigcore._half_bandwidth(solid.M.matrix) == 133
+    assert kd(narrow) == 16
+    assert kd(wide) == 128
+    assert kd(solid) == 121 + 12
+    # the mass band, scanned off its assembled CSR matrix, is as wide
+    assert scan_bandwidth(solid.M.matrix) == 133
     opts = EigOptions(tol=1e-10)
     got = {}
     for name, form in (("narrow", narrow), ("wide", wide),
@@ -620,7 +629,7 @@ def test_fit_rule_sends_pencils_by_band_against_block_memory():
     # any bandwidth
     K1, K2, _, Msec = section_fem(l_shaped_mask(96))
     K = (K1 + 2.0 * K2).tocsr()
-    assert eigcore._half_bandwidth(K) + 1 > 18 * 4
+    assert eigcore._band_pencil(K, Msec, 4).kd + 1 > 18 * 4
     res = lowest_eigenpairs(K, Msec, 1, opts)
     assert res.solver == "shift_invert"
     assert res.residuals[0] <= 1e-10 * res.theta[0]
@@ -630,9 +639,39 @@ def test_fit_rule_sends_pencils_by_band_against_block_memory():
                                   "full_sign"])
 def test_kron_half_bandwidth_from_factors_matches_the_scan(mode):
     form = shear_pencils()[mode]
-    for op in (form.A, form.M):
-        assert op.half_bandwidth == eigcore._csr_bandwidth(op.matrix)
-        assert eigcore._half_bandwidth(op) == op.half_bandwidth
+    band = eigcore._band_pencil(form.A, form.M, 10**6)
+    assert band.kd == max(scan_bandwidth(form.A.matrix),
+                          scan_bandwidth(form.M.matrix))
+
+
+def split_width_pencil():
+    """X1 (x) I + I (x) S with the identity mass: the widest x factor,
+    X1 = tridiag(-1, 2.5, -1) of order 30, and the widest section factor,
+    S of bandwidth 3 (offsets 1 and 3), sit in different terms, and the
+    band needs kd = 1 * 20 + 3."""
+    nx, m = 30, 20
+    X1 = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(nx, nx))
+    S = sp.diags([-0.5, -1.0, 4.0, -1.0, -0.5], [-3, -1, 0, 1, 3],
+                 shape=(m, m))
+    Ix, Is = sp.identity(nx), sp.identity(m)
+    return (KronOp([(1.0, (X1, Is)), (1.0, (Ix, S))], (nx, m)),
+            MassKron((Ix, Is), (nx, m)))
+
+
+def test_widths_from_different_terms_count_and_solve_like_dense():
+    # the band is as wide as the widest x offset times m plus the widest
+    # section offset over all terms; a band as wide as the widest single
+    # term, 20, is three rows short: it counted 280 values below the
+    # midpoint of lam[2] and lam[3], and its Cholesky failed
+    A, M = split_width_pencil()
+    assert eigcore._band_pencil(A, M, 10**6).kd == scan_bandwidth(
+        A.matrix) == 23
+    lam = sla.eigh(materialize(A), materialize(M), eigvals_only=True)
+    for T in 0.5 * (lam[:40] + lam[1:41]):
+        assert count_below(A, M, T, 0.0).count == np.count_nonzero(lam < T)
+    res = lowest_eigenpairs(A, M, 4)
+    assert res.solver == "shift_invert"
+    assert res.theta == pytest.approx(lam[:4], rel=1e-10)
 
 
 def dense_spectrum(form):
@@ -663,13 +702,49 @@ def test_inertia_counts_match_dense_counts(mode, monkeypatch):
 def test_inertia_count_flags_the_band():
     form = shear_pencils()["reduced2d"]
     lam = dense_spectrum(form)
-    r = count_below(form.A, form.M, lam[2], 1e-6 * lam[2])
+    r = count_below(form.A, form.M, lam[2], 1e-6 * lam[2]).settle(())
     assert (r.count, r.inertia, r.boundary) == (2, (2, 3), True)
     assert not r.reliable
     clear = 0.5 * (lam[2] + lam[3])
-    r = count_below(form.A, form.M, clear, 1e-6 * clear)
+    r = count_below(form.A, form.M, clear, 1e-6 * clear).settle(())
     assert (r.count, r.inertia, r.boundary) == (3, (3, 3), False)
     assert r.reliable and r.clearance == math.inf
+
+
+def test_an_open_count_settles_from_ritz_values_or_a_second_count(
+        monkeypatch):
+    # an inertia count with a safety band factors once, at T + s; it is
+    # open until settled at T - s, by the caller's values when they reach
+    # its count and by a second count on the same band when they do not
+    form = shear_pencils()["reduced2d"]
+    lam = dense_spectrum(form)
+    counted = []
+    real = eigcore._negative_count
+
+    def spy(band, sigma):
+        counted.append((band, sigma))
+        return real(band, sigma)
+
+    monkeypatch.setattr(eigcore, "_negative_count", spy)
+    T = 0.5 * (lam[1] + lam[2])
+    s = 1e-6 * T
+    r = count_below(form.A, form.M, T, s)
+    assert (r.count, r.inertia, r.pending[1]) == (2, None, T - s)
+    assert not r.reliable
+    assert [sigma for _, sigma in counted] == [T + s]
+    settled = r.settle(lam[:4])
+    assert (settled.count, settled.inertia, settled.pending) == (2, (2, 2),
+                                                                 None)
+    assert settled.reliable and len(counted) == 1
+    assert settled.settle(()) is settled
+    recount = r.settle(lam[1:4])
+    assert (recount.count, recount.inertia) == (2, (2, 2))
+    assert counted[1] == (counted[0][0], T - s)
+    # a block-CG count is settled as returned
+    monkeypatch.setattr(eigcore, "_CG_ARRAYS", 0)
+    cg = count_below(form.A, form.M, T, s, EigOptions(k=4),
+                     form.preconditioner())
+    assert cg.result is not None and cg.settle(lam) is cg
 
 
 def band_pencils():
@@ -716,7 +791,7 @@ def test_band_from_the_factors_matches_the_dense_band(kind, reverse):
     if reverse:
         S = S[::-1, ::-1]
     want = dense_lower_band(S, band.kd)
-    assert band.kd == eigcore._csr_bandwidth(sp.csr_matrix(S))
+    assert band.kd == scan_bandwidth(sp.csr_matrix(S))
     got = band.lower(sigma, reverse=reverse)
     assert got.flags.f_contiguous
     scale = np.abs(want).max()
@@ -764,7 +839,7 @@ def test_factored_solve_holds_its_band_and_the_lanczos_basis():
     # vectors, the start vector and the solve's V and M V)
     form = assemble_reduced2d(1.0, Rect(0.0, 1.0, 0.0, 1.0), 6.0, (384, 64))
     n, k = form.n, 4
-    kd = form.A.half_bandwidth
+    kd = eigcore._band_pencil(form.A, form.M, 10**6).kd
     ncv = max(2 * k + 1, 20)   # eigsh's default
     tracemalloc.start()
     try:
@@ -806,7 +881,7 @@ def test_inertia_counts_match_block_cg_counts(monkeypatch, build):
     form, T = build()
     assert form.n > eigcore.DENSE_N
     opts = EigOptions(k=4, tol=1e-9)
-    exact = count_below(form.A, form.M, T, 1e-6 * T, opts)
+    exact = count_below(form.A, form.M, T, 1e-6 * T, opts).settle(())
     monkeypatch.setattr(eigcore, "_CG_ARRAYS", 0)
     cg = count_below(form.A, form.M, T, 1e-6 * T, opts, form.preconditioner())
     assert exact.result is None and exact.inertia == (1, 1)
@@ -846,7 +921,8 @@ def test_indefinite_sparse_pencil_iterates():
     # no shift makes A - sigma I positive definite from sigma = 0: the
     # factored branch hands the pencil to block CG
     lam = np.linspace(-2.0, 10.0, 800)
-    res = lowest_eigenpairs(sp.diags(lam).tocsr(), None, 3,
+    res = lowest_eigenpairs(sp.diags(lam).tocsr(),
+                            sp.identity(lam.size, format="csr"), 3,
                             EigOptions(tol=1e-9))
     assert res.solver == "block_cg"
     assert res.theta == pytest.approx(lam[:3], rel=1e-8)
@@ -856,9 +932,9 @@ def test_indefinite_sparse_pencil_iterates():
 
 def test_count_below_trivial_cases():
     A = np.diag([1.0, 2.0, 3.0])
-    r = count_below(A, None, threshold=2.5, safety=0.0)
+    r = count_below(A, np.eye(3), threshold=2.5, safety=0.0)
     assert r.count == 2 and not r.boundary
-    r = count_below(A, None, threshold=2.0, safety=0.1)
+    r = count_below(A, np.eye(3), threshold=2.0, safety=0.1)
     assert r.count == 1 and r.boundary
 
 
@@ -866,7 +942,8 @@ def test_count_below_fd_chain_midpoint():
     n = 100
     lam = fd_chain_eigs(n)
     thresh = 0.5 * (lam[3] + lam[4])  # midpoint above the 4th eigenvalue
-    r = count_below(fd_chain(n), None, threshold=thresh, safety=0.0)
+    r = count_below(fd_chain(n), sp.identity(n, format="csr"),
+                    threshold=thresh, safety=0.0)
     assert r.count == 4
     assert not r.boundary
     assert r.reliable
@@ -876,29 +953,11 @@ def test_count_below_grows_block_for_clearance():
     # 12 eigenvalues below the threshold forces the block to grow past
     # its starting size
     lam = np.arange(1.0, 31.0)
-    r = count_below(np.diag(lam), None, threshold=12.5, safety=0.25)
+    r = count_below(np.diag(lam), np.eye(lam.size), threshold=12.5,
+                    safety=0.25)
     assert r.count == 12
     assert r.reliable
     assert r.clearance == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("dense_n", [10**9, 0], ids=["dense", "factored"])
-def test_absent_mass_is_the_sparse_identity(monkeypatch, dense_n):
-    monkeypatch.setattr(eigcore, "DENSE_N", dense_n)
-    n = 40
-    A = fd_chain(n)
-    eye = sp.identity(n, format="csr")
-    opts = EigOptions(k=3, tol=1e-10)
-    for solve in (lambda M: smallest_eigenpairs(A, M, opts),
-                  lambda M: lowest_eigenpairs(A, M, 3, opts)):
-        a, b = solve(None), solve(eye)
-        assert a.solver == b.solver
-        assert a.theta.tobytes() == b.theta.tobytes()
-        assert a.vectors.tobytes() == b.vectors.tobytes()
-    lam = fd_chain_eigs(n)
-    T = 0.5 * (lam[2] + lam[3])
-    a, b = (count_below(A, M, T, 1e-6 * T) for M in (None, eye))
-    assert (a.count, a.inertia) == (b.count, b.inertia) == (3, (3, 3))
 
 
 def test_count_below_sets_no_block_floor(monkeypatch):
@@ -926,16 +985,17 @@ def test_count_below_sets_no_block_floor(monkeypatch):
 
 def test_count_below_rejects_negative_safety():
     with pytest.raises(ValueError):
-        count_below(np.eye(2), None, threshold=1.0, safety=-0.1)
+        count_below(np.eye(2), np.eye(2), threshold=1.0, safety=-0.1)
 
 
 def test_splu_and_jacobi_preconditioners_run():
     A = fd_chain(50)
     pre = SpluPrecond(A)
-    res = smallest_eigenpairs(A, None, EigOptions(k=2, tol=1e-9), pre)
+    eye = sp.identity(50, format="csr")
+    res = smallest_eigenpairs(A, eye, EigOptions(k=2, tol=1e-9), pre)
     assert res.ok and res.iterations <= 8
     jac = JacobiPrecond(A.diagonal())
-    res2 = smallest_eigenpairs(A, None, EigOptions(k=2, tol=1e-9), jac)
+    res2 = smallest_eigenpairs(A, eye, EigOptions(k=2, tol=1e-9), jac)
     assert res2.ok
     assert np.allclose(res.theta, res2.theta, rtol=1e-8)
 
@@ -990,7 +1050,7 @@ def test_inertia_count_runs_on_one_blas_thread(monkeypatch, blas_threads):
     lam = dense_spectrum(form)
     seen = _spy_threads(monkeypatch, blas_threads, ["_negative_count"])
     T = 0.5 * (lam[1] + lam[2])
-    r = count_below(form.A, form.M, T, 1e-6 * T)
+    r = count_below(form.A, form.M, T, 1e-6 * T).settle(())
     assert r.result is None and r.count == 2
     assert seen == [1, 1]
     assert blas_threads() == 2
@@ -1010,7 +1070,8 @@ def test_one_blas_thread_scope_restores_the_count(blas_threads):
 @pytest.mark.parametrize("build", [
     lambda: (wide_pencils()["half_DN"].A, wide_pencils()["half_DN"].M),
     # no shift factors: the factored branch hands the pencil to block CG
-    lambda: (sp.diags(np.linspace(-2.0, 10.0, 800)).tocsr(), None),
+    lambda: (sp.diags(np.linspace(-2.0, 10.0, 800)).tocsr(),
+             sp.identity(800, format="csr")),
 ], ids=["wide", "fallback"])
 def test_block_cg_keeps_the_callers_blas_pool(monkeypatch, blas_threads,
                                               build):

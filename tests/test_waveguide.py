@@ -296,18 +296,19 @@ class TestCountReliability:
 class TestOneTopCount:
     """A factored top rung is counted by inertia once, at the top of its
     band, and counted again at the bottom only when its solve does not
-    settle it."""
+    settle it (``CountResult.settle``)."""
 
     @staticmethod
     def spy_counts(monkeypatch):
-        real = waveguide.count_below
+        """The shift of every inertia count, in order."""
+        real = eigcore._negative_count
         calls = []
 
-        def spy(A, M, threshold, safety, **kwargs):
-            calls.append((threshold, safety))
-            return real(A, M, threshold, safety, **kwargs)
+        def spy(band, sigma):
+            calls.append(sigma)
+            return real(band, sigma)
 
-        monkeypatch.setattr(waveguide, "count_below", spy)
+        monkeypatch.setattr(eigcore, "_negative_count", spy)
         return calls
 
     def test_a_settled_top_rung_is_counted_once(self, monkeypatch):
@@ -315,10 +316,10 @@ class TestOneTopCount:
         rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
         top = rep.rungs[-1]
         assert top.solver == "shift_invert" and top.inertia == (1, 1)
-        # the planar threshold E1 - pi^2 plus the band, with no band of
-        # its own: its one solved value below the band settles the bottom
+        # the planar threshold E1 - pi^2 plus the band: its one solved
+        # value below the band settles the bottom
         band = waveguide.BAND_REL * top.threshold
-        assert calls == [(pytest.approx(top.threshold - PI2 + band), 0.0)]
+        assert calls == [pytest.approx(top.threshold - PI2 + band)]
 
     def test_a_value_in_the_band_is_counted_again(self, monkeypatch):
         # a band of 1 % of E1 holds the top rung's lowest planar value,
@@ -328,8 +329,8 @@ class TestOneTopCount:
         rep = compute_spectrum(WaveguideSpec(1.0, STRIP), STRIP_DISC)
         below, above = rep.rungs[-1].inertia
         assert len(calls) == 2
-        assert calls[1] == (pytest.approx(calls[0][0] - 2 * 0.01
-                                          * rep.rungs[-1].threshold), 0.0)
+        assert calls[1] == pytest.approx(calls[0] - 2 * 0.01
+                                         * rep.rungs[-1].threshold)
         assert below == 0 < above
         assert "unreliable_count:r1s1" in rep.flags
         assert not any(f.startswith("count_mismatch") for f in rep.flags)
@@ -358,6 +359,25 @@ class TestOneTopCount:
         assert rep.rungs[-1].inertia == (1, 1)
         assert "count_mismatch:r1s1" in rep.flags
         assert "inconclusive" in rep.flags
+
+    def test_one_band_pencil_per_factored_rung_and_one_for_the_count(
+            self, monkeypatch):
+        # the benchmark's strip ladder: four factored rungs, and the top
+        # rung's count holds a pencil of its own, built once
+        built = []
+        real = eigcore._BandPencil.__init__
+
+        def spy(band, *args, **kwargs):
+            built.append(band)
+            real(band, *args, **kwargs)
+
+        monkeypatch.setattr(eigcore._BandPencil, "__init__", spy)
+        disc = DiscretizationSpec(nx=40, n1=8, n2=8, L=21.2,
+                                  mode="reduced2d", refine=3, l_steps=2)
+        rep = compute_spectrum(WaveguideSpec(1.0, STRIP), disc)
+        factored = [rr for rr in rep.rungs if rr.solver == "shift_invert"]
+        assert len(factored) == 4
+        assert len(built) == 5
 
 
 class TestStrongShear:
