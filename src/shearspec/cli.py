@@ -7,10 +7,11 @@ fixed config and seed, so rerunning a manifest at the same BLAS thread
 count reproduces its CSVs byte for byte.  Dense and factored solves run
 on one BLAS thread at any count, so the CSVs of a ladder whose rungs are
 all dense or factored reproduce across thread counts too; on block-CG
-rungs the ``residual`` column is rounding noise.  Every file is written by
-``_write``, every CSV made by ``_csv``.  Exit codes: 0 success, 2 bad
-arguments, config or output directory, 3 solver non-convergence, 4
-inconclusive result.
+rungs the ``residual`` column, each value's bound sqrt(8) ||Ax - theta
+Mx||_D on its distance to the spectrum, is rounding noise.  Every file
+is written by ``_write``, every CSV made by ``_csv``.  Exit codes: 0
+success, 2 bad arguments, config or output directory, 3 solver
+non-convergence, 4 inconclusive result.
 """
 
 from __future__ import annotations

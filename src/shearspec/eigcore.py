@@ -59,10 +59,10 @@ term from the same factors; only M is assembled, for the Lanczos
 products.  A bare pencil is the one-node x slot.  (``dsbmv`` on the band
 would read all kd + 1 rows where a reduced2d band holds 5: 1.0 ms per
 vector at order 9920 and kd 257.)  The half-bandwidth kd is read off the
-same union patterns the band is written from, so the band always holds
-every entry.  The inertia count factors the band in reversed order, so
-that its first non-positive pivot falls at the far end, away from the
-bend at x = 0, and little is left to factor after it.  A count with a
+factors, so the band holds every entry, and a pencil bound for block CG
+is never built.  The inertia count factors the band in reversed order,
+so that its first non-positive pivot falls at the far end, away from
+the bend at x = 0, and little is left to factor after it.  A count with a
 safety band s factors once, at T + s, and stays open until
 ``CountResult.settle`` closes it at T - s: Ritz values bound eigenvalues
 from above, so the caller's solved values usually settle it with no
@@ -542,18 +542,13 @@ class EigResult:
     # A block applies, each paired with one M apply: the start block,
     # one per iteration, one per convergence confirmation
     matmats: int
-    # ||A x - theta M x||_2 per requested pair, from freshly applied
-    # products.  Block CG stops on the diag(M)^-1 norm (``_settled``);
-    # this stays the 2-norm, the CSV ``residual`` column
+    # sqrt(8) ||A x - theta M x||_D per requested pair, of fresh
+    # products: a bound on theta's distance to the spectrum at every
+    # length scale (``_MASS_BOUND``); the CSV ``residual`` column
     residuals: np.ndarray
     solver: str                # "dense", "block_cg" or "shift_invert"
     shift: float | None = None  # sigma of a factored solve, certified
                                 # below the spectrum by its Cholesky
-    # sqrt(8) ||A x - theta M x||_D per requested pair, from the same
-    # products: it bounds the M^-1 norm of the residual, and with it the
-    # distance from theta to the spectrum, at every length scale
-    # (``_MASS_BOUND``); None for a full dense eigenbasis
-    mass_residuals: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -615,25 +610,25 @@ def _rayleigh_ritz(GA: np.ndarray, GM: np.ndarray, bs: int):
 _MASS_BOUND = 8.0
 
 
-def _dnorm(R: np.ndarray, dinv: np.ndarray) -> np.ndarray:
-    """Column norms ||r||_D = (sum_i r_i^2 / M_ii)^(1/2) of R, for
-    ``dinv`` = 1 / diag(M).  numpy's own sum-of-products loop, with no
-    temporary and no BLAS pool: numpy's ``@`` would wake its own."""
-    return np.sqrt(np.einsum("ij,ij,i->j", R, R, dinv))
+def _residual_bound(R: np.ndarray, dinv: np.ndarray) -> np.ndarray:
+    """sqrt(8) ||r||_D per column r of R (``_MASS_BOUND``), for ``dinv``
+    = 1 / diag(M).  numpy's own sum-of-products loop, with no temporary
+    and no BLAS pool: numpy's ``@`` would wake its own."""
+    return np.sqrt(_MASS_BOUND * np.einsum("ij,ij,i->j", R, R, dinv))
 
 
-def _settled(theta: np.ndarray, dn: np.ndarray, k: int,
+def _settled(theta: np.ndarray, res: np.ndarray, k: int,
              tol: float) -> np.ndarray:
     """Per pair, whether its Ritz value is accurate to tol |theta|, for
     the lowest k pairs and the pairs beyond k that are nearly degenerate
     with theta[k-1] (else the requested values can still drift).
 
-    ``dn`` holds the residual norms ||Ax - theta Mx||_D.  Pair j passes
-    the Kato-Temple test 8 ||r_j||_D^2 <= tol |theta_j| delta_j, delta_j
-    the distance from theta_j to the next Ritz value outside its cluster
-    (consecutive values within 1e-6 |theta| of each other).  A pair
-    whose cluster reaches the end of the block has no such gap and
-    passes on sqrt(8) ||r_j||_D <= tol |theta_j|.
+    ``res`` holds the residual bounds (``_residual_bound``).  Pair j
+    passes the Kato-Temple test res_j^2 <= tol |theta_j| delta_j,
+    delta_j the distance from theta_j to the next Ritz value outside its
+    cluster (consecutive values within 1e-6 |theta| of each other).  A
+    pair whose cluster reaches the end of the block has no such gap and
+    passes on res_j <= tol |theta_j|.
     """
     bs = theta.size
     # split[i]: a cluster ends at i, and theta[i + 1] opens the next
@@ -645,7 +640,7 @@ def _settled(theta: np.ndarray, dn: np.ndarray, k: int,
     for j in range(bs - 2, -1, -1):
         above[j] = theta[j + 1] if split[j] else above[j + 1]
     scale = tol * np.abs(theta[:need])
-    bound = _MASS_BOUND * dn[:need] ** 2
+    bound = res[:need] ** 2
     gap = above[:need] - theta[:need]
     return np.where(np.isnan(gap), bound <= scale * scale,
                     bound <= scale * gap)
@@ -723,19 +718,18 @@ def smallest_eigenpairs(A, M, opts: EigOptions | None = None,
     while True:
         X, AX, MX = S[:, :bs], AS[:, :bs], MS[:, :bs]
         R = AX - MX * theta
-        ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+        ok = _settled(theta, _residual_bound(R, dinv), k, opts.tol)
         if it == opts.maxit or ok.all():
             # the carried products drift by rounding; only fresh ones
             # may certify convergence
             theta = ritz(X, AX, MX)
             nmat += 1
             R = AX - MX * theta
-            ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+            ok = _settled(theta, _residual_bound(R, dinv), k, opts.tol)
             if it == opts.maxit or ok.all():
                 return EigResult(theta[:k].copy(), X[:, :k].copy(), ok[:k],
-                                 it, nmat, np.linalg.norm(R[:, :k], axis=0),
-                                 "block_cg", None, math.sqrt(_MASS_BOUND)
-                                 * _dnorm(R[:, :k], dinv))
+                                 it, nmat, _residual_bound(R[:, :k], dinv),
+                                 "block_cg")
         xp, m = bs + p, 2 * bs + p
         W = S[:, xp:m]
         W[:] = precond(R, float(theta[0]))
@@ -770,6 +764,19 @@ def smallest_eigenpairs(A, M, opts: EigOptions | None = None,
         it += 1
 
 
+def _half_bandwidth(terms, m: int) -> int:
+    """max(i - j) m + max(a - b) over the stored entries of every x factor
+    and every section factor of ``terms``, m the section order: the
+    half-bandwidth of their sum."""
+    def width(mats):
+        # off the CSR arrays: COO conversions took 0.56 ms a pencil
+        return max(int((np.repeat(np.arange(c.shape[0]), np.diff(c.indptr))
+                        - c.indices[:c.indptr[-1]]).max(initial=0))
+                   for c in mats)
+    return (width([X for _, (X, _) in terms]) * m
+            + width([S for _, (_, S) in terms]))
+
+
 def _coo(mats):
     """Rows, columns and per-matrix values of the union pattern of the
     square sparse ``mats`` (``_union``)."""
@@ -794,9 +801,8 @@ class _BandPencil:
     and one scatter per chunk of x entries.  A bare sparse pencil (a
     section or triangle) is the one-node x slot, X = [1], and its band
     the scatter of its lower entries.  The half-bandwidth ``kd`` is the
-    widest band row that writes, max(i - j) m + max(a - b) over the two
-    union patterns.  ``mass`` is M's CSR matrix, for the Lanczos
-    products.
+    widest band row that writes (``_half_bandwidth``).  ``mass`` is M's
+    CSR matrix, for the Lanczos products.
     """
 
     def __init__(self, A, M):
@@ -817,9 +823,7 @@ class _BandPencil:
         self._terms = terms
         self._coef = np.array([c for c, _ in terms])
         self._s = _coo([S for _, (_, S) in terms])
-        (xi, xj, _), (si, sj, _) = self._x, self._s
-        self.kd = (int((xi - xj).max(initial=0)) * self.shape[1]
-                   + int((si - sj).max(initial=0)))
+        self.kd = _half_bandwidth(terms, self.shape[1])
 
     @functools.cached_property
     def mass(self) -> sp.csr_matrix:
@@ -879,21 +883,21 @@ def _band_pencil(A, M, bs: int) -> _BandPencil | None:
     """The pencil as a ``_BandPencil`` when it is to be factored; None
     otherwise.
 
-    An operator form (A and M KronOps of one shape) is factored when its
-    band Cholesky, n (kd + 1) doubles with kd the built pencil's own, is
-    no larger than the _CG_ARRAYS n x bs arrays block CG would hold.  A bare sparse pencil (a section
-    or triangle) is factored at any bandwidth: block CG has no
-    preconditioner for it but Jacobi, under which its iterations grow
-    with the mesh.
+    An operator form (A and M KronOps of one shape) is factored, and
+    built, when its band Cholesky, n (kd + 1) doubles, is no larger than
+    the _CG_ARRAYS n x bs arrays block CG would hold.  A bare sparse
+    pencil (a section or triangle) is factored at any bandwidth: block
+    CG has no preconditioner for it but Jacobi, under which its
+    iterations grow with the mesh.
     """
     kron = isinstance(A, KronOp) and isinstance(M, KronOp)
     if not (kron and A.shape == M.shape
             or sp.issparse(A) and sp.issparse(M)):
         return None
-    band = _BandPencil(A, M)
-    if kron and band.kd + 1 > _CG_ARRAYS * bs:
+    if kron and (_half_bandwidth(A.terms + M.terms, A.shape[1]) + 1
+                 > _CG_ARRAYS * bs):
         return None
-    return band
+    return _BandPencil(A, M)
 
 
 def _band_cholesky(band: _BandPencil, sigma: float) -> np.ndarray | None:
@@ -979,7 +983,8 @@ def _negative_count(band: _BandPencil, sigma: float) -> int:
         del L, ab
         first = (start + t) // m
         ab, base = band.lower(sigma, reverse=True, first=first), first * m
-        mm = min(kd, size - f)
+        # at least the pivot row, also at kd = 0
+        mm = min(max(kd, 1), size - f)
         B = block(f, f + mm, f, f + mm)
         if f > t:
             X = sla.solve_triangular(Lt, block(f, f + mm, t, f).T,
@@ -1041,15 +1046,10 @@ def _shift_invert(band: _BandPencil, k: int, opts: EigOptions,
 
 def _direct_result(AV, d, theta, V, MV, applies, solver,
                    shift) -> EigResult:
-    """EigResult of a dense or factored solve, every pair converged, with
-    residuals from fresh products (AV = A V, MV = M V); the mass bounds
-    need d = diag(M), and a full eigenbasis, which no ladder reads,
-    passes None."""
-    R = AV - MV * theta
+    """EigResult of a dense or factored solve, every pair converged; its
+    residuals from fresh products AV = A V and MV = M V, d = diag(M)."""
     return EigResult(theta, V, np.ones(theta.size, dtype=bool), applies, 0,
-                     np.linalg.norm(R, axis=0), solver, shift,
-                     None if d is None
-                     else math.sqrt(_MASS_BOUND) * _dnorm(R, 1.0 / d))
+                     _residual_bound(AV - MV * theta, 1.0 / d), solver, shift)
 
 
 def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
@@ -1073,11 +1073,11 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
     applies of C.  Dense solves run to machine precision.  Both branches
     run on one BLAS thread (``_ONE_BLAS_THREAD``).  Any other pencil, or
     one whose A is not positive definite, goes to ``smallest_eigenpairs``
-    with ``precond``, on the caller's BLAS pool.  Direct solves report
-    residuals from fresh products, a factored one applying A term by term
-    from its Kronecker factors (``_BandPencil.apply_A``; ``dsbmv`` on the
-    band was slower); ``solver`` records the branch taken and ``shift``
-    the certified sigma.
+    with ``precond``, on the caller's BLAS pool.  Every branch reports
+    the residual bounds of fresh products, a factored one applying A term
+    by term from its Kronecker factors (``_BandPencil.apply_A``;
+    ``dsbmv`` on the band was slower); ``solver`` records the branch
+    taken and ``shift`` the certified sigma.
     """
     opts = opts or EigOptions()
     n = _order(A)
@@ -1089,8 +1089,8 @@ def lowest_eigenpairs(A, M, k: int | None, opts: EigOptions | None = None,
             theta, V = sla.eigh(materialize(A), Md,
                                 subset_by_index=None if k is None
                                 else [0, k - 1])
-            return _direct_result(A @ V, None if k is None else np.diag(Md),
-                                  theta, V, M @ V, 0, "dense", None)
+            return _direct_result(A @ V, np.diag(Md), theta, V, M @ V, 0,
+                                  "dense", None)
     band = _band_pencil(A, M, min(k + 3, n))
     if band is not None:
         with _ONE_BLAS_THREAD:

@@ -120,10 +120,10 @@ class RungResult:
     """One ladder point: its grid, discrete threshold, and Ritz data.
 
     ``solved`` and ``solved_residuals`` are the solver's values and
-    residuals in solver order, ``solved_mass_residuals`` their
-    ``EigResult.mass_residuals``; ``eigenvalues`` (with ``residuals`` and
-    ``converged``) list their lowest channel sums on the full-guide
-    scale, which in 3-D modes are the solved values themselves.
+    residual bounds (``EigResult.residuals``) in solver order;
+    ``eigenvalues`` (with ``residuals`` and ``converged``) list their
+    lowest channel sums on the full-guide scale, which in 3-D modes are
+    the solved values themselves.
     ``solver`` is the branch of ``lowest_eigenpairs`` that produced them
     and ``shift`` the sigma of a factored solve.
     """
@@ -137,7 +137,6 @@ class RungResult:
     warnings: list[str] = field(default_factory=list)
     solved: np.ndarray | None = None
     solved_residuals: np.ndarray | None = None
-    solved_mass_residuals: np.ndarray | None = None
     iterations: int = 0
     # A block applies (each paired with an M apply) of a block-CG solve;
     # 0 for a dense or factored one
@@ -530,7 +529,6 @@ def _make_rung(g: RungGrid, e1: float, sol: EigResult, k: int,
                       np.array([res[m] for _, m, _ in take]),
                       np.array([conv[m] for _, m, _ in take]), seconds, warn,
                       solved=theta.copy(), solved_residuals=res.copy(),
-                      solved_mass_residuals=sol.mass_residuals[:k].copy(),
                       iterations=sol.iterations, matmats=sol.matmats,
                       below=below, solver=sol.solver, shift=sol.shift)
 
@@ -540,17 +538,17 @@ def _flag_monotone(results, disc: DiscretizationSpec, scale: float,
     """Nested spaces force Ritz values down along both ladder axes; an
     increase beyond solver slack means something is wrong and is worth a
     flag even though counting would survive it.  Each solved value is
-    compared with its own residual, in the mass bound sqrt(8) ||r||_D
-    (``EigResult.mass_residuals``): it bounds the value's distance to
+    compared with its own residual bound sqrt(8) ||r||_D
+    (``RungResult.solved_residuals``): it bounds the value's distance to
     the spectrum and scales with it, so the slack means the same at
-    every length scale, where the 2-norm residual does not."""
+    every length scale."""
     tr, ts = disc.refine - 1, disc.l_steps - 1
     steps = [("refine", (r - 1, ts), (r, ts)) for r in range(1, disc.refine)]
     steps += [("L", (tr, s - 1), (tr, s)) for s in range(1, disc.l_steps)]
     for axis, pa, pb in steps:
         a, b = results[pa], results[pb]
-        tol = 1e-7 * abs(scale) + 10.0 * (a.solved_mass_residuals
-                                          + b.solved_mass_residuals)
+        tol = 1e-7 * abs(scale) + 10.0 * (a.solved_residuals
+                                          + b.solved_residuals)
         for j in np.nonzero(b.solved > a.solved + tol)[0]:
             flags.append(f"monotone_{axis}:j{j}")
 

@@ -1,4 +1,5 @@
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -395,9 +396,10 @@ def test_returned_residuals_are_true_residuals():
                               form.preconditioner())
     assert res.ok
     V = res.vectors
-    # the residuals stay 2-norms, of fresh products
-    true = np.linalg.norm(form.A.matmat(V) - form.M.matmat(V) * res.theta,
-                          axis=0)
+    # the residuals are the bounds sqrt(8) ||r||_D of fresh products
+    R = form.A.matmat(V) - form.M.matmat(V) * res.theta
+    true = math.sqrt(8.0) * np.sqrt(
+        np.einsum("ij,ij,i->j", R, R, 1.0 / form.M.diagonal()))
     assert res.residuals == pytest.approx(true, rel=1e-5)
     # the rule stops on the eigenvalue: the Kato-Temple test holds on the
     # true residuals, and each value lies within tol |theta| of its own
@@ -449,7 +451,7 @@ def test_lowest_eigenpairs_branches_agree(monkeypatch, kind, iterative):
         assert res.ok
         if solver == "block_cg":
             # block CG stops on the Kato-Temple test in the diag(M)^-1
-            # norm, direct solves leave small 2-norm residuals
+            # norm, direct solves leave small residual bounds
             lam = sla.eigh(materialize(A), materialize(M), eigvals_only=True,
                            subset_by_index=[0, 3])
             assert np.all(kato_temple(A, M, res, lam) <= 1e-10)
@@ -481,8 +483,9 @@ def list_block_cg(A, M, opts=None, precond=None):
     """Block CG on [X W P] held as lists of separate n x bs arrays, with
     Gram matrices and basis changes block by block: the reference the
     workspace loop of ``smallest_eigenpairs`` must reproduce."""
-    from shearspec.eigcore import (EigResult, SolverError, _dnorm, _order,
-                                   _rayleigh_ritz, _settled, _whiten)
+    from shearspec.eigcore import (EigResult, SolverError, _order,
+                                   _rayleigh_ritz, _residual_bound, _settled,
+                                   _whiten)
     opts = opts or EigOptions()
     n = _order(A)
     if _order(M) != n:
@@ -512,17 +515,17 @@ def list_block_cg(A, M, opts=None, precond=None):
     it = 0
     while True:
         R = AX - MX * theta
-        ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+        ok = _settled(theta, _residual_bound(R, dinv), k, opts.tol)
         if it == opts.maxit or ok.all():
             # the carried products drift by rounding; only fresh ones
             # may certify convergence
             theta, X, AX, MX = ritz(X)
             nmat += 1
             R = AX - MX * theta
-            ok = _settled(theta, _dnorm(R, dinv), k, opts.tol)
+            ok = _settled(theta, _residual_bound(R, dinv), k, opts.tol)
             if it == opts.maxit or ok.all():
                 return EigResult(theta[:k].copy(), X[:, :k].copy(), ok[:k],
-                                 it, nmat, np.linalg.norm(R[:, :k], axis=0),
+                                 it, nmat, _residual_bound(R[:, :k], dinv),
                                  "block_cg")
         W = precond(R, float(theta[0]))
         # M-orthogonal to X and P before the apply: the Gram matrix of
@@ -672,6 +675,49 @@ def test_widths_from_different_terms_count_and_solve_like_dense():
     res = lowest_eigenpairs(A, M, 4)
     assert res.solver == "shift_invert"
     assert res.theta == pytest.approx(lam[:4], rel=1e-10)
+
+
+def diagonal_pencils():
+    """Pencils of half-bandwidth 0: a bare shuffled diagonal against a
+    random diagonal mass, and a KronOp of diagonal factors."""
+    rng = np.random.default_rng(5)
+    nx, m = 20, 15
+    return {
+        "sparse": (sp.diags(rng.permutation(np.arange(1.0, 301.0))).tocsr(),
+                   sp.diags(rng.uniform(0.5, 2.0, 300)).tocsr()),
+        "kron": (KronOp([(1.0, (sp.diags(np.arange(1.0, nx + 1.0)),
+                                sp.identity(m))),
+                         (0.1, (sp.identity(nx),
+                                sp.diags(np.arange(1.0, m + 1.0))))],
+                        (nx, m)),
+                 MassKron((sp.identity(nx), sp.identity(m)), (nx, m))),
+    }
+
+
+def _no_return(signum, frame):
+    raise TimeoutError("the count did not return")
+
+
+@pytest.mark.parametrize("kind", ["sparse", "kron"])
+def test_diagonal_pencils_count_like_dense(kind):
+    # with kd = 0 each non-positive pivot is a block of its own row; a
+    # count that takes no row there never returns, so each count runs
+    # under an alarm
+    A, M = diagonal_pencils()[kind]
+    assert eigcore._band_pencil(A, M, 4).kd == 0
+    lam = sla.eigh(materialize(A), materialize(M), eigvals_only=True)
+    shifts = np.concatenate([[0.5 * lam[0], 2.0 * lam[-1]],
+                             0.5 * (lam[[0, 2, 3, 16, 197]]
+                                    + lam[[1, 3, 4, 17, 198]])])
+    old = signal.signal(signal.SIGALRM, _no_return)
+    try:
+        for T in shifts:
+            signal.alarm(20)
+            assert count_below(A, M, T, 0.0).count == \
+                np.count_nonzero(lam < T), T
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def dense_spectrum(form):

@@ -200,8 +200,8 @@ class TestLengthScaling:
     def test_ladder_is_invariant_under_length_scaling(self):
         # scaling every length by s scales every eigenvalue by s^-2 and
         # nothing else: the count, lambda_1 s^2 and the iterations of
-        # every rung, the factored r0s1 and the block-CG r1 rungs, must
-        # not move with s
+        # every rung, the factored r0s1 and the block-CG r1 rungs, and
+        # the block-CG rungs' residual / lambda must not move with s
         got = {}
         for s in (1e-6, 1.0, 1e4):
             disc = DiscretizationSpec(nx=24, n1=8, n2=8, L=s, mode="half_DN",
@@ -214,12 +214,16 @@ class TestLengthScaling:
             assert [(rr.grid.r, rr.grid.s, rr.solver) for rr in rep.rungs] \
                 == [(0, 1, "shift_invert"), (1, 0, "block_cg"),
                     (1, 1, "block_cg")]
+            # residual / lambda of each block-CG rung's lowest value
             got[s] = (rep.eigenvalues[0] * s * s,
-                      [rr.iterations for rr in rep.rungs])
-        lam, iters = got[1.0]
+                      [rr.iterations for rr in rep.rungs],
+                      [rr.residuals[0] / rr.eigenvalues[0]
+                       for rr in rep.rungs[1:]])
+        lam, iters, rel = got[1.0]
         for s in (1e-6, 1e4):
             assert got[s][0] == pytest.approx(lam, rel=1e-8)
             assert got[s][1] == iters
+            assert got[s][2] == pytest.approx(rel, rel=1e-6)
         assert lam == pytest.approx(28.2600696101, rel=1e-8)
 
 
@@ -349,8 +353,7 @@ class TestOneTopCount:
             res = real(A, M, k + 1, *args, **kwargs)
             return dataclasses.replace(
                 res, theta=res.theta[1:], vectors=res.vectors[:, 1:],
-                converged=res.converged[1:], residuals=res.residuals[1:],
-                mass_residuals=res.mass_residuals[1:])
+                converged=res.converged[1:], residuals=res.residuals[1:])
 
         monkeypatch.setattr(waveguide, "lowest_eigenpairs", skip_lowest)
         calls = self.spy_counts(monkeypatch)
@@ -378,6 +381,27 @@ class TestOneTopCount:
         factored = [rr for rr in rep.rungs if rr.solver == "shift_invert"]
         assert len(factored) == 4
         assert len(built) == 5
+
+    def test_a_block_cg_pencil_is_never_built(self, monkeypatch):
+        # the benchmark's L-mask ladder: only r0s1 is factored, and the
+        # block-CG rungs' kd is read off their factors with no pencil
+        built = []
+        real = eigcore._BandPencil.__init__
+
+        def spy(band, *args, **kwargs):
+            built.append(band)
+            real(band, *args, **kwargs)
+
+        monkeypatch.setattr(eigcore._BandPencil, "__init__", spy)
+        mask = cli.load_mask(str(Path(__file__).parents[1] / "demos"
+                                 / "configs" / "l_mask.txt"))
+        disc = DiscretizationSpec(nx=10, n1=12, n2=12, L=4.0, mode="half_DN",
+                                  refine=2, l_steps=2)
+        rep = compute_spectrum(WaveguideSpec(1.0, mask), disc,
+                               EigOptions(k=4, tol=1e-9))
+        assert [rr.solver for rr in rep.rungs] == [
+            "shift_invert", "block_cg", "block_cg"]
+        assert len(built) == 1
 
 
 class TestStrongShear:
@@ -881,13 +905,12 @@ class TestChannelSums:
 
 
 def _rung(r, s, theta, residuals, w1, e1):
-    """A ladder rung made by ``_make_rung`` from a synthetic solve whose
-    residuals read the same in the 2-norm and the mass bound."""
+    """A ladder rung made by ``_make_rung`` from a synthetic solve with
+    the residual bounds ``residuals``."""
     theta = np.asarray(theta)
     sol = eigcore.EigResult(theta, np.zeros((1, len(theta))),
                             np.ones(len(theta), bool), 0, 0,
-                            np.asarray(residuals), "dense",
-                            mass_residuals=np.asarray(residuals))
+                            np.asarray(residuals), "dense")
     g = waveguide.RungGrid(r, s, 8, 0, 8, 1.0)
     return waveguide._make_rung(g, e1, sol, len(theta), w1, [], 0.0)
 
@@ -895,11 +918,9 @@ def _rung(r, s, theta, residuals, w1, e1):
 class TestFlagMonotone:
     @pytest.mark.parametrize("s", [1e-6, 1.0, 1e4])
     def test_a_relative_rise_is_flagged_at_every_length_scale(self, s):
-        # the slack comes from the mass bound sqrt(8) ||r||_D, which
+        # the slack comes from the residual bound sqrt(8) ||r||_D, which
         # scales with the values: a rise of 1e-3 of the largest-residual
         # value along the box axis is flagged alike at every length scale
-        # (the 2-norm residual of the block-CG rungs reads 0.02 of that
-        # value at s = 1e4, and made a slack of 0.4 of it)
         disc = DiscretizationSpec(nx=24, n1=8, n2=8, L=s, mode="half_DN",
                                   refine=2, l_steps=2)
         rep = compute_spectrum(WaveguideSpec(1.0, Rect(0.0, s, 0.0, s)),
@@ -908,7 +929,7 @@ class TestFlagMonotone:
         flags = []
         waveguide._flag_monotone(results, disc, rep.threshold, flags)
         assert flags == []
-        j = int(np.argmax(results[(1, 1)].solved_mass_residuals
+        j = int(np.argmax(results[(1, 1)].solved_residuals
                           / results[(1, 1)].solved))
         results[(1, 1)].solved[j] = results[(1, 0)].solved[j] * 1.001
         waveguide._flag_monotone(results, disc, rep.threshold, flags)
